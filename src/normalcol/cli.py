@@ -52,12 +52,13 @@ def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _read_graph(path: str, fmt: str = "auto") -> CubicGraph:
+    text = Path(path).read_text()
+    return parse_graph(text, detect_format(text) if fmt == "auto" else fmt)
+
+
 def _load_graph(args) -> tuple[CubicGraph, dict[str, str]]:
-    text = Path(args.graph).read_text()
-    fmt = args.format
-    if fmt == "auto":
-        fmt = detect_format(text)
-    return parse_graph(text, fmt), {"graph": _sha256(args.graph)}
+    return _read_graph(args.graph, args.format), {"graph": _sha256(args.graph)}
 
 
 def _load_coloring(args, graph: CubicGraph, hashes: dict[str, str]) -> EdgeColoring:
@@ -241,18 +242,10 @@ def _cmd_construct(args) -> int:
             e1, e2 = constructions.default_three_path(graph)
         out = constructions.cyclic_join_two_edges(graph, e1, e2, args.t)
     elif variant == "vertex_replacement":
-        host = (
-            parse_graph(Path(args.graph2).read_text(), detect_format(Path(args.graph2).read_text()))
-            if args.graph2
-            else constructions.replacement_host(args.t)
-        )
+        host = _read_graph(args.graph2) if args.graph2 else constructions.replacement_host(args.t)
         out = constructions.vertex_replacement(host, graph, args.vertex)
     elif variant == "two_cut":
-        other = (
-            parse_graph(Path(args.graph2).read_text(), detect_format(Path(args.graph2).read_text()))
-            if args.graph2
-            else catalog("k4")
-        )
+        other = _read_graph(args.graph2) if args.graph2 else catalog("k4")
         e1 = args.edge if args.edge is not None else 0
         e2 = args.edge2 if args.edge2 is not None else 0
         out = constructions.two_cut_connection(graph, e1, other, e2)

@@ -40,9 +40,6 @@ class EdgeColoring:
     def __getitem__(self, eid: int) -> int:
         return self.colors[eid]
 
-    def used_colors(self) -> frozenset[int]:
-        return frozenset(self.colors)
-
     def permuted(self, perm: dict[int, int]) -> "EdgeColoring":
         """Apply a color permutation; classification is invariant under this."""
         return EdgeColoring(self.k, tuple(perm[c] for c in self.colors))

@@ -10,7 +10,7 @@ byte layout exactly, including the power-of-two padding special case.
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import DegreeError, ParseError
 from .graphs import CubicGraph
 
 _FORMATS = ("edge-list", "sparse6")
@@ -70,6 +70,8 @@ def _parse_edge_list(text: str) -> CubicGraph:
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"edge {ln!r} out of range for n={n}")
         edges.append((u, v))
+    if 2 * m != 3 * n:
+        raise DegreeError(f"{m} edges cannot make {n} vertices cubic; that needs 3n/2 edges")
     return CubicGraph(n, tuple(edges))
 
 
@@ -103,17 +105,14 @@ def _n_to_data(n: int) -> list[int]:
 def _data_to_n(data: list[int]) -> tuple[int, list[int]]:
     if data[0] <= 62:
         return data[0], data[1:]
-    if data[1] <= 62:
-        return (data[1] << 12) + (data[2] << 6) + data[3], data[4:]
-    return (
-        (data[2] << 30)
-        + (data[3] << 24)
-        + (data[4] << 18)
-        + (data[5] << 12)
-        + (data[6] << 6)
-        + data[7],
-        data[8:],
-    )
+    # 63 then 18 bits in 3 characters, or 63 63 then 36 bits in 6 characters
+    start, end = (1, 4) if len(data) > 1 and data[1] <= 62 else (2, 8)
+    if len(data) < end:
+        raise ParseError(f"sparse6 size field needs {end} characters, found {len(data)}")
+    n = 0
+    for d in data[start:end]:
+        n = (n << 6) | d
+    return n, data[end:]
 
 
 def _bit_width(n: int) -> int:
@@ -179,6 +178,9 @@ def _parse_sparse6(text: str) -> CubicGraph:
         raise ParseError("empty sparse6 body")
     n, rest = _data_to_n(data)
     k = _bit_width(n)
+    # each edge takes at least 1 + k bits; this also bounds n by the input size
+    if 3 * n * (k + 1) > 12 * len(rest):
+        raise DegreeError(f"sparse6 body too short for a cubic graph on {n} vertices")
 
     def pairs():
         d = 0

@@ -1,23 +1,29 @@
 """Enumeration of connected simple cubic graphs on labeled vertices.
 
 The generator completes the smallest unsaturated vertex with partners in
-increasing order, which produces every labeled graph exactly once.  The
-distinct mode additionally restricts the stream to BFS-consistent labelings:
-N(0) = {1, 2, 3}, every later vertex has a smaller neighbor, and a vertex
-touched for the first time must be the smallest untouched label.  Every
-connected cubic graph has a BFS relabeling of that shape, so at least one
-representative of each isomorphism class survives, and a canonical-form
-filter then removes the remaining duplicates.
+increasing order, which produces every labeled graph exactly once, and in
+lexicographic order of the sorted edge lists.  The distinct mode restricts
+the stream to BFS labelings: N(0) = {1, 2, 3}, every later vertex has a
+smaller neighbor, and a vertex touched for the first time takes the smallest
+untouched label.  Every connected cubic graph has such labelings (one per
+root and order of each vertex's new children), so each isomorphism class
+appears in the stream at least once.
 
-Downstream scans never depend on the deduplication being tight: emitting a
-class twice only repeats a solve.
+Duplicates are removed by an orderly test (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 1998): a candidate is emitted only when none of
+its BFS relabelings has a lexicographically smaller sorted edge list.  The
+candidates of one class are exactly the BFS labelings of any one of them, so
+exactly one survives, the class minimum.  Because the stream is in
+lexicographic order, that minimum is also the first candidate of its class,
+so the representatives, their labels and their order are those of a filter
+that keeps the first member of each class.  The test needs no memory across
+candidates.
 """
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Iterator
-
-import numpy as np
 
 from .graphs import CubicGraph, is_connected
 
@@ -72,34 +78,72 @@ def _labeled_stream(n: int, constrained: bool) -> Iterator[tuple[tuple[int, int]
     yield from rec(-1, 1)
 
 
-def _invariant_key(graph: CubicGraph) -> tuple[int, ...]:
-    """Exact integer isomorphism invariant used only to bucket candidates."""
-    a = np.zeros((graph.n, graph.n), dtype=np.int64)
-    for u, v in graph.edges:
-        a[u, v] += 1
-        a[v, u] += 1
-    power = a @ a
-    traces = []
-    for _ in range(4):  # tr(A^3) .. tr(A^6)
-        power = power @ a
-        traces.append(int(np.trace(power)))
-    return (graph.n, *traces)
+def _is_canonical(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
+    """Whether no BFS relabeling of the graph has a smaller sorted edge list.
 
+    `edges` is sorted with u < v in every pair.  Segment i of a labeling
+    lists the labels larger than i adjacent to label i, padded to three
+    entries with n: a shorter segment equal up to its end is followed by an
+    edge of a later vertex, so it compares as larger.  Unlabeled neighbors
+    of label i receive the next free labels, which exceed every label in
+    use, so segment i is fixed before the order of those new children is
+    chosen.  The search compares one segment at a time against the
+    candidate's and branches over the children's orders only while equal.
+    """
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    segs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+        segs[u].append(v)
+    target = [tuple(seg + [n] * (3 - len(seg))) for seg in segs]
+    label = [-1] * n
+    vertex = [0] * n
 
-def _nx_graph(graph: CubicGraph):
-    import networkx as nx
+    def smaller(i: int, fresh: int) -> bool:
+        """Whether the labels fixed so far extend to a smaller edge list."""
+        if i == n:
+            return False
+        new = []
+        seg = []
+        for x in nbrs[vertex[i]]:
+            lx = label[x]
+            if lx < 0:
+                new.append(x)
+            elif lx > i:
+                seg.append(lx)
+        seg.sort()
+        seg.extend(range(fresh, fresh + len(new)))
+        seg.extend([n] * (3 - len(seg)))
+        seg_t = tuple(seg)
+        if seg_t != target[i]:
+            return seg_t < target[i]
+        for order in permutations(new):
+            for k, x in enumerate(order):
+                label[x] = fresh + k
+                vertex[fresh + k] = x
+            found = smaller(i + 1, fresh + len(new))
+            for x in order:
+                label[x] = -1
+            if found:
+                return True
+        return False
 
-    g = nx.Graph()
-    g.add_nodes_from(range(graph.n))
-    g.add_edges_from(graph.edges)
-    return g
+    for root in range(n):
+        label[root] = 0
+        vertex[0] = root
+        if smaller(0, 1):
+            return False
+        label[root] = -1
+    return True
 
 
 def enumerate_cubic(n: int, distinct: bool = False) -> Iterator[CubicGraph]:
     """Stream of connected simple cubic graphs on n labeled vertices.
 
     With distinct=False every labeled graph appears exactly once.  With
-    distinct=True one representative per isomorphism class is emitted.
+    distinct=True one representative per isomorphism class is emitted: the
+    BFS labeling with the lexicographically smallest sorted edge list.
     """
     if n < 4 or n % 2 != 0:
         raise ValueError("cubic graphs need an even vertex count of at least 4")
@@ -109,20 +153,6 @@ def enumerate_cubic(n: int, distinct: bool = False) -> Iterator[CubicGraph]:
             if is_connected(graph):
                 yield graph
         return
-
-    import networkx as nx
-
-    seen: dict[tuple[int, ...], list] = {}
     for edges in _labeled_stream(n, constrained=True):
-        graph = CubicGraph(n, edges)
-        key = _invariant_key(graph)
-        bucket = seen.setdefault(key, [])
-        nxg = _nx_graph(graph)
-        if any(nx.is_isomorphic(nxg, rep) for rep in bucket):
-            continue
-        bucket.append(nxg)
-        yield graph
-
-
-def count_isomorphism_classes(n: int) -> int:
-    return sum(1 for _ in enumerate_cubic(n, distinct=True))
+        if _is_canonical(n, edges):
+            yield CubicGraph(n, edges)

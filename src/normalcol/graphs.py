@@ -73,14 +73,6 @@ class CubicGraph:
     def is_simple(self) -> bool:
         return not self.has_parallel_edges()
 
-    def adjacency(self) -> list[list[int]]:
-        """Neighbor lists with multiplicity, in edge id order."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
 
 @dataclass(frozen=True)
 class MarkedGraph:

@@ -44,9 +44,6 @@ class PetersenModel:
     palette_index: dict[frozenset[int], int]
     edge_at: dict[tuple[int, int], int]  # (vertex, color) -> edge id
 
-    def star(self, v: int) -> frozenset[int]:
-        return frozenset(self.graph.incident(v))
-
     def validate(self) -> None:
         if not is_proper(self.graph, self.ctilde, 5):
             raise VerificationError("model coloring is not proper")

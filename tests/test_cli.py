@@ -117,6 +117,24 @@ def test_construct_sparse6_output(files, capsys):
     assert parse_graph(out, "edge-list").n == 8
 
 
+@pytest.mark.parametrize("variant", ["vertex_replacement", "two_cut"])
+def test_construct_second_graph_file(files, capsys, variant):
+    from normalcol import constructions
+
+    code, out = run(capsys, [
+        "construct", "--variant", variant, "--graph", str(files["k4"]),
+        "--graph2", str(files["petersen_s6"]),
+    ])
+    assert code == 0
+    k4 = catalog("k4")
+    petersen = parse_graph(files["petersen_s6"].read_text(), "sparse6")  # sparse6 edge order
+    if variant == "vertex_replacement":
+        expected = constructions.vertex_replacement(petersen, k4, 0)
+    else:
+        expected = constructions.two_cut_connection(k4, 0, petersen, 0)
+    assert parse_graph(out, "edge-list") == expected
+
+
 def test_demo_json(files, capsys):
     code, out = run(capsys, [
         "demo", "--variant", "cyclic2", "--graph", str(files["petersen_el"]), "--t", "2",
@@ -154,6 +172,14 @@ def test_usage_errors(files, capsys):
     assert main(["nosuchcommand"]) == 1
     assert main(["solve", "--graph", "/does/not/exist"]) == 1
     assert main(["solve"]) == 1  # missing required flag
+
+
+def test_malformed_graph_file_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.s6"
+    for text in (":~", ":~~~", ":~~~~~~~~~~", "1000000000 0\n"):
+        bad.write_text(text)
+        assert main(["solve", "--graph", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_demo_with_supplied_composite_coloring(files, capsys, tmp_path):
