@@ -1,10 +1,11 @@
 """Command-line interface tying the modules into reproducible experiments.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure (a claimed
-invariant did not hold on this input).  Reports embed the SHA-256 of every
-input file, and identical invocations produce identical bytes; the scan
-timing column only carries real values under --timing, since wall time is
-the one thing that cannot be reproduced.
+invariant did not hold on this input), 3 incomplete (a resource limit
+stopped a solve, so some answers are not proofs).  Reports embed the
+SHA-256 of every input file, and identical invocations produce identical
+bytes; the scan timing column only carries real values under --timing,
+since wall time is the one thing that cannot be reproduced.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .solver import (
 
 _USAGE_EXIT = 1
 _VERIFY_EXIT = 2
+_INCOMPLETE_EXIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,6 +175,7 @@ def _cmd_scan(args) -> int:
     cfg = SearchConfig(k=args.k, node_limit=args.node_limit)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     report = scan_no_single_abnormal(graphs, cfg, jobs=jobs)
+    unresolved = report.unresolved_ids()
     if args.out == "json":
         obj = report.to_json_obj(timing=args.timing)
         obj["n"] = args.n
@@ -185,6 +188,7 @@ def _cmd_scan(args) -> int:
         print(
             f"# graphs={len(report.rows)} minima={{{dist}}}"
             f" single_abnormal={len(report.single_abnormal_ids())}"
+            + (f" unresolved={len(unresolved)}" if unresolved else "")
         )
     if report.single_abnormal_ids():
         print(
@@ -192,6 +196,9 @@ def _cmd_scan(args) -> int:
             file=sys.stderr,
         )
         return _VERIFY_EXIT
+    if unresolved:
+        print(f"incomplete: the node limit stopped {len(unresolved)} solve(s)", file=sys.stderr)
+        return _INCOMPLETE_EXIT
     return 0
 
 
@@ -292,18 +299,11 @@ def _cmd_question31(args) -> int:
     for gid, graph in enumerate(enumerate_cubic(args.n, distinct=True)):
         if not connectivity_report(graph).bridgeless:
             continue
-        result = min_abnormal(graph, SearchConfig(k=5))
-        if result.best_count > 2:
+        best = min_abnormal(graph).best_count
+        if best > 2:
             continue
-        witness = has_normal_k(graph, 5)
-        rows.append(
-            {
-                "graph_id": gid,
-                "min_abnormal": result.best_count,
-                "has_normal_5": witness is not None,
-            }
-        )
-        if witness is None:
+        rows.append({"graph_id": gid, "min_abnormal": best, "has_normal_5": best == 0})
+        if best != 0:
             violations.append(gid)
     obj = {"n": args.n, "rows": rows, "violations": violations}
     if args.out == "json":

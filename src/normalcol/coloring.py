@@ -138,25 +138,6 @@ def marked_is_proper(marked: MarkedGraph, colors: dict[int, int], k: int = 5) ->
     )
 
 
-def marked_abnormal_set(marked: MarkedGraph, colors: dict[int, int]) -> frozenset[int]:
-    """Abnormal live edges whose both endpoints still have full degree 3.
-
-    Edges at deficient vertices have incomplete palettes and are not
-    classified; the extension procedures only need the full-degree part.
-    """
-    if not marked_is_proper(marked, colors):
-        raise ImproperColoringError("classification requires a proper coloring")
-    out = set()
-    for eid in marked.live_edges():
-        u, v = marked.endpoints(eid)
-        if marked.degree(u) != 3 or marked.degree(v) != 3:
-            continue
-        union = marked_palette(marked, colors, u) | marked_palette(marked, colors, v)
-        if len(union) == 4:
-            out.add(eid)
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # Coloring files: header line "k", then one "edge_id color" line per edge
 # ---------------------------------------------------------------------------

@@ -305,47 +305,6 @@ def is_connected(graph: CubicGraph) -> bool:
     return len(_components(graph, frozenset())) == 1
 
 
-def is_bipartite(graph: CubicGraph) -> bool:
-    side = [-1] * graph.n
-    for start in range(graph.n):
-        if side[start] != -1:
-            continue
-        side[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for eid in graph.incident(v):
-                w = graph.other_end(eid, v)
-                if side[w] == -1:
-                    side[w] = 1 - side[v]
-                    queue.append(w)
-                elif side[w] == side[v]:
-                    return False
-    return True
-
-
-def girth(graph: CubicGraph) -> int:
-    """Length of a shortest cycle; parallel edges give girth 2."""
-    best = graph.m + 1
-    for start in range(graph.n):
-        dist = {start: 0}
-        via = {start: -1}  # edge id used to reach the vertex
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for eid in graph.incident(v):
-                if eid == via[v]:
-                    continue
-                w = graph.other_end(eid, v)
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    via[w] = eid
-                    queue.append(w)
-                else:
-                    best = min(best, dist[v] + dist[w] + 1)
-    return best
-
-
 def enumerate_paths_of_length_three(graph: CubicGraph) -> Iterator[tuple[int, int, int]]:
     """Yield (e1, f, e2) edge triples forming a path on four distinct vertices."""
     for f in range(graph.m):

@@ -1,15 +1,24 @@
 """Exact minimization of abnormal edges over proper k-edge-colorings.
 
-The search is a depth-first branch and bound over edge colors:
+`min_abnormal` is one depth-first branch and bound over edge colors, a
+recursive `search(committed, max_used)` over plain per-edge and per-vertex
+lists (color, palette bitmask, number of colored edges):
 
 * the three edges at vertex 0 are pre-colored 1, 2, 3, and a color may only
   be introduced once all smaller colors appear somewhere (color classes are
   interchangeable, so both reductions preserve the minimum);
 * the branch edge is the uncolored edge whose endpoint stars forbid the most
   colors, ties broken by lowest edge id;
-* an edge is counted abnormal only once both endpoint stars are fully
-  colored, and branches whose committed abnormal count cannot beat the
-  incumbent (or exceed the configured budget) are cut.
+* an edge is classified once both endpoint stars are full.  Coloring uv can
+  fill the star of u, of v, or both, and a star it fills has just become
+  full.  So the edges at u whose other star is full are counted first, then
+  those at v except the ones going back to u, which u already counted; each
+  counts as abnormal when the two palettes together hold 4 colors;
+* undoing a color is one XOR per palette, since the color was absent from
+  both endpoint stars;
+* the incumbent bound starts at min(|E|, budget) + 1, so one test
+  `committed >= best` cuts both the branches that cannot beat the incumbent
+  and those over the configured budget.
 
 `exhaustive_oracle` enumerates every proper coloring in plain edge id order
 with no bounding and no symmetry reduction; it exists to validate the branch
@@ -38,13 +47,12 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Solver knobs.  The search itself has no random component; the
-    deterministic flag is part of the config surface and asserts intent."""
+    """Solver knobs: colors, an optional bound on abnormal edges (results
+    above it are reported INFEASIBLE), and an optional node limit."""
 
     k: int = 5
     abnormal_budget: Optional[int] = None
     node_limit: Optional[int] = None
-    deterministic: bool = True
 
     def __post_init__(self) -> None:
         if self.abnormal_budget is not None and self.abnormal_budget < 0:
@@ -71,123 +79,89 @@ def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveRes
     Returns status OPTIMAL with a witness attaining the minimum, INFEASIBLE
     when no proper coloring satisfies the constraints (always the case for
     k < 3; possible for k in {3, 4}; never for k >= 5 without a budget), or
-    LIMIT when the node budget ran out first.
+    LIMIT when the node limit ran out first.
     """
     if cfg is None:
         cfg = SearchConfig()
     if cfg.k < 3:
         return SolveResult(SolveStatus.INFEASIBLE, -1, None, 0)
 
-    n, m, k = graph.n, graph.m, cfg.k
+    m, k, pop = graph.m, cfg.k, _POP
     endpoints = graph.edges
-    incident = graph.incidence
-
+    # other endpoint of each incident edge, in incidence order
+    nbrs = [tuple(sum(endpoints[f]) - w for f in inc) for w, inc in enumerate(graph.incidence)]
+    limit = cfg.node_limit
     color = [0] * m
-    pal = [0] * n          # palette bitmask per vertex
-    ncol = [0] * n         # colored incident edges per vertex
-    decided = [False] * m  # both endpoint stars complete
-    state = {"committed": 0, "max_used": 0, "nodes": 0, "best": m + 1}
-    best_witness: list[Optional[tuple[int, ...]]] = [None]
-    budget = cfg.abnormal_budget
+    pal = [0] * graph.n   # palette bitmask per vertex
+    ncol = [0] * graph.n  # colored incident edges per vertex
+    # the budget is folded into the incumbent bound
+    best = m + 1 if cfg.abnormal_budget is None else min(m, cfg.abnormal_budget) + 1
+    best_colors: Optional[tuple[int, ...]] = None
+    nodes = 0
 
-    def assign(eid: int, c: int) -> tuple[list[int], int, bool, int, int]:
-        """Apply one assignment; returns everything unassign needs to undo it."""
-        bit = 1 << (c - 1)
-        color[eid] = c
-        newly: list[int] = []
-        delta = 0
-        u, v = endpoints[eid]
-        save_u, save_v = pal[u], pal[v]
-        pal[u] |= bit
-        pal[v] |= bit
-        ncol[u] += 1
-        ncol[v] += 1
-        for w in (u, v):
-            if ncol[w] == 3:
-                for f in incident[w]:
-                    if color[f] == 0 or decided[f]:
-                        continue
-                    a, b = endpoints[f]
-                    if ncol[a] == 3 and ncol[b] == 3:
-                        decided[f] = True
-                        newly.append(f)
-                        if _POP[pal[a] | pal[b]] == 4:
-                            delta += 1
-        state["committed"] += delta
-        new_color = c == state["max_used"] + 1
-        if new_color:
-            state["max_used"] = c
-        return newly, delta, new_color, save_u, save_v
-
-    def unassign(
-        eid: int, c: int, newly: list[int], delta: int, new_color: bool,
-        save_u: int, save_v: int,
-    ) -> None:
-        u, v = endpoints[eid]
-        for f in newly:
-            decided[f] = False
-        state["committed"] -= delta
-        ncol[u] -= 1
-        ncol[v] -= 1
-        pal[u] = save_u
-        pal[v] = save_v
-        color[eid] = 0
-        if new_color:
-            state["max_used"] = c - 1
-
-    def pick_edge() -> int:
-        best_eid = -1
-        best_score = -1
-        for eid in range(m):
-            if color[eid]:
-                continue
-            u, v = endpoints[eid]
-            score = _POP[pal[u] | pal[v]]
-            if score > best_score:
-                best_score = score
-                best_eid = eid
-        return best_eid
-
-    def search() -> None:
-        if state["committed"] >= state["best"]:
+    def search(committed: int, max_used: int) -> None:
+        nonlocal best, best_colors, nodes
+        if committed >= best:
             return
-        if budget is not None and state["committed"] > budget:
-            return
-        eid = pick_edge()
+        eid, score = -1, -1
+        for f in range(m):
+            if not color[f]:
+                a, b = endpoints[f]
+                s = pop[pal[a] | pal[b]]
+                if s > score:
+                    eid, score = f, s
         if eid < 0:
-            state["best"] = state["committed"]
-            best_witness[0] = tuple(color)
+            best, best_colors = committed, tuple(color)
             return
         u, v = endpoints[eid]
         forbidden = pal[u] | pal[v]
-        top = min(k, state["max_used"] + 1)
-        for c in range(1, top + 1):
-            if forbidden & (1 << (c - 1)):
+        for c in range(1, min(k, max_used + 1) + 1):
+            bit = 1 << (c - 1)
+            if forbidden & bit:
                 continue
-            state["nodes"] += 1
-            if cfg.node_limit is not None and state["nodes"] > cfg.node_limit:
+            nodes += 1
+            if limit is not None and nodes > limit:
                 raise _NodeLimit
-            undo = assign(eid, c)
-            search()
-            unassign(eid, c, *undo)
+            color[eid] = c
+            pal[u] |= bit
+            pal[v] |= bit
+            ncol[u] += 1
+            ncol[v] += 1
+            delta = 0
+            if ncol[u] == 3:
+                for x in nbrs[u]:
+                    if ncol[x] == 3 and pop[pal[u] | pal[x]] == 4:
+                        delta += 1
+            if ncol[v] == 3:
+                for x in nbrs[v]:
+                    if x != u and ncol[x] == 3 and pop[pal[v] | pal[x]] == 4:
+                        delta += 1
+            search(committed + delta, max(max_used, c))
+            # bit is not in forbidden, so XOR restores both palettes
+            pal[u] ^= bit
+            pal[v] ^= bit
+            ncol[u] -= 1
+            ncol[v] -= 1
+            color[eid] = 0
 
     # pre-color the star of vertex 0 (proper colorings always admit a color
-    # permutation putting 1, 2, 3 there in edge id order)
-    for c, eid in enumerate(incident[0], start=1):
-        assign(eid, c)
+    # permutation putting 1, 2, 3 there in edge id order); no edge is
+    # abnormal yet, since a full star other than 0's needs a triple edge to
+    # 0, whose palettes coincide
+    for c, eid in enumerate(graph.incidence[0], start=1):
+        color[eid] = c
+        for w in endpoints[eid]:
+            pal[w] |= 1 << (c - 1)
+            ncol[w] += 1
 
-    status = SolveStatus.OPTIMAL
     try:
-        search()
+        search(0, 3)
+        status = SolveStatus.INFEASIBLE if best_colors is None else SolveStatus.OPTIMAL
     except _NodeLimit:
         status = SolveStatus.LIMIT
-
-    if best_witness[0] is None:
-        if status is SolveStatus.LIMIT:
-            return SolveResult(SolveStatus.LIMIT, -1, None, state["nodes"])
-        return SolveResult(SolveStatus.INFEASIBLE, -1, None, state["nodes"])
-    witness = EdgeColoring(k, best_witness[0])
-    return SolveResult(status, state["best"], witness, state["nodes"])
+    if best_colors is None:
+        return SolveResult(status, -1, None, nodes)
+    return SolveResult(status, best, EdgeColoring(k, best_colors), nodes)
 
 
 def exhaustive_oracle(graph: CubicGraph, k: int = 5, max_edges: int = 18) -> SolveResult:
@@ -304,10 +278,17 @@ class ScanReport:
     rows: list[ScanRow] = field(default_factory=list)
 
     def distribution(self) -> dict[int, int]:
+        """Count of graphs per proven minimum (-1: no proper coloring).
+        Rows stopped by the node limit prove nothing and are left out."""
         dist: dict[int, int] = {}
         for row in self.rows:
-            dist[row.min_abnormal] = dist.get(row.min_abnormal, 0) + 1
+            if row.status is not SolveStatus.LIMIT:
+                dist[row.min_abnormal] = dist.get(row.min_abnormal, 0) + 1
         return dict(sorted(dist.items()))
+
+    def unresolved_ids(self) -> list[int]:
+        """Graphs whose solve the node limit stopped before a proof."""
+        return [r.graph_id for r in self.rows if r.status is SolveStatus.LIMIT]
 
     def single_abnormal_ids(self) -> list[int]:
         """Graphs whose exact minimum is 1; expected empty on every stream."""
@@ -321,9 +302,10 @@ class ScanReport:
         lines = ["graph_id\tn\tm\tbridgeless\tcyc4\tmin_abnormal\tnodes\tmillis"]
         for r in sorted(self.rows, key=lambda r: r.graph_id):
             millis = str(r.millis) if timing else "-"
+            minimum = "limit" if r.status is SolveStatus.LIMIT else str(r.min_abnormal)
             lines.append(
                 f"{r.graph_id}\t{r.n}\t{r.m}\t{int(r.bridgeless)}\t{int(r.cyc4)}"
-                f"\t{r.min_abnormal}\t{r.nodes}\t{millis}"
+                f"\t{minimum}\t{r.nodes}\t{millis}"
             )
         return "\n".join(lines) + "\n"
 

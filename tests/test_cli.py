@@ -76,6 +76,26 @@ def test_scan_tsv_summary(files, capsys):
     assert "# graphs=2 minima={0:2} single_abnormal=0" in out
 
 
+def test_scan_node_limit_is_not_a_minimum(capsys):
+    code, out = run(capsys, ["scan", "--n", "8", "--node-limit", "5"])
+    assert code == 3  # incomplete: no row was proved
+    rows = [line.split("\t") for line in out.splitlines()[1:-1]]
+    assert len(rows) == 5 and all(row[5] == "limit" for row in rows)
+    assert out.splitlines()[-1] == "# graphs=5 minima={} single_abnormal=0 unresolved=5"
+
+
+def test_scan_node_limit_keeps_proved_rows(capsys):
+    # the n = 8 classes need 18-21 nodes: a limit of 20 proves three of them
+    code, out = run(capsys, ["scan", "--n", "8", "--node-limit", "20"])
+    assert code == 3
+    cells = [line.split("\t")[5] for line in out.splitlines()[1:-1]]
+    assert cells == ["0", "0", "0", "limit", "limit"]
+    assert out.splitlines()[-1] == "# graphs=5 minima={0:3} single_abnormal=0 unresolved=2"
+    code, out = run(capsys, ["scan", "--n", "8", "--node-limit", "20", "--out", "json"])
+    assert code == 3
+    assert json.loads(out)["distribution"] == {"0": 3}
+
+
 def test_scan_deterministic_bytes(files, capsys):
     _, first = run(capsys, ["scan", "--n", "6", "--out", "json"])
     _, second = run(capsys, ["scan", "--n", "6", "--out", "json"])
@@ -150,6 +170,22 @@ def test_question31(files, capsys):
     code, out = run(capsys, ["question31", "--n", "6"])
     assert code == 0
     assert "# violations=0" in out
+
+
+def test_question31_rows_json(capsys):
+    from normalcol.generate import enumerate_cubic
+    from normalcol.graphs import connectivity_report
+
+    code, out = run(capsys, ["question31", "--n", "8", "--out", "json"])
+    assert code == 0
+    obj = json.loads(out)
+    bridgeless = [
+        gid for gid, g in enumerate(enumerate_cubic(8, distinct=True))
+        if connectivity_report(g).bridgeless
+    ]
+    assert [row["graph_id"] for row in obj["rows"]] == bridgeless
+    assert all(row["has_normal_5"] == (row["min_abnormal"] == 0) for row in obj["rows"])
+    assert obj["violations"] == []
 
 
 def test_plot_svg(files, capsys):

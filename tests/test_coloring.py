@@ -12,14 +12,13 @@ from normalcol.coloring import (
     classify_edge,
     is_normal,
     is_proper,
-    marked_abnormal_set,
     palette,
     read_coloring,
     write_coloring,
 )
 from normalcol.constructions import Q3_TWO_ABNORMAL
 from normalcol.errors import ImproperColoringError, ParseError
-from normalcol.graphs import catalog, remove_and_mark
+from normalcol.graphs import catalog
 from normalcol.petersen import canonical_petersen
 
 K4_PROPER = EdgeColoring(3, (1, 2, 3, 3, 2, 1))
@@ -127,22 +126,6 @@ def test_coloring_validation():
         EdgeColoring(3, (1, 2, 4, 3, 2, 1))
     with pytest.raises(ValueError):
         EdgeColoring(3, (0, 2, 3, 3, 2, 1))
-
-
-def test_marked_abnormal_set(q3):
-    c = EdgeColoring(5, Q3_TWO_ABNORMAL)
-    bad = abnormal_set(q3, c)
-    keep = min(set(range(q3.m)) - bad)
-    marked = remove_and_mark(q3, edges=(keep,))
-    colors = {e: c.colors[e] for e in marked.live_edges()}
-    # classification only covers full-degree endpoints; abnormal edges away
-    # from the removal keep their class
-    sub = marked_abnormal_set(marked, colors)
-    u, v = q3.endpoints(keep)
-    expected = {
-        e for e in bad if u not in q3.endpoints(e) and v not in q3.endpoints(e)
-    }
-    assert sub == expected
 
 
 def test_coloring_file_roundtrip(petersen):

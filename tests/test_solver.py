@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from normalcol.coloring import abnormal_set, is_normal, is_proper
 from normalcol.errors import SizeLimitError
 from normalcol.generate import enumerate_cubic
-from normalcol.graphs import catalog
+from normalcol.graphs import CubicGraph, catalog, is_connected
 from normalcol.solver import (
     SearchConfig,
     SolveStatus,
@@ -123,6 +125,17 @@ def test_determinism(petersen):
     assert a.nodes_explored == b.nodes_explored
 
 
+def test_search_order_pinned(petersen):
+    # exact node counts fix the branch-edge rule, its tie-break, the
+    # pre-colored star and the color-introduction order; any change to the
+    # search order moves at least one of them
+    assert min_abnormal(petersen).nodes_explored == 12096
+    assert min_abnormal(petersen, SearchConfig(k=4)).nodes_explored == 5652
+    assert sum(min_abnormal(g).nodes_explored for g in enumerate_cubic(10, distinct=True)) == 31771
+    result = min_abnormal(bridged_multigraph())
+    assert (result.best_count, result.nodes_explored) == (BRIDGED_MIN, 376)
+
+
 def test_node_limit(petersen):
     result = min_abnormal(petersen, SearchConfig(node_limit=5))
     assert result.status is SolveStatus.LIMIT
@@ -217,3 +230,71 @@ def test_three_edge_colorable_catalog_bridgeless():
         g = catalog(name, *params)
         if has_normal_k(g, 3) is not None:
             assert connectivity_report(g).bridgeless
+
+
+def _random_cubic_multigraph(rng: random.Random, n: int) -> CubicGraph:
+    """Configuration model: pair 3n stubs uniformly, redraw on a loop.
+    Parallel edges and several components are kept."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = tuple((stubs[i], stubs[i + 1]) for i in range(0, 3 * n, 2))
+        if all(u != v for u, v in edges):
+            return CubicGraph(n, edges)
+
+
+def _disjoint_union(g: CubicGraph, h: CubicGraph) -> CubicGraph:
+    shifted = tuple((u + g.n, v + g.n) for u, v in h.edges)
+    return CubicGraph(g.n + h.n, g.edges + shifted)
+
+
+def _random_bridged_multigraph(rng: random.Random, left: int, right: int) -> CubicGraph:
+    """Two configuration-model blocks, one random edge of each subdivided,
+    the two subdivision vertices joined by a bridge (minimum >= 2 at k = 5)."""
+    edges: list[tuple[int, int]] = []
+    hubs = []
+    off = 0
+    for nb in (left, right):
+        block = list(_random_cubic_multigraph(rng, nb).edges)
+        a, b = block.pop(rng.randrange(len(block)))
+        hub = off + nb
+        edges += [(u + off, v + off) for u, v in block] + [(a + off, hub), (b + off, hub)]
+        hubs.append(hub)
+        off += nb + 1
+    edges.append((hubs[0], hubs[1]))
+    return CubicGraph(off, tuple(edges))
+
+
+# colors checked per vertex count: the oracle has no symmetry reduction, so
+# its cost grows with k much faster than with n
+_DIFFERENTIAL_KS = {2: (3, 4, 5), 4: (3, 4, 5), 6: (3, 4, 5), 8: (3, 4), 10: (3,), 12: (3,)}
+
+
+def test_differential_random_multigraphs():
+    rng = random.Random(20211)
+    graphs = []
+    for n in _DIFFERENTIAL_KS:
+        graphs += [_random_cubic_multigraph(rng, n) for _ in range(3)]
+        if n >= 4:
+            parts = (_random_cubic_multigraph(rng, 2), _random_cubic_multigraph(rng, n - 2))
+            graphs.append(_disjoint_union(*parts))
+    for left, right in ((2, 2), (2, 2), (2, 2), (2, 4), (2, 4), (4, 4)):
+        graphs.append(_random_bridged_multigraph(rng, left, right))
+    assert any(g.has_parallel_edges() for g in graphs)
+    assert any(not is_connected(g) for g in graphs)
+    for graph in graphs:
+        for k in _DIFFERENTIAL_KS[graph.n]:
+            oracle = exhaustive_oracle(graph, k=k)
+            for budget in (None, 0, 2):
+                result = min_abnormal(graph, SearchConfig(k=k, abnormal_budget=budget))
+                within = oracle.status is SolveStatus.OPTIMAL and (
+                    budget is None or oracle.best_count <= budget
+                )
+                if within:
+                    assert result.status is SolveStatus.OPTIMAL
+                    assert result.best_count == oracle.best_count
+                    assert is_proper(graph, result.witness, k)
+                    assert len(abnormal_set(graph, result.witness)) == result.best_count
+                else:
+                    assert result.status is SolveStatus.INFEASIBLE
+                    assert (result.best_count, result.witness) == (-1, None)
