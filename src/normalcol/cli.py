@@ -32,9 +32,9 @@ from .graphs import CubicGraph, catalog, connectivity_report
 from .petersen import build_p_coloring, canonical_petersen, pullback, verify_h_coloring, write_p_coloring
 from .solver import (
     SearchConfig,
+    _normal_index_with_witness,
     has_normal_k,
     min_abnormal,
-    normal_chromatic_index,
     scan_no_single_abnormal,
 )
 
@@ -146,14 +146,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_chi_n(args) -> int:
     graph, hashes = _load_graph(args)
-    index = normal_chromatic_index(graph)
-    witness = has_normal_k(graph, index)
-    ok = witness is not None and is_normal(graph, witness)
+    index, witness = _normal_index_with_witness(graph)
+    ok = is_normal(graph, witness)
     if args.out == "json":
         _emit_json(
             {
                 "normal_chromatic_index": index,
-                "witness": list(witness.colors) if witness else None,
+                "witness": list(witness.colors),
                 "checks": {"witness_normal": ok},
                 "inputs": hashes,
             }

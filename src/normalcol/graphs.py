@@ -7,11 +7,10 @@ list, endpoints are stored as (min, max) pairs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable, Iterator
+from itertools import combinations, count
+from typing import Collection, Iterable, Iterator
 
 from .errors import DegreeError, LoopError
 
@@ -220,89 +219,85 @@ def catalog(name: str, *params: int) -> CubicGraph:
 @dataclass(frozen=True)
 class ConnectivityReport:
     bridgeless: bool
-    edge_connectivity: int  # capped at 4
+    edge_connectivity: int  # 0 when disconnected; never above 3 (a vertex star)
     cyclically_4_edge_connected: bool
 
 
-def _components(graph: CubicGraph, removed: frozenset[int]) -> list[tuple[int, int]]:
-    """(vertex count, edge count) of each component after removing edge ids."""
-    seen = [False] * graph.n
-    out = []
-    for start in range(graph.n):
-        if seen[start]:
+def _bridges(graph: CubicGraph, removed: Collection[int] = ()) -> tuple[int, list[int]]:
+    """Component count and bridge edge ids of the graph minus `removed`.
+
+    One iterative DFS with Tarjan's lowlink (Tarjan 1974).  A vertex skips
+    only the edge id it was entered by, so a parallel copy of that edge is a
+    back edge.
+    """
+    edges, inc = graph.edges, graph.incidence
+    disc = [-1] * graph.n
+    low = [0] * graph.n
+    tick = count()
+    bridges: list[int] = []
+    components = 0
+    for root in range(graph.n):
+        if disc[root] >= 0:
             continue
-        seen[start] = True
-        queue = deque([start])
-        nv, ne = 0, 0
-        while queue:
-            v = queue.popleft()
-            nv += 1
-            for eid in graph.incident(v):
-                if eid in removed:
+        components += 1
+        disc[root] = low[root] = next(tick)
+        stack = [(root, -1, iter(inc[root]))]
+        while stack:
+            v, entry, todo = stack[-1]
+            for eid in todo:
+                if eid == entry or eid in removed:
                     continue
-                ne += 1
-                w = graph.other_end(eid, v)
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        out.append((nv, ne // 2))
-    return out
-
-
-def _disconnects(graph: CubicGraph, removed: frozenset[int]) -> bool:
-    return len(_components(graph, removed)) > len(_components(graph, frozenset()))
-
-
-def _cuts_two_cyclic_parts(graph: CubicGraph, removed: frozenset[int]) -> bool:
-    # a component contains a cycle iff it has at least as many edges as vertices
-    cyclic = sum(1 for nv, ne in _components(graph, removed) if ne >= nv)
-    return cyclic >= 2
+                a, b = edges[eid]
+                w = b if a == v else a
+                if disc[w] < 0:
+                    disc[w] = low[w] = next(tick)
+                    stack.append((w, eid, iter(inc[w])))
+                    break
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if low[v] > disc[u]:
+                        bridges.append(entry)
+    return components, bridges
 
 
 def connectivity_report(graph: CubicGraph) -> ConnectivityReport:
-    """Bridges, edge connectivity (capped at 4), and cyclic 4-edge-connectivity.
+    """Bridges, edge connectivity, and cyclic 4-edge-connectivity.
 
-    Cyclic 4-edge-connectivity is decided by enumerating every edge subset of
-    size at most 3 and checking whether the removal splits off two subgraphs
-    that each contain a cycle.  Cubic inputs at desk scale keep this cheap.
+    A side X of an s-edge cut of a cubic graph has (3|X| - s)/2 inner edges,
+    so it holds a cycle iff |X| >= s; a single vertex has 3 edges out.  So a
+    graph that is disconnected (lambda 0), has a bridge (lambda 1) or has a
+    2-cut (lambda 2: some G - e has a bridge) is not cyclically
+    4-edge-connected.  Otherwise lambda = 3, as every vertex star is a 3-cut.
+    A 3-cut then leaves two sides of odd size, and both hold a cycle unless
+    the cut is a vertex star.  Two edges of a 3-cut that share a vertex v on
+    side X make it v's star, or else X - v would be a side of a 2-cut.  So
+    the graph is cyclically 4-edge-connected iff G - e - f has no bridge for
+    every pair of edges e, f that share no endpoint.
     """
-    base_components = len(_components(graph, frozenset()))
-    connected = base_components == 1
-
-    bridgeless = True
-    for eid in range(graph.m):
-        if _disconnects(graph, frozenset((eid,))):
-            bridgeless = False
-            break
-
-    if not connected:
-        lam = 0
-    elif not bridgeless:
-        lam = 1
-    else:
-        lam = 4
-        for size in (2, 3):
-            if any(
-                _disconnects(graph, frozenset(cut))
-                for cut in combinations(range(graph.m), size)
-            ):
-                lam = size
-                break
-
-    cyc4 = True
-    for size in range(0, 4):
-        for cut in combinations(range(graph.m), size):
-            if _cuts_two_cyclic_parts(graph, frozenset(cut)):
-                cyc4 = False
-                break
-        if not cyc4:
-            break
-
-    return ConnectivityReport(bridgeless, lam, cyc4)
+    components, bridges = _bridges(graph)
+    if components != 1:  # the empty graph has no cut at all
+        return ConnectivityReport(not bridges, 0, components == 0)
+    if bridges:
+        return ConnectivityReport(False, 1, False)
+    if any(_bridges(graph, (e,))[1] for e in range(graph.m)):
+        return ConnectivityReport(True, 2, False)
+    ends = [set(uv) for uv in graph.edges]
+    cyc4 = not any(
+        _bridges(graph, (e, f))[1]
+        for e, f in combinations(range(graph.m), 2)
+        if ends[e].isdisjoint(ends[f])
+    )
+    return ConnectivityReport(True, 3, cyc4)
 
 
 def is_connected(graph: CubicGraph) -> bool:
-    return len(_components(graph, frozenset())) == 1
+    return _bridges(graph)[0] == 1
 
 
 def enumerate_paths_of_length_three(graph: CubicGraph) -> Iterator[tuple[int, int, int]]:

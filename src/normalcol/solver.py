@@ -79,7 +79,9 @@ def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveRes
     Returns status OPTIMAL with a witness attaining the minimum, INFEASIBLE
     when no proper coloring satisfies the constraints (always the case for
     k < 3; possible for k in {3, 4}; never for k >= 5 without a budget), or
-    LIMIT when the node limit ran out first.
+    LIMIT when the node limit ran out before a proof.  A limit that stops
+    the search after a normal coloring was found is still OPTIMAL, and
+    nodes_explored never exceeds the limit.
     """
     if cfg is None:
         cfg = SearchConfig()
@@ -119,9 +121,9 @@ def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveRes
             bit = 1 << (c - 1)
             if forbidden & bit:
                 continue
-            nodes += 1
-            if limit is not None and nodes > limit:
+            if limit is not None and nodes == limit:
                 raise _NodeLimit
+            nodes += 1
             color[eid] = c
             pal[u] |= bit
             pal[v] |= bit
@@ -158,7 +160,8 @@ def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveRes
         search(0, 3)
         status = SolveStatus.INFEASIBLE if best_colors is None else SolveStatus.OPTIMAL
     except _NodeLimit:
-        status = SolveStatus.LIMIT
+        # no coloring has fewer than 0 abnormal edges
+        status = SolveStatus.OPTIMAL if best == 0 else SolveStatus.LIMIT
     if best_colors is None:
         return SolveResult(status, -1, None, nodes)
     return SolveResult(status, best, EdgeColoring(k, best_colors), nodes)
@@ -241,14 +244,23 @@ def normal_chromatic_index(graph: CubicGraph, max_k: int | None = None) -> int:
     normal), so the scan is bounded by |E|.  Multigraphs with parallel edges
     may have none; the scan stops at max_k (default 7) and reports the limit.
     """
+    return _normal_index_with_witness(graph, max_k)[0]
+
+
+def _normal_index_with_witness(
+    graph: CubicGraph, max_k: int | None = None
+) -> tuple[int, EdgeColoring]:
+    """normal_chromatic_index and the witness of the solve that settled it."""
     simple = graph.is_simple()
     if max_k is None:
         max_k = graph.m if simple else 7
     for k in range(3, max_k + 1):
         if simple and k >= graph.m:
-            return k  # all-distinct coloring is proper and all-rich
-        if has_normal_k(graph, k) is not None:
-            return k
+            # all-distinct coloring is proper and all-rich
+            return k, EdgeColoring(k, tuple(range(1, graph.m + 1)))
+        witness = has_normal_k(graph, k)
+        if witness is not None:
+            return k, witness
     raise ValueError(
         f"no normal edge-coloring found for k up to {max_k}"
         + ("" if simple else " (graph has parallel edges)")

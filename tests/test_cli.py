@@ -70,6 +70,24 @@ def test_chi_n(files, capsys):
     assert out.strip().splitlines()[-1] == "3"
 
 
+def test_chi_n_solves_once_per_k(files, capsys, monkeypatch):
+    from normalcol import solver
+
+    real = solver.min_abnormal
+    ks = []
+
+    def counting(graph, cfg=None):
+        ks.append(cfg.k)
+        return real(graph, cfg)
+
+    monkeypatch.setattr(solver, "min_abnormal", counting)
+    code, out = run(capsys, ["chi-n", "--graph", str(files["petersen_s6"]), "--out", "json"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["normal_chromatic_index"] == 5 and obj["checks"]["witness_normal"] is True
+    assert ks == [3, 4, 5]
+
+
 def test_scan_tsv_summary(files, capsys):
     code, out = run(capsys, ["scan", "--n", "6"])
     assert code == 0
@@ -81,19 +99,23 @@ def test_scan_node_limit_is_not_a_minimum(capsys):
     assert code == 3  # incomplete: no row was proved
     rows = [line.split("\t") for line in out.splitlines()[1:-1]]
     assert len(rows) == 5 and all(row[5] == "limit" for row in rows)
+    assert all(row[6] == "5" for row in rows)  # nodes explored, not the one that tripped
     assert out.splitlines()[-1] == "# graphs=5 minima={} single_abnormal=0 unresolved=5"
 
 
 def test_scan_node_limit_keeps_proved_rows(capsys):
-    # the n = 8 classes need 18-21 nodes: a limit of 20 proves three of them
+    # the n = 8 classes need 18-21 nodes; the two that need 21 have found a
+    # normal coloring by node 20, and a minimum of 0 is proved once found
     code, out = run(capsys, ["scan", "--n", "8", "--node-limit", "20"])
-    assert code == 3
+    assert code == 0
     cells = [line.split("\t")[5] for line in out.splitlines()[1:-1]]
-    assert cells == ["0", "0", "0", "limit", "limit"]
-    assert out.splitlines()[-1] == "# graphs=5 minima={0:3} single_abnormal=0 unresolved=2"
+    assert cells == ["0", "0", "0", "0", "0"]
+    assert out.splitlines()[-1] == "# graphs=5 minima={0:5} single_abnormal=0"
     code, out = run(capsys, ["scan", "--n", "8", "--node-limit", "20", "--out", "json"])
-    assert code == 3
-    assert json.loads(out)["distribution"] == {"0": 3}
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["distribution"] == {"0": 5}
+    assert [row["status"] for row in obj["rows"]] == ["optimal"] * 5
 
 
 def test_scan_deterministic_bytes(files, capsys):

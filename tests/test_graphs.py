@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import random
+from collections import deque
+from itertools import combinations
+
 import pytest
 
+from normalcol.constructions import composite_graph, two_cut_connection, vertex_replacement
 from normalcol.errors import DegreeError, LoopError
+from normalcol.generate import enumerate_cubic
 from normalcol.graphs import (
     CubicGraph,
     catalog,
@@ -11,7 +17,14 @@ from normalcol.graphs import (
     remove_and_mark,
 )
 
-from conftest import bridged_multigraph, bridged_simple_10
+from conftest import (
+    bridged_multigraph,
+    bridged_simple_10,
+    disjoint_union,
+    random_bridged_multigraph,
+    random_cubic_multigraph,
+    triple_edge,
+)
 
 
 def test_cubic_invariants_petersen(petersen):
@@ -161,3 +174,100 @@ def test_connectivity_against_networkx(graph):
     assert rep.edge_connectivity == min(nx.edge_connectivity(g), 4)
     # all parametrized inputs are connected, where bridgeless <=> lambda >= 2
     assert rep.bridgeless == (nx.edge_connectivity(g) >= 2)
+
+
+def _components(graph: CubicGraph, removed: frozenset[int]) -> list[tuple[int, int]]:
+    """(vertex count, edge count) of each component after removing edge ids."""
+    seen = [False] * graph.n
+    out = []
+    for start in range(graph.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = deque([start])
+        nv, ne = 0, 0
+        while queue:
+            v = queue.popleft()
+            nv += 1
+            for eid in graph.incident(v):
+                if eid in removed:
+                    continue
+                ne += 1
+                w = graph.other_end(eid, v)
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        out.append((nv, ne // 2))
+    return out
+
+
+def brute_force_connectivity(graph: CubicGraph) -> tuple[bool, int, bool]:
+    """Reference for connectivity_report: remove every edge subset of size at
+    most 3 and count components, and cyclic ones (as many edges as vertices),
+    with a BFS each.  Edge connectivity above 3 would read 4."""
+    base = len(_components(graph, frozenset()))
+    smallest_cut = 4
+    cyc4 = True
+    for size in range(4):
+        for cut in combinations(range(graph.m), size):
+            parts = _components(graph, frozenset(cut))
+            if len(parts) > base:
+                smallest_cut = min(smallest_cut, size)
+            if sum(1 for nv, ne in parts if ne >= nv) >= 2:
+                cyc4 = False
+    lam = 0 if base != 1 else smallest_cut
+    return smallest_cut > 1, lam, cyc4
+
+
+def _report_tuple(graph: CubicGraph) -> tuple[bool, int, bool]:
+    rep = connectivity_report(graph)
+    return rep.bridgeless, rep.edge_connectivity, rep.cyclically_4_edge_connected
+
+
+def _differential_corpus() -> list[CubicGraph]:
+    rng = random.Random(1974)
+    graphs = [triple_edge(), bridged_multigraph(), bridged_simple_10()]
+    graphs += [g for n in range(4, 11, 2) for g in enumerate_cubic(n, distinct=True)]
+    for n in range(2, 15, 2):
+        graphs += [random_cubic_multigraph(rng, n) for _ in range(40 if n <= 8 else 10)]
+    for _ in range(30):
+        a, b = rng.choice(((2, 2), (2, 4), (4, 4), (4, 6), (2, 8)))
+        graphs.append(disjoint_union(random_cubic_multigraph(rng, a), random_cubic_multigraph(rng, b)))
+        graphs.append(random_bridged_multigraph(rng, a, b))
+    for _ in range(40):
+        g1 = random_cubic_multigraph(rng, rng.choice((2, 4, 6)))
+        g2 = random_cubic_multigraph(rng, rng.choice((2, 4, 6)))
+        graphs.append(two_cut_connection(g1, rng.randrange(g1.m), g2, rng.randrange(g2.m)))
+    k4 = catalog("k4")
+    graphs.append(vertex_replacement(k4, k4, 0))
+    return graphs
+
+
+def test_connectivity_matches_brute_force():
+    outcomes = []
+    for graph in _differential_corpus():
+        expected = brute_force_connectivity(graph)
+        assert _report_tuple(graph) == expected, graph.edges
+        outcomes.append((expected, graph.has_parallel_edges()))
+    # the corpus reaches every outcome a cubic graph can have, and bridgeless
+    # graphs whose parallel edges a bridge pass must not take for bridges
+    assert {rep for rep, _ in outcomes} == {
+        (True, 0, False), (False, 0, False), (False, 1, False), (True, 2, False),
+        (True, 3, False), (True, 3, True),
+    }
+    assert sum(1 for rep, parallel in outcomes if parallel and rep[0]) >= 10
+
+
+# the Petersen composites, with the reports the benchmark expects of them
+@pytest.mark.parametrize("t", [2, 3])
+@pytest.mark.parametrize(
+    "variant,expected",
+    [
+        ("disjoint", (True, 0, False)),
+        ("cyclic1", (True, 2, False)),
+        ("vertex_replacement", (True, 3, False)),
+        ("cyclic2", (True, 3, True)),
+    ],
+)
+def test_composite_connectivity(petersen, variant, expected, t):
+    assert _report_tuple(composite_graph(petersen, variant, t)) == expected

@@ -7,7 +7,7 @@ import pytest
 from normalcol.coloring import abnormal_set, is_normal, is_proper
 from normalcol.errors import SizeLimitError
 from normalcol.generate import enumerate_cubic
-from normalcol.graphs import CubicGraph, catalog, is_connected
+from normalcol.graphs import catalog, is_connected
 from normalcol.solver import (
     SearchConfig,
     SolveStatus,
@@ -18,7 +18,14 @@ from normalcol.solver import (
     scan_no_single_abnormal,
 )
 
-from conftest import bridged_multigraph, domino_multigraph, triple_edge
+from conftest import (
+    bridged_multigraph,
+    disjoint_union,
+    domino_multigraph,
+    random_bridged_multigraph,
+    random_cubic_multigraph,
+    triple_edge,
+)
 
 # exact minimum of the bridged doubled-triangle multigraph, fixed by the
 # exhaustive oracle before the branch and bound existed
@@ -137,8 +144,24 @@ def test_search_order_pinned(petersen):
 
 
 def test_node_limit(petersen):
-    result = min_abnormal(petersen, SearchConfig(node_limit=5))
-    assert result.status is SolveStatus.LIMIT
+    for limit in (0, 1, 5, 100):
+        result = min_abnormal(petersen, SearchConfig(node_limit=limit))
+        assert result.status is SolveStatus.LIMIT
+        assert result.nodes_explored == limit  # not the node that tripped it
+
+
+def test_node_limit_after_a_normal_coloring_is_optimal(q3):
+    # q3 finds a normal coloring within 10 of its 21 nodes; nothing beats 0
+    full = min_abnormal(q3)
+    assert full.nodes_explored == 21
+    for cfg in (SearchConfig(node_limit=10), SearchConfig(abnormal_budget=0, node_limit=10)):
+        result = min_abnormal(q3, cfg)
+        assert (result.status, result.best_count, result.nodes_explored) == (
+            SolveStatus.OPTIMAL, 0, 10,
+        )
+        assert result.witness == full.witness
+        assert is_normal(q3, result.witness)
+    assert min_abnormal(q3, SearchConfig(node_limit=5)).status is SolveStatus.LIMIT
 
 
 def test_node_limit_keeps_sound_incumbent(petersen):
@@ -232,39 +255,6 @@ def test_three_edge_colorable_catalog_bridgeless():
             assert connectivity_report(g).bridgeless
 
 
-def _random_cubic_multigraph(rng: random.Random, n: int) -> CubicGraph:
-    """Configuration model: pair 3n stubs uniformly, redraw on a loop.
-    Parallel edges and several components are kept."""
-    while True:
-        stubs = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(stubs)
-        edges = tuple((stubs[i], stubs[i + 1]) for i in range(0, 3 * n, 2))
-        if all(u != v for u, v in edges):
-            return CubicGraph(n, edges)
-
-
-def _disjoint_union(g: CubicGraph, h: CubicGraph) -> CubicGraph:
-    shifted = tuple((u + g.n, v + g.n) for u, v in h.edges)
-    return CubicGraph(g.n + h.n, g.edges + shifted)
-
-
-def _random_bridged_multigraph(rng: random.Random, left: int, right: int) -> CubicGraph:
-    """Two configuration-model blocks, one random edge of each subdivided,
-    the two subdivision vertices joined by a bridge (minimum >= 2 at k = 5)."""
-    edges: list[tuple[int, int]] = []
-    hubs = []
-    off = 0
-    for nb in (left, right):
-        block = list(_random_cubic_multigraph(rng, nb).edges)
-        a, b = block.pop(rng.randrange(len(block)))
-        hub = off + nb
-        edges += [(u + off, v + off) for u, v in block] + [(a + off, hub), (b + off, hub)]
-        hubs.append(hub)
-        off += nb + 1
-    edges.append((hubs[0], hubs[1]))
-    return CubicGraph(off, tuple(edges))
-
-
 # colors checked per vertex count: the oracle has no symmetry reduction, so
 # its cost grows with k much faster than with n
 _DIFFERENTIAL_KS = {2: (3, 4, 5), 4: (3, 4, 5), 6: (3, 4, 5), 8: (3, 4), 10: (3,), 12: (3,)}
@@ -274,12 +264,12 @@ def test_differential_random_multigraphs():
     rng = random.Random(20211)
     graphs = []
     for n in _DIFFERENTIAL_KS:
-        graphs += [_random_cubic_multigraph(rng, n) for _ in range(3)]
+        graphs += [random_cubic_multigraph(rng, n) for _ in range(3)]
         if n >= 4:
-            parts = (_random_cubic_multigraph(rng, 2), _random_cubic_multigraph(rng, n - 2))
-            graphs.append(_disjoint_union(*parts))
+            parts = (random_cubic_multigraph(rng, 2), random_cubic_multigraph(rng, n - 2))
+            graphs.append(disjoint_union(*parts))
     for left, right in ((2, 2), (2, 2), (2, 2), (2, 4), (2, 4), (4, 4)):
-        graphs.append(_random_bridged_multigraph(rng, left, right))
+        graphs.append(random_bridged_multigraph(rng, left, right))
     assert any(g.has_parallel_edges() for g in graphs)
     assert any(not is_connected(g) for g in graphs)
     for graph in graphs:
