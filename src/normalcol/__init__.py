@@ -37,10 +37,8 @@ from .generate import enumerate_cubic
 from .graphs import (
     ConnectivityReport,
     CubicGraph,
-    MarkedGraph,
     catalog,
     connectivity_report,
-    remove_and_mark,
 )
 from .petersen import (
     PColoring,

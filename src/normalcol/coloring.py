@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ImproperColoringError, ParseError
-from .graphs import CubicGraph, MarkedGraph
+from .graphs import CubicGraph
 
 
 class EdgeClass(Enum):
@@ -115,27 +115,6 @@ def abnormal_set(graph: CubicGraph, coloring: EdgeColoring) -> frozenset[int]:
 def is_normal(graph: CubicGraph, coloring: EdgeColoring) -> bool:
     """True iff the proper coloring has no abnormal edge."""
     return not abnormal_set(graph, coloring)
-
-
-# ---------------------------------------------------------------------------
-# Partial colorings on marked graphs
-# ---------------------------------------------------------------------------
-
-def marked_palette(marked: MarkedGraph, colors: dict[int, int], v: int) -> frozenset[int]:
-    """Palette of v over the live edges of a marked graph."""
-    return frozenset(colors[eid] for eid in marked.incident(v))
-
-
-def marked_is_proper(marked: MarkedGraph, colors: dict[int, int], k: int = 5) -> bool:
-    live = marked.live_edges()
-    if set(colors) != set(live):
-        return False
-    if any(not (1 <= colors[e] <= k) for e in live):
-        return False
-    return all(
-        len(marked_palette(marked, colors, v)) == marked.degree(v)
-        for v in marked.vertices()
-    )
 
 
 # ---------------------------------------------------------------------------

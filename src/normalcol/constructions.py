@@ -1,7 +1,9 @@
 """Graph constructions and the coloring-extension procedures.
 
-Every construction lays its edges out copy-major so callers can locate a
-copy by arithmetic alone:
+A deletion is a tuple of plain edge ids of G: a construction keeps G's other
+edge ids in increasing order, and an id outside 0..m-1 raises
+ValueError("unknown edge id ...").  Every construction lays its edges out
+copy-major so callers can locate a copy by arithmetic alone:
 
 * disjoint_copies:        copy i owns edge ids [i*m, (i+1)*m)
 * cyclic_join_one_edge:   copy i owns [i*(m-1), (i+1)*(m-1)), then the t
@@ -15,31 +17,28 @@ copy by arithmetic alone:
 
 Within a copy, kept edges appear in increasing original edge id order, so
 original id <-> copy position is a sorted-list lookup.
+
+The extensions restore deleted edges of G from a proper 5-edge-coloring of
+the rest, given as a dict edge id -> color:
+
+* extend_one_edge(G, colors, e)                one edge; at most 5 abnormal
+* extend_vertex_star(G, colors, v, external)   v's star; at most 7 abnormal
+* extend_two_edges(G, colors, e1, e2)          end-edges of a 3-edge path;
+                                               at most 9 abnormal
+
+All three color the removed edges in order with the smallest color missing
+at both ends (the star's first edge copies `external`) and verify that the
+result is proper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from .coloring import (
-    EdgeColoring,
-    abnormal_set,
-    classify_all,
-    EdgeClass,
-    is_proper,
-    marked_is_proper,
-    marked_palette,
-)
+from .coloring import EdgeClass, EdgeColoring, abnormal_set, classify_all, is_proper, palette
 from .errors import ImproperColoringError, VerificationError
-from .graphs import (
-    CubicGraph,
-    MarkedGraph,
-    catalog,
-    connectivity_report,
-    enumerate_paths_of_length_three,
-    remove_and_mark,
-)
+from .graphs import CubicGraph, catalog, connectivity_report, enumerate_paths_of_length_three
 from .solver import SearchConfig, min_abnormal
 
 _ALL_COLORS = frozenset(range(1, 6))
@@ -62,15 +61,24 @@ K4_GADGET_COLORS = (2, 5, 5, 2, 1, 1, 1)
 # Constructions
 # ---------------------------------------------------------------------------
 
+def _kept_edges(graph: CubicGraph, removed: Sequence[int]) -> list[int]:
+    """G's edge ids minus `removed`, in increasing order."""
+    for eid in removed:
+        if not (0 <= eid < graph.m):
+            raise ValueError(f"unknown edge id {eid}")
+    return [e for e in range(graph.m) if e not in removed]
+
+
+def _copies(edges: Sequence[tuple[int, int]], t: int, n: int) -> list[tuple[int, int]]:
+    """t copies of an edge list, copy i shifted onto vertices [i*n, (i+1)*n)."""
+    return [(i * n + u, i * n + v) for i in range(t) for u, v in edges]
+
+
 def disjoint_copies(graph: CubicGraph, t: int) -> CubicGraph:
     """t disjoint labeled copies; copy i lives on vertices [i*n, (i+1)*n)."""
     if t < 1:
         raise ValueError("t must be at least 1")
-    n = graph.n
-    edges = []
-    for i in range(t):
-        edges.extend((i * n + u, i * n + v) for u, v in graph.edges)
-    return CubicGraph(t * n, tuple(edges))
+    return CubicGraph(t * graph.n, tuple(_copies(graph.edges, t, graph.n)))
 
 
 def cyclic_join_one_edge(graph: CubicGraph, eid: int, t: int) -> CubicGraph:
@@ -81,16 +89,11 @@ def cyclic_join_one_edge(graph: CubicGraph, eid: int, t: int) -> CubicGraph:
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    marked = remove_and_mark(graph, edges=(eid,))
+    kept = _kept_edges(graph, (eid,))
     x, y = graph.endpoints(eid)
-    kept = marked.live_edges()
     n = graph.n
-    edges = []
-    for i in range(t):
-        base = i * n
-        edges.extend((base + u, base + v) for u, v in (graph.endpoints(f) for f in kept))
-    for i in range(t):
-        edges.append((i * n + y, ((i + 1) % t) * n + x))
+    edges = _copies([graph.edges[f] for f in kept], t, n)
+    edges.extend((i * n + y, ((i + 1) % t) * n + x) for i in range(t))
     return CubicGraph(t * n, tuple(edges))
 
 
@@ -101,17 +104,13 @@ def cyclic_join_two_edges(graph: CubicGraph, e1: int, e2: int, t: int) -> CubicG
     """
     if t < 2:
         raise ValueError("t must be at least 2")
+    kept = _kept_edges(graph, (e1, e2))
     a, b = graph.endpoints(e1)
     c, d = graph.endpoints(e2)
     if e1 == e2 or {a, b} & {c, d}:
         raise ValueError("the two designated edges must be independent")
-    marked = remove_and_mark(graph, edges=(e1, e2))
-    kept = marked.live_edges()
     n = graph.n
-    edges = []
-    for i in range(t):
-        base = i * n
-        edges.extend((base + u, base + v) for u, v in (graph.endpoints(f) for f in kept))
+    edges = _copies([graph.edges[f] for f in kept], t, n)
     for i in range(t):
         nxt = ((i + 1) % t) * n
         edges.append((i * n + d, nxt + a))
@@ -122,30 +121,23 @@ def cyclic_join_two_edges(graph: CubicGraph, e1: int, e2: int, t: int) -> CubicG
 def vertex_replacement(host: CubicGraph, graph: CubicGraph, v: int) -> CubicGraph:
     """Replace every host vertex with a copy of G-v.
 
-    The host's incident edges at each vertex, in increasing edge id order,
-    attach to the copy's stubs in recorded stub order.
+    G-v keeps G's vertex order (u becomes u - 1 for u > v).  The host's
+    incident edges at each vertex, in increasing edge id order, attach to the
+    copy's stubs: the far ends of v's edges, in increasing edge id order.
     """
     if not (0 <= v < graph.n):
         raise ValueError(f"unknown vertex {v}")
-    marked = remove_and_mark(graph, vertex=v)
-    live = marked.vertices()
-    relabel = {orig: i for i, orig in enumerate(live)}
+    star = graph.incident(v)
     n_copy = graph.n - 1
-    kept = marked.live_edges()
-    edges = []
-    for w in range(host.n):
-        base = w * n_copy
-        for f in kept:
-            a, b = graph.endpoints(f)
-            edges.append((base + relabel[a], base + relabel[b]))
-    stubs = marked.stubs
-    for f in range(host.m):
-        w1, w2 = host.endpoints(f)
+    copy = [
+        (a - (a > v), b - (b > v)) for a, b in (graph.edges[f] for f in _kept_edges(graph, star))
+    ]
+    stubs = [u - (u > v) for u in (graph.other_end(f, v) for f in star)]
+    edges = _copies(copy, host.n, n_copy)
+    for f, (w1, w2) in enumerate(host.edges):
         r1 = host.incident(w1).index(f)
         r2 = host.incident(w2).index(f)
-        edges.append(
-            (w1 * n_copy + relabel[stubs[r1][0]], w2 * n_copy + relabel[stubs[r2][0]])
-        )
+        edges.append((w1 * n_copy + stubs[r1], w2 * n_copy + stubs[r2]))
     return CubicGraph(host.n * n_copy, tuple(edges))
 
 
@@ -153,10 +145,10 @@ def two_cut_connection(
     g1: CubicGraph, e1: int, g2: CubicGraph, e2: int
 ) -> CubicGraph:
     """Splice two cubic graphs: drop e1 = x1y1 and e2 = x2y2, add x1x2, y1y2."""
+    kept1 = _kept_edges(g1, (e1,))
+    kept2 = _kept_edges(g2, (e2,))
     x1, y1 = g1.endpoints(e1)
     x2, y2 = g2.endpoints(e2)
-    kept1 = remove_and_mark(g1, edges=(e1,)).live_edges()
-    kept2 = remove_and_mark(g2, edges=(e2,)).live_edges()
     off = g1.n
     edges = [g1.endpoints(f) for f in kept1]
     edges.extend((off + u, off + v) for u, v in (g2.endpoints(f) for f in kept2))
@@ -169,102 +161,80 @@ def two_cut_connection(
 # Coloring extensions
 # ---------------------------------------------------------------------------
 
-def _finish(parent: CubicGraph, assignment: dict[int, int]) -> EdgeColoring:
-    out = EdgeColoring(5, tuple(assignment[e] for e in range(parent.m)))
-    if not is_proper(parent, out, 5):
+def _complete(
+    graph: CubicGraph,
+    colors: dict[int, int],
+    removed: Sequence[int],
+    first: Optional[int] = None,
+) -> EdgeColoring:
+    """Color the removed edges in order, each with the smallest color missing
+    at both of its ends; the first one takes `first` instead, when given.
+
+    `colors` must be a proper 5-edge-coloring of G minus `removed`, keyed by
+    edge id.  An edge meets at most four other edges, so the greedy choice
+    always exists.
+    """
+    kept = _kept_edges(graph, removed)
+    if set(colors) != set(kept) or not all(1 <= colors[e] <= 5 for e in kept):
+        raise ImproperColoringError("the partial coloring must be proper")
+    for v in range(graph.n):
+        at_v = [colors[e] for e in graph.incident(v) if e in colors]
+        if len(set(at_v)) != len(at_v):
+            raise ImproperColoringError("the partial coloring must be proper")
+    assignment = dict(colors)
+    for eid in removed:
+        x, y = graph.endpoints(eid)
+        seen = {assignment[f] for f in graph.incident(x) + graph.incident(y) if f in assignment}
+        if first is None:
+            assignment[eid] = min(_ALL_COLORS - seen)
+        elif first in seen:
+            raise VerificationError("external color collides at the copied stub")
+        else:
+            assignment[eid] = first
+            first = None
+    out = EdgeColoring(5, tuple(assignment[e] for e in range(graph.m)))
+    if not is_proper(graph, out, 5):
         raise VerificationError("extension produced an improper coloring")
     return out
 
 
-def extend_one_edge(
-    marked: MarkedGraph, colors: dict[int, int], eid: Optional[int] = None
-) -> EdgeColoring:
-    """Color the one removed edge with the smallest color missing at both ends."""
-    if marked.removed_vertex is not None or len(marked.removed_edges) != 1:
-        raise ValueError("expected a marked graph with exactly one removed edge")
-    removed = marked.removed_edges[0]
-    if eid is not None and eid != removed:
-        raise ValueError(f"edge {eid} is not the removed edge {removed}")
-    if not marked_is_proper(marked, colors):
-        raise ImproperColoringError("the partial coloring must be proper")
-    x, y = marked.parent.endpoints(removed)
-    seen = marked_palette(marked, colors, x) | marked_palette(marked, colors, y)
-    free = sorted(_ALL_COLORS - seen)
-    if not free:
-        raise VerificationError("no common missing color at the removed edge")
-    assignment = dict(colors)
-    assignment[removed] = free[0]
-    return _finish(marked.parent, assignment)
+def extend_one_edge(graph: CubicGraph, colors: dict[int, int], eid: int) -> EdgeColoring:
+    """Color the removed edge eid with the smallest color missing at both ends.
+
+    `colors` is a proper 5-edge-coloring of G - eid, keyed by edge id.
+    """
+    return _complete(graph, colors, (eid,))
 
 
 def extend_vertex_star(
-    marked: MarkedGraph,
-    colors: dict[int, int],
-    external_colors: tuple[int, int, int],
+    graph: CubicGraph, colors: dict[int, int], v: int, external: int
 ) -> EdgeColoring:
-    """Restore a deleted vertex star: copy the first stub's external color,
-    then color the other two star edges greedily.
+    """Restore the star of a deleted vertex v: its first edge (by id) copies
+    the color `external`, the other two are colored greedily.
 
-    external_colors holds the colors of the three outside edges at the stub
-    vertices, aligned with the recorded stub order.  Only the first is used;
-    copying it keeps every palette at that stub vertex unchanged.  Each later
-    step forbids at most four colors, so the greedy choice always exists.
+    `colors` is a proper 5-edge-coloring of G - v, keyed by edge id.
+    `external` is the color of the outside edge that took the first star
+    edge's place at its stub vertex, so copying it keeps that vertex's
+    palette unchanged.
     """
-    if marked.removed_vertex is None:
-        raise ValueError("expected a marked graph with a removed vertex")
-    if not marked_is_proper(marked, colors):
-        raise ImproperColoringError("the partial coloring must be proper")
-    assignment = dict(colors)
-    star: list[int] = []
-    for idx, (stub_vertex, removed_eid) in enumerate(marked.stubs):
-        forbidden = set(marked_palette(marked, colors, stub_vertex)) | set(star)
-        if idx == 0:
-            chosen = external_colors[0]
-            if chosen in forbidden:
-                raise VerificationError("external color collides at the copied stub")
-        else:
-            chosen = min(_ALL_COLORS - forbidden)
-        assignment[removed_eid] = chosen
-        star.append(chosen)
-    return _finish(marked.parent, assignment)
+    if not (0 <= v < graph.n):
+        raise ValueError(f"unknown vertex {v}")
+    return _complete(graph, colors, graph.incident(v), external)
 
 
 def extend_two_edges(
-    marked: MarkedGraph,
-    colors: dict[int, int],
-    e1: Optional[int] = None,
-    e2: Optional[int] = None,
+    graph: CubicGraph, colors: dict[int, int], e1: int, e2: int
 ) -> EdgeColoring:
-    """Color two removed independent edges, each with the smallest color
+    """Color the removed edges e1 and e2, each with the smallest color
     missing at both of its endpoints.
 
-    The two edges must be the end-edges of a path of length three in the
-    parent graph, which caps the edges their restoration can disturb at nine.
+    `colors` is a proper 5-edge-coloring of G - e1 - e2, keyed by edge id.
+    The two edges must be the end-edges of a path of length three in G,
+    which caps the edges their restoration can disturb at nine.
     """
-    if marked.removed_vertex is not None or len(marked.removed_edges) != 2:
-        raise ValueError("expected a marked graph with exactly two removed edges")
-    removed = marked.removed_edges
-    if e1 is None and e2 is None:
-        e1, e2 = removed
-    if {e1, e2} != set(removed):
-        raise ValueError("designated edges must be the removed pair")
-    a, b = marked.parent.endpoints(e1)
-    c, d = marked.parent.endpoints(e2)
-    if {a, b} & {c, d}:
-        raise ValueError("the removed edges must be independent")
-    if not any(
-        x == e1 and z == e2 or x == e2 and z == e1
-        for x, _, z in enumerate_paths_of_length_three(marked.parent)
-    ):
+    if not any({x, z} == {e1, e2} for x, _, z in enumerate_paths_of_length_three(graph)):
         raise ValueError("the removed edges must be end-edges of a 3-edge path")
-    if not marked_is_proper(marked, colors):
-        raise ImproperColoringError("the partial coloring must be proper")
-    assignment = dict(colors)
-    for eid in (e1, e2):
-        x, y = marked.parent.endpoints(eid)
-        seen = marked_palette(marked, colors, x) | marked_palette(marked, colors, y)
-        assignment[eid] = min(_ALL_COLORS - seen)
-    return _finish(marked.parent, assignment)
+    return _complete(graph, colors, (e1, e2))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +246,6 @@ def _normalizing_permutation(
 ) -> dict[int, int]:
     """Color permutation sending c(e) to 1, the shared palette pair to {1,2},
     the rest of S(u) to 3 and the rest of S(v) to 4."""
-    from .coloring import palette
-
     u, v = graph.endpoints(eid)
     s_u = palette(graph, coloring, u)
     s_v = palette(graph, coloring, v)
@@ -301,6 +269,7 @@ def k4_gadget_extend(
     Colors are permuted so the designated edge has the canonical abnormal
     shape, then the frozen gadget table colors the seven new edges.
     """
+    kept = _kept_edges(graph, (eid,))
     classes = classify_all(graph, coloring)
     if classes[eid] is not EdgeClass.ABNORMAL:
         raise ValueError(f"edge {eid} must be abnormal")
@@ -310,10 +279,8 @@ def k4_gadget_extend(
 
     k4 = catalog("k4")
     combined = two_cut_connection(graph, eid, k4, 0)
-    kept = remove_and_mark(graph, edges=(eid,)).live_edges()
     colors = [normalized.colors[f] for f in kept]
-    colors.extend(K4_GADGET_COLORS[:5])
-    colors.extend(K4_GADGET_COLORS[5:])
+    colors.extend(K4_GADGET_COLORS)
     extended = EdgeColoring(5, tuple(colors))
     if not is_proper(combined, extended, 5):
         raise VerificationError("gadget extension is not proper")
@@ -403,25 +370,20 @@ def _solve_h_coloring(h: CubicGraph, units: int) -> EdgeColoring:
 @dataclass(frozen=True)
 class _Composite:
     h: CubicGraph
-    marked: Optional[MarkedGraph]  # None for the disjoint variant
-    units: int                     # number of copies for the pigeonhole
-    span: int                      # edges per copy in h
+    removed: tuple[int, ...]  # edge ids of G missing from each copy
+    units: int                # number of copies for the pigeonhole
 
 
 def _build_composite(graph: CubicGraph, variant: str, t: int) -> _Composite:
-    m = graph.m
     if variant == "disjoint":
-        return _Composite(disjoint_copies(graph, t), None, t, m)
+        return _Composite(disjoint_copies(graph, t), (), t)
     if variant == "cyclic1":
-        marked = remove_and_mark(graph, edges=(0,))
-        return _Composite(cyclic_join_one_edge(graph, 0, t), marked, t, m - 1)
+        return _Composite(cyclic_join_one_edge(graph, 0, t), (0,), t)
     if variant == "cyclic2":
         e1, e2 = default_three_path(graph)
-        marked = remove_and_mark(graph, edges=(e1, e2))
-        return _Composite(cyclic_join_two_edges(graph, e1, e2, t), marked, t, m - 2)
+        return _Composite(cyclic_join_two_edges(graph, e1, e2, t), (e1, e2), t)
     host = replacement_host(t)
-    marked = remove_and_mark(graph, vertex=0)
-    return _Composite(vertex_replacement(host, graph, 0), marked, host.n, m - 3)
+    return _Composite(vertex_replacement(host, graph, 0), graph.incident(0), host.n)
 
 
 def composite_graph(graph: CubicGraph, variant: str, t: int) -> CubicGraph:
@@ -460,7 +422,8 @@ def pigeonhole_demo(
         raise ValueError(f"input graph fails the connectivity required by {variant!r}")
 
     built = _build_composite(graph, variant, t)
-    h, marked, units, span = built.h, built.marked, built.units, built.span
+    h, removed, units = built.h, built.removed, built.units
+    span = graph.m - len(removed)  # edges per copy in h
 
     if coloring_of_h is None:
         coloring_of_h = _solve_h_coloring(h, units)
@@ -489,22 +452,19 @@ def pigeonhole_demo(
             5, tuple(coloring_of_h.colors[clean * span : (clean + 1) * span])
         )
     else:
-        kept = marked.live_edges()
         copy_colors = {
-            kept[pos]: coloring_of_h.colors[clean * span + pos]
-            for pos in range(span)
+            f: coloring_of_h.colors[clean * span + pos]
+            for pos, f in enumerate(_kept_edges(graph, removed))
         }
         if variant == "cyclic1":
-            final_coloring = extend_one_edge(marked, copy_colors)
+            final_coloring = extend_one_edge(graph, copy_colors, *removed)
         elif variant == "cyclic2":
-            final_coloring = extend_two_edges(marked, copy_colors)
+            final_coloring = extend_two_edges(graph, copy_colors, *removed)
         else:
+            # the host edge attached to the clean copy's first stub
             host = replacement_host(t)
-            base = host.n * span
-            externals = tuple(
-                coloring_of_h.colors[base + host.incident(clean)[r]] for r in range(3)
-            )
-            final_coloring = extend_vertex_star(marked, copy_colors, externals)
+            external = coloring_of_h.colors[host.n * span + host.incident(clean)[0]]
+            final_coloring = extend_vertex_star(graph, copy_colors, 0, external)
 
     final = len(abnormal_set(graph, final_coloring))
     return DemoReport(variant, t, h.n, len(bad), clean, final, bound, final <= bound)

@@ -1,4 +1,4 @@
-"""Cubic multigraphs, named catalog graphs, deletions, and connectivity analysis.
+"""Cubic multigraphs, named catalog graphs, and connectivity analysis.
 
 Graphs are finite, undirected, loop-free and 3-regular; parallel edges are
 allowed and distinguished by edge id.  Edge ids are positions in the edge
@@ -7,10 +7,10 @@ list, endpoints are stored as (min, max) pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, count
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterator
 
 from .errors import DegreeError, LoopError
 
@@ -71,77 +71,6 @@ class CubicGraph:
 
     def is_simple(self) -> bool:
         return not self.has_parallel_edges()
-
-
-@dataclass(frozen=True)
-class MarkedGraph:
-    """A cubic graph with edges or one vertex deleted, plus the open stubs.
-
-    Stubs record each lost incidence as (vertex, original edge id), ordered by
-    edge id then endpoint id, so every downstream construction that rewires
-    stubs is deterministic.
-    """
-
-    parent: CubicGraph
-    removed_edges: tuple[int, ...]
-    removed_vertex: int | None
-    stubs: tuple[tuple[int, int], ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if not self.stubs:
-            object.__setattr__(self, "stubs", self._compute_stubs())
-        for v in self.vertices():
-            if self.degree(v) + sum(1 for s, _ in self.stubs if s == v) != 3:
-                raise DegreeError(f"vertex {v}: degree plus stub count is not 3")
-
-    def _compute_stubs(self) -> tuple[tuple[int, int], ...]:
-        stubs = []
-        for eid in sorted(self.removed_edges):
-            for v in sorted(self.parent.endpoints(eid)):
-                if v != self.removed_vertex:
-                    stubs.append((v, eid))
-        return tuple(stubs)
-
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.parent.n) if v != self.removed_vertex)
-
-    def live_edges(self) -> tuple[int, ...]:
-        dead = set(self.removed_edges)
-        return tuple(e for e in range(self.parent.m) if e not in dead)
-
-    def incident(self, v: int) -> tuple[int, ...]:
-        dead = set(self.removed_edges)
-        return tuple(e for e in self.parent.incident(v) if e not in dead)
-
-    def degree(self, v: int) -> int:
-        return len(self.incident(v))
-
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        if eid in self.removed_edges:
-            raise ValueError(f"edge {eid} was removed")
-        return self.parent.endpoints(eid)
-
-
-def remove_and_mark(
-    graph: CubicGraph,
-    edges: Iterable[int] = (),
-    vertex: int | None = None,
-) -> MarkedGraph:
-    """Delete the given edge ids, or one vertex with its three edges."""
-    edge_ids = tuple(edges)
-    if vertex is not None:
-        if edge_ids:
-            raise ValueError("pass either edge ids or one vertex, not both")
-        if not (0 <= vertex < graph.n):
-            raise ValueError(f"unknown vertex {vertex}")
-        edge_ids = graph.incident(vertex)
-    else:
-        if len(set(edge_ids)) != len(edge_ids):
-            raise ValueError("deleted edges must be pairwise distinct")
-        for eid in edge_ids:
-            if not (0 <= eid < graph.m):
-                raise ValueError(f"unknown edge id {eid}")
-    return MarkedGraph(graph, tuple(sorted(edge_ids)), vertex)
 
 
 # ---------------------------------------------------------------------------

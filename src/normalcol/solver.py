@@ -237,34 +237,25 @@ def has_normal_k(graph: CubicGraph, k: int) -> Optional[EdgeColoring]:
     return None
 
 
-def normal_chromatic_index(graph: CubicGraph, max_k: int | None = None) -> int:
-    """Least k admitting a normal k-edge-coloring.
+def normal_chromatic_index(graph: CubicGraph) -> Optional[int]:
+    """Least k admitting a normal k-edge-coloring, or None if no k does.
 
-    Simple cubic graphs always have one (coloring every edge differently is
-    normal), so the scan is bounded by |E|.  Multigraphs with parallel edges
-    may have none; the scan stops at max_k (default 7) and reports the limit.
+    A coloring uses at most |E| colors, so the scan over k = 3..|E| decides
+    existence exactly.  Simple cubic graphs always have one (coloring every
+    edge differently is normal); multigraphs with parallel edges may not.
     """
-    return _normal_index_with_witness(graph, max_k)[0]
+    return _normal_index_with_witness(graph)[0]
 
 
 def _normal_index_with_witness(
-    graph: CubicGraph, max_k: int | None = None
-) -> tuple[int, EdgeColoring]:
+    graph: CubicGraph,
+) -> tuple[Optional[int], Optional[EdgeColoring]]:
     """normal_chromatic_index and the witness of the solve that settled it."""
-    simple = graph.is_simple()
-    if max_k is None:
-        max_k = graph.m if simple else 7
-    for k in range(3, max_k + 1):
-        if simple and k >= graph.m:
-            # all-distinct coloring is proper and all-rich
-            return k, EdgeColoring(k, tuple(range(1, graph.m + 1)))
+    for k in range(3, graph.m + 1):
         witness = has_normal_k(graph, k)
         if witness is not None:
             return k, witness
-    raise ValueError(
-        f"no normal edge-coloring found for k up to {max_k}"
-        + ("" if simple else " (graph has parallel edges)")
-    )
+    return None, None
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from normalcol.cli import main
-from normalcol.coloring import write_coloring
+from normalcol.coloring import EdgeColoring, write_coloring
 from normalcol.formats import parse_graph, write_graph
 from normalcol.graphs import catalog
 from normalcol.petersen import canonical_petersen
@@ -177,6 +177,29 @@ def test_construct_second_graph_file(files, capsys, variant):
     assert parse_graph(out, "edge-list") == expected
 
 
+@pytest.mark.parametrize("flags", [
+    ["--variant", "cyclic2", "--edge", "99", "--edge2", "3"],
+    ["--variant", "two_cut", "--edge", "99"],
+    ["--variant", "k4_gadget", "--edge", "99"],
+    ["--variant", "k4_gadget", "--edge", "-1"],
+])
+def test_construct_rejects_unknown_edge_id(files, capsys, tmp_path, flags):
+    from normalcol.constructions import Q3_TWO_ABNORMAL
+
+    graph = tmp_path / "q3.el"
+    graph.write_text(write_graph(catalog("q3"), "edge-list"))
+    col = tmp_path / "q3.col"
+    col.write_text(write_coloring(EdgeColoring(5, Q3_TWO_ABNORMAL)))
+    argv = ["construct", "--graph", str(graph), *flags]
+    if "k4_gadget" in flags:
+        argv += ["--coloring", str(col)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    bad = flags[flags.index("--edge") + 1]
+    assert captured.err == f"error: unknown edge id {bad}\n"
+
+
 def test_demo_json(files, capsys):
     code, out = run(capsys, [
         "demo", "--variant", "cyclic2", "--graph", str(files["petersen_el"]), "--t", "2",
@@ -261,10 +284,15 @@ def test_demo_with_supplied_composite_coloring(files, capsys, tmp_path):
 
 
 def test_multigraph_chi_n_reports_limit(files, capsys):
-    code = main(["chi-n", "--graph", str(files["bridged"])])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "up to 7" in err
+    # no k up to m = 9 admits a normal coloring: a certified "none", exit 0
+    code, out = run(capsys, ["chi-n", "--graph", str(files["bridged"])])
+    assert code == 0
+    assert out.splitlines()[-2:] == ["normal_chromatic_index", "none"]
+    code, out = run(capsys, ["chi-n", "--graph", str(files["bridged"]), "--out", "json"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["normal_chromatic_index"] is None and obj["witness"] is None
+    assert obj["checks"] == {}
 
 
 def test_solve_budget_infeasible_is_honest(files, capsys):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+from functools import lru_cache
 from itertools import product
 
 import networkx as nx
@@ -24,8 +27,17 @@ from normalcol.constructions import (
     two_cut_connection,
     vertex_replacement,
 )
-from normalcol.graphs import CubicGraph, catalog, connectivity_report, is_connected, remove_and_mark
+from normalcol.errors import ImproperColoringError, VerificationError
+from normalcol.generate import enumerate_cubic
+from normalcol.graphs import (
+    CubicGraph,
+    catalog,
+    connectivity_report,
+    enumerate_paths_of_length_three,
+    is_connected,
+)
 from normalcol.petersen import canonical_petersen
+from normalcol.solver import min_abnormal
 
 K4_PROPER = EdgeColoring(3, (1, 2, 3, 3, 2, 1))
 
@@ -101,6 +113,80 @@ def test_two_cut_connection_sizes(k4, q3):
     # new edges join distinct graphs, so the result is loop-free by
     # construction; the CubicGraph invariant re-checks it
     assert all(u != v for u, v in h2.edges)
+
+
+def test_constructions_reject_bad_ids(petersen, k4, k33, q3):
+    for bad in (15, -1):
+        with pytest.raises(ValueError, match=f"unknown edge id {bad}"):
+            cyclic_join_one_edge(petersen, bad, 2)
+        with pytest.raises(ValueError, match=f"unknown edge id {bad}"):
+            cyclic_join_two_edges(petersen, bad, 3, 2)
+        with pytest.raises(ValueError, match=f"unknown edge id {bad}"):
+            two_cut_connection(petersen, bad, k4, 0)
+        with pytest.raises(ValueError, match=f"unknown edge id {bad}"):
+            k4_gadget_extend(q3, EdgeColoring(5, Q3_TWO_ABNORMAL), bad)
+    with pytest.raises(ValueError, match="unknown edge id 6"):
+        two_cut_connection(petersen, 0, k4, 6)
+    with pytest.raises(ValueError, match="unknown vertex 77"):
+        vertex_replacement(k33, petersen, 77)
+    with pytest.raises(ValueError, match="independent"):
+        cyclic_join_two_edges(petersen, 1, 1, 2)  # a repeated edge
+    with pytest.raises(ValueError, match="independent"):
+        cyclic_join_two_edges(petersen, 0, 1, 2)  # edges sharing vertex 0
+
+
+@pytest.mark.parametrize("name,eids", [("k4", (0,)), ("petersen", (0, 3)), ("q3", (2, 5))])
+def test_stub_rejoin_reconstructs_cubic(name, eids):
+    """A join keeps each copy's edges in id order and rejoins every open
+    stub once; one copy of G - e rejoined to itself is G again."""
+    g = catalog(name)
+    kept = [g.endpoints(e) for e in range(g.m) if e not in eids]
+    if len(eids) == 1:
+        copies, h = 1, cyclic_join_one_edge(g, eids[0], 1)
+        assert sorted(h.edges) == sorted(g.edges)
+    else:
+        copies, h = 2, cyclic_join_two_edges(g, *eids, 2)
+    span = len(kept)
+    for i in range(copies):
+        shifted = h.edges[i * span : (i + 1) * span]
+        assert [(u - i * g.n, v - i * g.n) for u, v in shifted] == kept
+    ends = [v for e in eids for v in g.endpoints(e)]
+    assert sorted(v % g.n for uv in h.edges[copies * span :] for v in uv) == sorted(ends * copies)
+
+
+# sha256 of the JSON of each composite's edge list and its pigeonhole demo
+# report, measured before the constructions moved to plain edge ids.
+PINNED_COMPOSITES = {
+    ("petersen", "disjoint", 2): "2cd267b9eeeabba33327d20eaca13cae0657d3da9e6c651d6f460d6239e0a8e8",
+    ("petersen", "disjoint", 3): "67e40dfdae496181bb792aafb02cb0ed264a563719e302a005358d75b0b039df",
+    ("petersen", "cyclic1", 2): "1bf8161c093e948309869bf41e9a193c91b1034bc8cf51189caf96dbc64939b2",
+    ("petersen", "cyclic1", 3): "ad8d6114de066d96f7c39be6966faa0117068057ba3306b4fcfddfa5ce41d66c",
+    ("petersen", "vertex_replacement", 2): "a0627a6adaf5f2175af4ae94d07d69ddca2aa2e29fefba1089174744fbd35dfc",
+    ("petersen", "vertex_replacement", 3): "40b4dc2b370569eae9c902c1b332b25c208e8fd29f53512198b4a52f720da5ec",
+    ("petersen", "cyclic2", 2): "cb4e70921a470f772ac6c30bfef9b98fad32c412edaa827438440ac5c843282f",
+    ("petersen", "cyclic2", 3): "65ae5aef437f6e34b2d6e95f4378d67d0c65dacc49853c54cf07b714ae3e0b6d",
+    ("k4", "disjoint", 2): "9777ad34f421f7fd3471f71cb832368a6fe534e420f07ebcadff66fba8bad1f8",
+    ("k4", "disjoint", 3): "7f086e0f5114f2cb8d44a10268005271f5cbc92fd5cb4b8a408544d623d89e14",
+    ("k4", "cyclic1", 2): "2c931fd3531959ccc649934b124b7311ec43369b568681de6001f54b6893f83b",
+    ("k4", "cyclic1", 3): "5f8b1a56806c3ab1ebcfa30dff9582390315ded32d5214f3ca1adef818fe5336",
+    ("k4", "vertex_replacement", 2): "47784e929e6fca87b99e2cfedb3b1e7be56eca630be58381d639adf39c593bd0",
+    ("k4", "vertex_replacement", 3): "369b25d3f4d59bb136a8f003ca2a5c049317eebbeebaf6dbfbb20fa4ac2a77a5",
+    ("k4", "cyclic2", 2): "b527fb88795636c371bfa7fa90613dff631bdac12bd513ecf4eec15d75e293be",
+    ("k4", "cyclic2", 3): "8dc0c99e175c125e7120ccb934da7ee272e5c512590e890d1b52a8617122b7a6",
+}
+
+
+@pytest.mark.parametrize("name,variant,t", list(PINNED_COMPOSITES))
+def test_composite_layouts_and_demos_pinned(name, variant, t):
+    g = catalog(name)
+    blob = json.dumps(
+        {
+            "edges": composite_graph(g, variant, t).edges,
+            "demo": pigeonhole_demo(g, variant, t).to_json_obj(),
+        },
+        sort_keys=True,
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_COMPOSITES[(name, variant, t)]
 
 
 # ---------------------------------------------------------------------------
@@ -210,69 +296,76 @@ def test_k_abnormal_rejects_small_k():
 # Extensions
 # ---------------------------------------------------------------------------
 
+def _kept_colors(g: CubicGraph, coloring: EdgeColoring, removed) -> dict[int, int]:
+    return {e: coloring.colors[e] for e in range(g.m) if e not in removed}
+
+
+@lru_cache(maxsize=None)
+def _extension_inputs() -> tuple[tuple[CubicGraph, EdgeColoring], ...]:
+    """The Petersen graph with its Kneser coloring, then every class with
+    n <= 10 with its min_abnormal witness."""
+    inputs = [(catalog("petersen"), canonical_petersen().ctilde)]
+    for n in (4, 6, 8, 10):
+        for g in enumerate_cubic(n, distinct=True):
+            inputs.append((g, min_abnormal(g).witness))
+    return tuple(inputs)
+
+
+def _check_extension(g, start, out, disturbed, bound):
+    assert is_proper(g, out, 5)
+    bad = abnormal_set(g, out)
+    # every palette outside the disturbed edges is the starting one, so a
+    # start that is not normal keeps its abnormal edges there
+    assert bad - disturbed == abnormal_set(g, start) - disturbed
+    assert len(bad & disturbed) <= bound
+
+
 def test_extend_one_edge_k4(k4):
-    marked = remove_and_mark(k4, edges=(0,))
-    colors = {e: K4_PROPER.colors[e] for e in marked.live_edges()}
-    out = extend_one_edge(marked, colors)
+    out = extend_one_edge(k4, _kept_colors(k4, K4_PROPER, (0,)), 0)
     assert is_proper(k4, out, 5)
     assert abnormal_set(k4, out) <= {0} | _adjacent_edges(k4, 0)
     assert len(abnormal_set(k4, out)) <= 5
 
 
-def test_extend_one_edge_petersen_all_edges(petersen):
-    kneser = canonical_petersen().ctilde
-    for eid in range(petersen.m):
-        marked = remove_and_mark(petersen, edges=(eid,))
-        colors = {e: kneser.colors[e] for e in marked.live_edges()}
-        out = extend_one_edge(marked, colors)
-        assert is_proper(petersen, out, 5)
-        bad = abnormal_set(petersen, out)
-        assert bad <= {eid} | _adjacent_edges(petersen, eid)
-        assert len(bad) <= 5
+def test_extend_one_edge_petersen_all_edges():
+    for g, start in _extension_inputs():
+        for eid in range(g.m):
+            out = extend_one_edge(g, _kept_colors(g, start, (eid,)), eid)
+            _check_extension(g, start, out, {eid} | _adjacent_edges(g, eid), 5)
 
 
 def test_extend_one_edge_unique_missing_color(q3):
     # palettes {1,2} and {3,4} at the stub ends force color 5
     colors = {1: 1, 2: 2, 3: 3, 4: 4, 5: 2, 6: 3, 7: 1, 8: 1, 9: 4, 10: 2, 11: 5}
-    marked = remove_and_mark(q3, edges=(0,))
-    out = extend_one_edge(marked, colors)
+    out = extend_one_edge(q3, colors, 0)
     assert out.colors[0] == 5
 
 
 def test_extend_vertex_star_k4(k4):
-    marked = remove_and_mark(k4, vertex=0)
-    colors = {e: K4_PROPER.colors[e] for e in marked.live_edges()}
-    externals = tuple(K4_PROPER.colors[e] for _, e in marked.stubs)
-    out = extend_vertex_star(marked, colors, externals)
+    star = k4.incident(0)
+    out = extend_vertex_star(k4, _kept_colors(k4, K4_PROPER, star), 0, K4_PROPER.colors[star[0]])
     assert is_proper(k4, out, 5)
-    star = set(k4.incident(0))
-    v2_edges = _adjacent_edges(k4, marked.stubs[1][1]) - star
-    v3_edges = _adjacent_edges(k4, marked.stubs[2][1]) - star
-    assert abnormal_set(k4, out) <= star | v2_edges | v3_edges
+    # the first stub keeps its palette; the other two stubs are disturbed
+    disturbed = set(star) | _adjacent_edges(k4, star[1]) | _adjacent_edges(k4, star[2])
+    assert abnormal_set(k4, out) <= disturbed
     assert len(abnormal_set(k4, out)) <= 7
 
 
-def test_extend_vertex_star_petersen(petersen):
-    kneser = canonical_petersen().ctilde
-    marked = remove_and_mark(petersen, vertex=0)
-    colors = {e: kneser.colors[e] for e in marked.live_edges()}
-    externals = tuple(kneser.colors[e] for _, e in marked.stubs)
-    out = extend_vertex_star(marked, colors, externals)
-    assert is_proper(petersen, out, 5)
-    assert len(abnormal_set(petersen, out)) <= 7
+def test_extend_vertex_star_petersen():
+    for g, start in _extension_inputs():
+        for v in range(g.n):
+            star = g.incident(v)
+            out = extend_vertex_star(g, _kept_colors(g, start, star), v, start.colors[star[0]])
+            disturbed = set(star) | _adjacent_edges(g, star[1]) | _adjacent_edges(g, star[2])
+            _check_extension(g, start, out, disturbed, 7)
 
 
-def test_extend_two_edges_petersen(petersen):
-    kneser = canonical_petersen().ctilde
-    e1, e2 = default_three_path(petersen)
-    marked = remove_and_mark(petersen, edges=(e1, e2))
-    colors = {e: kneser.colors[e] for e in marked.live_edges()}
-    out = extend_two_edges(marked, colors)
-    assert is_proper(petersen, out, 5)
-    bad = abnormal_set(petersen, out)
-    allowed = {e1, e2} | _adjacent_edges(petersen, e1) | _adjacent_edges(petersen, e2)
-    assert bad <= allowed
-    assert len(bad) <= 9
+def test_extend_two_edges_petersen():
+    for g, start in _extension_inputs():
+        for e1, _, e2 in enumerate_paths_of_length_three(g):
+            out = extend_two_edges(g, _kept_colors(g, start, (e1, e2)), e1, e2)
+            disturbed = {e1, e2} | _adjacent_edges(g, e1) | _adjacent_edges(g, e2)
+            _check_extension(g, start, out, disturbed, 9)
 
 
 def test_extend_two_edges_requires_three_path(petersen):
@@ -290,11 +383,33 @@ def test_extend_two_edges_requires_three_path(petersen):
         if pair:
             break
     assert pair is not None
-    kneser = canonical_petersen().ctilde
-    marked = remove_and_mark(petersen, edges=pair)
-    colors = {e: kneser.colors[e] for e in marked.live_edges()}
+    colors = _kept_colors(petersen, canonical_petersen().ctilde, pair)
     with pytest.raises(ValueError, match="3-edge path"):
-        extend_two_edges(marked, colors)
+        extend_two_edges(petersen, colors, *pair)
+
+
+def test_extensions_reject_bad_input(petersen):
+    kneser = canonical_petersen().ctilde
+    with pytest.raises(ValueError, match="unknown edge id 15"):
+        extend_one_edge(petersen, _kept_colors(petersen, kneser, ()), 15)
+    with pytest.raises(ValueError, match="unknown vertex 10"):
+        extend_vertex_star(petersen, _kept_colors(petersen, kneser, ()), 10, 1)
+    # a kept edge left uncolored, and two kept edges clashing at vertex 0
+    colors = _kept_colors(petersen, kneser, (0,))
+    del colors[1]
+    with pytest.raises(ImproperColoringError):
+        extend_one_edge(petersen, colors, 0)
+    colors = _kept_colors(petersen, kneser, (0,))
+    a, b = petersen.incident(0)[1:]
+    colors[a] = colors[b]
+    with pytest.raises(ImproperColoringError):
+        extend_one_edge(petersen, colors, 0)
+    # the copied color must be missing at the first stub
+    star = petersen.incident(0)
+    stub = petersen.other_end(star[0], 0)
+    taken = kneser.colors[next(e for e in petersen.incident(stub) if e != star[0])]
+    with pytest.raises(VerificationError, match="collides"):
+        extend_vertex_star(petersen, _kept_colors(petersen, kneser, star), 0, taken)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from normalcol.graphs import (
     catalog,
     connectivity_report,
     is_connected,
-    remove_and_mark,
 )
 
 from conftest import (
@@ -71,54 +70,6 @@ def test_catalog_rejects():
         catalog("nosuch")
     with pytest.raises(ValueError):
         catalog("prism", 5)
-
-
-def test_remove_edge_stubs(k4):
-    marked = remove_and_mark(k4, edges=(0,))
-    assert marked.stubs == ((0, 0), (1, 0))
-    assert marked.degree(0) == 2 and marked.degree(1) == 2
-
-
-def test_remove_two_independent_edges(petersen):
-    # edges 0 and 3 of the catalog Petersen graph are independent
-    e1, e2 = 0, 3
-    assert not set(petersen.endpoints(e1)) & set(petersen.endpoints(e2))
-    marked = remove_and_mark(petersen, edges=(e2, e1))
-    assert len(marked.stubs) == 4
-    assert len({v for v, _ in marked.stubs}) == 4
-    # deterministic order: by removed edge id, then endpoint
-    assert [eid for _, eid in marked.stubs] == [e1, e1, e2, e2]
-
-
-def test_remove_vertex(petersen):
-    marked = remove_and_mark(petersen, vertex=0)
-    neighbors = sorted(petersen.other_end(e, 0) for e in petersen.incident(0))
-    assert sorted(v for v, _ in marked.stubs) == neighbors
-    assert len(marked.stubs) == 3
-    assert marked.vertices() == tuple(range(1, 10))
-
-
-def test_remove_and_mark_rejects(petersen):
-    with pytest.raises(ValueError):
-        remove_and_mark(petersen, edges=(99,))
-    with pytest.raises(ValueError):
-        remove_and_mark(petersen, vertex=77)
-    with pytest.raises(ValueError):
-        remove_and_mark(petersen, edges=(1, 1))
-    with pytest.raises(ValueError):
-        remove_and_mark(petersen, edges=(1,), vertex=2)
-
-
-@pytest.mark.parametrize("name,eids", [("k4", (0,)), ("petersen", (0, 3)), ("q3", (2, 5))])
-def test_stub_rejoin_reconstructs_cubic(name, eids):
-    g = catalog(name)
-    marked = remove_and_mark(g, edges=eids)
-    kept = [g.endpoints(e) for e in marked.live_edges()]
-    stubs = [v for v, _ in marked.stubs]
-    for i in range(0, len(stubs), 2):
-        kept.append((stubs[i], stubs[i + 1]))
-    rebuilt = CubicGraph(g.n, tuple(kept))  # degree invariant re-checked here
-    assert rebuilt.m == g.m
 
 
 def test_connectivity_petersen(petersen):

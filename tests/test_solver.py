@@ -113,8 +113,9 @@ def test_normal_chromatic_index(petersen, k4, k33):
 
 
 def test_normal_chromatic_index_multigraph_rejected():
-    with pytest.raises(ValueError, match="up to 7"):
-        normal_chromatic_index(bridged_multigraph())
+    # k = m admits every coloring there is, so None is exact
+    assert normal_chromatic_index(bridged_multigraph()) is None
+    assert normal_chromatic_index(triple_edge()) == 3
 
 
 def test_monotonicity_adding_colors(q3, k33):
