@@ -243,7 +243,10 @@ def _cmd_construct(args) -> int:
             graph, args.edge if args.edge is not None else 0, args.t
         )
     elif variant == "cyclic2":
-        if args.edge is not None and args.edge2 is not None:
+        if (args.edge is None) != (args.edge2 is None):
+            print("error: cyclic2 takes both --edge and --edge2, or neither", file=sys.stderr)
+            return _USAGE_EXIT
+        if args.edge is not None:
             e1, e2 = args.edge, args.edge2
         else:
             e1, e2 = constructions.default_three_path(graph)
@@ -279,10 +282,10 @@ def _cmd_demo(args) -> int:
     graph, hashes = _load_graph(args)
     coloring = None
     if args.coloring:
-        # the coloring file applies to the composite graph
-        composite = constructions.composite_graph(graph, args.variant, args.t)
+        # the coloring file applies to the composite graph, which the demo builds
+        text = Path(args.coloring).read_text()
         hashes["coloring"] = _sha256(args.coloring)
-        coloring = read_coloring(Path(args.coloring).read_text(), composite.m)
+        coloring = lambda h: read_coloring(text, h.m)
     report = constructions.pigeonhole_demo(graph, args.variant, args.t, coloring)
     obj = report.to_json_obj()
     obj["inputs"] = hashes

@@ -90,11 +90,14 @@ def _classify_mask(union_mask: int) -> EdgeClass:
 
 
 def classify_edge(graph: CubicGraph, coloring: EdgeColoring, eid: int) -> EdgeClass:
-    """Classify one edge of a proper coloring by its endpoint palette union."""
-    if not is_proper(graph, coloring):
-        raise ImproperColoringError("classification requires a proper coloring")
+    """Classify one edge by its endpoint palette union.  Only the two
+    endpoint stars are checked for properness, so this is O(1)."""
+    _check_total(graph, coloring)
     u, v = graph.endpoints(eid)
-    return _classify_mask(palette_mask(graph, coloring, u) | palette_mask(graph, coloring, v))
+    mask_u, mask_v = palette_mask(graph, coloring, u), palette_mask(graph, coloring, v)
+    if bin(mask_u).count("1") != 3 or bin(mask_v).count("1") != 3:
+        raise ImproperColoringError("classification requires a proper coloring at both ends")
+    return _classify_mask(mask_u | mask_v)
 
 
 def classify_all(graph: CubicGraph, coloring: EdgeColoring) -> tuple[EdgeClass, ...]:

@@ -1,28 +1,53 @@
 """Exact minimization of abnormal edges over proper k-edge-colorings.
 
-`min_abnormal` is one depth-first branch and bound over edge colors, a
+`min_abnormal` splits G at its bridges and solves each piece on its own.
+The pieces are the components of G minus its bridges (`graphs._bridges`
+finds them in one Tarjan pass); in a piece, each bridge at one of its
+vertices becomes a pendant edge to a new degree-1 vertex.  The minimum of G
+is the sum of the piece minima, for every k >= 3:
+
+* a coloring of G restricts to a coloring of every piece, in which every
+  non-bridge edge has the same two palettes, so it is abnormal in G iff it
+  is abnormal in its piece (a pendant edge is never classified).  A bridge
+  may be abnormal in G, so G has at least the sum of the piece counts;
+* conversely, walk the tree of pieces top-down from a root piece.  A child
+  piece meets its parent at one bridge xy, x in the parent; permute the
+  child's colors so that the bridge color and the other two colors at y
+  become those at x (any bijection of the k colors will do).  The palettes
+  at x and y are then equal, so the bridge is poor, and the glued coloring
+  has exactly the sum of the piece counts as abnormal edges.
+
+Each piece runs the same depth-first branch and bound over edge colors, a
 recursive `search(committed, max_used)` over plain per-edge and per-vertex
 lists (color, palette bitmask, number of colored edges):
 
-* the three edges at vertex 0 are pre-colored 1, 2, 3, and a color may only
-  be introduced once all smaller colors appear somewhere (color classes are
-  interchangeable, so both reductions preserve the minimum);
+* the three edges at the piece's lowest-id vertex of G are pre-colored 1,
+  2, 3, and a color may only be introduced once all smaller colors appear
+  somewhere (color classes are interchangeable, so both reductions
+  preserve the minimum);
 * the branch edge is the uncolored edge whose endpoint stars forbid the most
   colors, ties broken by lowest edge id;
-* an edge is classified once both endpoint stars are full.  Coloring uv can
-  fill the star of u, of v, or both, and a star it fills has just become
-  full.  So the edges at u whose other star is full are counted first, then
-  those at v except the ones going back to u, which u already counted; each
-  counts as abnormal when the two palettes together hold 4 colors;
+* an edge is classified once both endpoint stars are full; a pendant
+  vertex has one edge, so its star never fills.  Coloring uv can fill the
+  star of u, of v, or both, and a star it fills has just become full.  So
+  the edges at u whose other star is full are counted first, then those at
+  v except the ones going back to u, which u already counted; each counts
+  as abnormal when the two palettes together hold 4 colors;
 * undoing a color is one XOR per palette, since the color was absent from
   both endpoint stars;
 * the incumbent bound starts at min(|E|, budget) + 1, so one test
   `committed >= best` cuts both the branches that cannot beat the incumbent
   and those over the configured budget.
 
+A connected bridgeless graph is one piece with its own vertex and edge
+order, so its search is the plain search of the whole graph.  The budget
+and the node limit bound sums over the pieces: each piece gets what the
+pieces before it left over.
+
 `exhaustive_oracle` enumerates every proper coloring in plain edge id order
-with no bounding and no symmetry reduction; it exists to validate the branch
-and bound on small inputs and shares none of its shortcuts.
+with no bounding, no symmetry reduction and no decomposition; it exists to
+validate the branch and bound on small inputs and shares none of its
+shortcuts.
 """
 
 from __future__ import annotations
@@ -34,7 +59,7 @@ from typing import Iterable, Optional
 
 from .coloring import EdgeColoring
 from .errors import SizeLimitError
-from .graphs import CubicGraph, connectivity_report
+from .graphs import CubicGraph, _bridges, connectivity_report
 
 _POP = tuple(bin(i).count("1") for i in range(1 << 7))
 
@@ -73,31 +98,77 @@ class _NodeLimit(Exception):
     pass
 
 
-def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveResult:
-    """Exact minimum of |N_G(c)| over proper k-edge-colorings of a cubic graph.
+@dataclass(frozen=True)
+class _Piece:
+    """A component of G minus its bridges, relabeled: its vertices of G in
+    id order, then one pendant vertex per bridge at them.  Local edge ids
+    follow G's order and `eids` maps them to G's.  `via` is the bridge to
+    the parent piece and `root` its end in this piece; a component's first
+    piece has via -1."""
 
-    Returns status OPTIMAL with a witness attaining the minimum, INFEASIBLE
-    when no proper coloring satisfies the constraints (always the case for
-    k < 3; possible for k in {3, 4}; never for k >= 5 without a budget), or
-    LIMIT when the node limit ran out before a proof.  A limit that stops
-    the search after a normal coloring was found is still OPTIMAL, and
-    nodes_explored never exceeds the limit.
-    """
-    if cfg is None:
-        cfg = SearchConfig()
-    if cfg.k < 3:
-        return SolveResult(SolveStatus.INFEASIBLE, -1, None, 0)
+    edges: list[tuple[int, int]]
+    incidence: list[list[int]]
+    eids: list[int]
+    via: int
+    root: int
 
-    m, k, pop = graph.m, cfg.k, _POP
-    endpoints = graph.edges
+
+def _pieces(graph: CubicGraph) -> list[_Piece]:
+    """The pieces of G, each after its parent in the tree of pieces."""
+    bridges = set(_bridges(graph)[1])
+    edges, inc = graph.edges, graph.incidence
+    seen = [False] * graph.n
+    pieces = []
+    for start in range(graph.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = [(start, -1)]
+        for root, via in queue:  # breadth first over the tree of pieces
+            members = [root]
+            for v in members:  # flood fill across non-bridge edges
+                for eid in inc[v]:
+                    w = sum(edges[eid]) - v
+                    if not seen[w]:
+                        seen[w] = True
+                        if eid in bridges:
+                            queue.append((w, eid))
+                        else:
+                            members.append(w)
+            members.sort()
+            local = {v: i for i, v in enumerate(members)}
+            eids = sorted({eid for v in members for eid in inc[v]})
+            piece_edges = []
+            for eid in eids:
+                # a bridge's far end gets the next pendant number
+                a, b = (local.setdefault(w, len(local)) for w in edges[eid])
+                piece_edges.append((a, b) if a < b else (b, a))
+            incidence: list[list[int]] = [[] for _ in local]
+            for f, (a, b) in enumerate(piece_edges):
+                incidence[a].append(f)
+                incidence[b].append(f)
+            pieces.append(_Piece(piece_edges, incidence, eids, via, root))
+    return pieces
+
+
+def _search(
+    endpoints: list[tuple[int, int]],
+    incidence: list[list[int]],
+    k: int,
+    cap: Optional[int],
+    limit: Optional[int],
+) -> tuple[SolveStatus, int, Optional[tuple[int, ...]], int]:
+    """Branch and bound on one bridge-free piece whose vertex 0 has degree 3:
+    (status, best count or -1, best coloring or None, nodes explored), for
+    colorings with at most `cap` abnormal edges."""
+    m, pop = len(endpoints), _POP
     # other endpoint of each incident edge, in incidence order
-    nbrs = [tuple(sum(endpoints[f]) - w for f in inc) for w, inc in enumerate(graph.incidence)]
-    limit = cfg.node_limit
+    nbrs = [tuple(sum(endpoints[f]) - w for f in inc) for w, inc in enumerate(incidence)]
     color = [0] * m
-    pal = [0] * graph.n   # palette bitmask per vertex
-    ncol = [0] * graph.n  # colored incident edges per vertex
+    pal = [0] * len(incidence)   # palette bitmask per vertex
+    ncol = [0] * len(incidence)  # colored incident edges per vertex
     # the budget is folded into the incumbent bound
-    best = m + 1 if cfg.abnormal_budget is None else min(m, cfg.abnormal_budget) + 1
+    best = m + 1 if cap is None else min(m, cap) + 1
     best_colors: Optional[tuple[int, ...]] = None
     nodes = 0
 
@@ -150,7 +221,7 @@ def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveRes
     # permutation putting 1, 2, 3 there in edge id order); no edge is
     # abnormal yet, since a full star other than 0's needs a triple edge to
     # 0, whose palettes coincide
-    for c, eid in enumerate(graph.incidence[0], start=1):
+    for c, eid in enumerate(incidence[0], start=1):
         color[eid] = c
         for w in endpoints[eid]:
             pal[w] |= 1 << (c - 1)
@@ -163,8 +234,66 @@ def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveRes
         # no coloring has fewer than 0 abnormal edges
         status = SolveStatus.OPTIMAL if best == 0 else SolveStatus.LIMIT
     if best_colors is None:
-        return SolveResult(status, -1, None, nodes)
-    return SolveResult(status, best, EdgeColoring(k, best_colors), nodes)
+        return status, -1, None, nodes
+    return status, best, best_colors, nodes
+
+
+def _gluing(
+    graph: CubicGraph, piece: _Piece, piece_colors: tuple[int, ...], colors: list[int], k: int
+) -> list[int]:
+    """A permutation of 1..k, indexed by color, that takes the bridge color
+    and the other two colors at the piece's end of its parent bridge to
+    those at the parent's end, which `colors` holds already.  Both ends
+    then see the same palette, so the bridge is poor."""
+    bridge_first = lambda v: sorted(graph.incidence[v], key=lambda e: e != piece.via)
+    ours = [piece_colors[piece.eids.index(e)] for e in bridge_first(piece.root)]
+    theirs = [colors[e] for e in bridge_first(sum(graph.edges[piece.via]) - piece.root)]
+    perm = dict(zip(ours, theirs))
+    free = (c for c in range(1, k + 1) if c not in theirs)
+    return [0] + [perm[c] if c in perm else next(free) for c in range(1, k + 1)]
+
+
+def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveResult:
+    """Exact minimum of |N_G(c)| over proper k-edge-colorings of a cubic graph.
+
+    G is split at its bridges and each bridge-free piece is searched on its
+    own (see the module docstring).  The minimum is the sum of the piece
+    minima; the witness glues the piece witnesses top-down over the tree of
+    pieces, each permuted so that the bridge to its parent is poor.
+
+    Returns status OPTIMAL with a witness attaining the minimum, INFEASIBLE
+    when no proper coloring satisfies the constraints (always the case for
+    k < 3; possible for k in {3, 4}; never for k >= 5 without a budget), or
+    LIMIT when the node limit ran out before a proof.  The budget and the
+    node limit bound sums over the pieces: each piece is searched with what
+    the pieces before it left.  An infeasible piece makes G infeasible, and
+    a LIMIT in any piece makes the result LIMIT; it carries a witness of G,
+    with best_count abnormal edges, only when the stopped piece was the last
+    and had found a coloring.  A piece stopped after a normal coloring was
+    found is still OPTIMAL, and nodes_explored never exceeds the limit.
+    """
+    if cfg is None:
+        cfg = SearchConfig()
+    if cfg.k < 3:
+        return SolveResult(SolveStatus.INFEASIBLE, -1, None, 0)
+
+    k = cfg.k
+    colors = [0] * graph.m
+    total = nodes = 0
+    status = SolveStatus.OPTIMAL
+    pieces = _pieces(graph)
+    for i, piece in enumerate(pieces):
+        cap = None if cfg.abnormal_budget is None else cfg.abnormal_budget - total
+        limit = None if cfg.node_limit is None else cfg.node_limit - nodes
+        status, best, piece_colors, used = _search(piece.edges, piece.incidence, k, cap, limit)
+        nodes += used
+        if piece_colors is None or (status is SolveStatus.LIMIT and i < len(pieces) - 1):
+            return SolveResult(status, -1, None, nodes)
+        total += best
+        perm = _gluing(graph, piece, piece_colors, colors, k) if piece.via >= 0 else range(k + 1)
+        for f, c in enumerate(piece_colors):
+            colors[piece.eids[f]] = perm[c]
+    return SolveResult(status, total, EdgeColoring(k, tuple(colors)), nodes)
 
 
 def exhaustive_oracle(graph: CubicGraph, k: int = 5, max_edges: int = 18) -> SolveResult:

@@ -84,6 +84,44 @@ def random_bridged_multigraph(rng: random.Random, left: int, right: int) -> Cubi
     return CubicGraph(off, tuple(edges))
 
 
+def random_bridge_tree(
+    rng: random.Random, sizes: list[int], bridges: list[tuple[int, int]]
+) -> CubicGraph:
+    """Configuration-model blocks joined by bridges.  Block i has sizes[i]
+    vertices; `bridges` lists (block, block) pairs forming a tree.  The
+    bridge ends of a block go round the block's vertices in turn, each
+    taking one stub (so a block of one vertex and three bridges is a vertex
+    whose edges are all bridges); a block is redrawn on a loop.  Vertex
+    labels and edge order are shuffled at the end."""
+    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    ends = [[] for _ in sizes]
+    for b in bridges:
+        for i in b:
+            ends[i].append(offsets[i] + len(ends[i]) % sizes[i])
+    edges: list[tuple[int, int]] = []
+    for i, nb in enumerate(sizes):
+        while True:
+            stubs = [offsets[i] + v for v in range(nb) for _ in range(3)]
+            for v in ends[i]:
+                stubs.remove(v)
+            rng.shuffle(stubs)
+            block = [(stubs[j], stubs[j + 1]) for j in range(0, len(stubs), 2)]
+            if all(u != v for u, v in block):
+                break
+        edges += block
+    taken = [0] * len(sizes)
+    for a, b in bridges:
+        edges.append((ends[a][taken[a]], ends[b][taken[b]]))
+        taken[a] += 1
+        taken[b] += 1
+    # shuffled labels and edge order, so no piece starts at its bridge end
+    # or sees its bridge last by construction
+    label = list(range(sum(sizes)))
+    rng.shuffle(label)
+    rng.shuffle(edges)
+    return CubicGraph(len(label), tuple((label[u], label[v]) for u, v in edges))
+
+
 @pytest.fixture
 def bridged() -> CubicGraph:
     return bridged_multigraph()

@@ -7,6 +7,7 @@ shared across criteria through session fixtures.
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 
 import pytest
@@ -85,6 +86,18 @@ def test_criterion_1_no_single_abnormal(class_scans):
                 assert row.status is SolveStatus.OPTIMAL
                 assert row.min_abnormal != 1
             assert report.single_abnormal_ids() == []
+
+
+@pytest.mark.skipif(not os.environ.get("NORMALCOL_SLOW"), reason="about 16 s; set NORMALCOL_SLOW=1")
+def test_criteria_1_and_2_at_n14():
+    with criterion(1, "no cubic graph with n = 14 has exact minimum 1; minimum 0 iff bridgeless"):
+        report = scan_no_single_abnormal(enumerate_cubic(14, distinct=True))
+        assert len(report.rows) == 509
+        assert sum(row.bridgeless for row in report.rows) == 480
+        for row in report.rows:
+            assert row.status is SolveStatus.OPTIMAL
+            assert (row.min_abnormal == 0) == row.bridgeless
+        assert report.single_abnormal_ids() == []
 
 
 def test_criterion_2_bridgeless_admit_normal(class_scans):

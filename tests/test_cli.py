@@ -9,6 +9,7 @@ from normalcol.coloring import EdgeColoring, write_coloring
 from normalcol.formats import parse_graph, write_graph
 from normalcol.graphs import catalog
 from normalcol.petersen import canonical_petersen
+from normalcol.solver import SearchConfig, min_abnormal
 
 from conftest import bridged_multigraph
 
@@ -281,6 +282,35 @@ def test_demo_with_supplied_composite_coloring(files, capsys, tmp_path):
     assert obj["pass"] is True
     assert obj["abnormal_H"] == 0
     assert "coloring" in obj["inputs"]
+
+
+def test_demo_builds_the_composite_once(files, capsys, tmp_path, monkeypatch):
+    from normalcol import constructions
+
+    h = constructions.composite_graph(catalog("petersen"), "cyclic2", 2)
+    col = tmp_path / "h.col"
+    col.write_text(write_coloring(min_abnormal(h, SearchConfig(abnormal_budget=0)).witness))
+    builds = []
+    build = constructions._build_composite
+    monkeypatch.setattr(
+        constructions, "_build_composite", lambda *a: builds.append(a[1:]) or build(*a)
+    )
+    code, out = run(capsys, [
+        "demo", "--variant", "cyclic2", "--graph", str(files["petersen_el"]),
+        "--t", "2", "--coloring", str(col),
+    ])
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert builds == [("cyclic2", 2)]
+
+
+@pytest.mark.parametrize("flag", ["--edge", "--edge2"])
+def test_construct_cyclic2_needs_both_edges(files, capsys, flag):
+    code = main([
+        "construct", "--variant", "cyclic2", "--graph", str(files["petersen_el"]), flag, "3",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "both --edge and --edge2" in captured.err
 
 
 def test_multigraph_chi_n_reports_limit(files, capsys):

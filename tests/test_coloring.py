@@ -97,6 +97,22 @@ def test_classify_rejects_improper(k4):
         abnormal_set(k4, EdgeColoring(3, (1, 1, 2, 3, 2, 3)))
 
 
+def test_classify_edge_checks_only_its_two_stars(petersen):
+    # recolor edge 0 of the Kneser coloring to clash at its end u: the
+    # edges at u are refused, the edges away from edge 0 still classify
+    kneser = canonical_petersen().ctilde
+    u, v = petersen.endpoints(0)
+    clash = kneser.colors[petersen.incident(u)[1]]
+    broken = EdgeColoring(5, (clash,) + kneser.colors[1:])
+    assert not is_proper(petersen, broken)
+    for eid in petersen.incident(u):
+        with pytest.raises(ImproperColoringError):
+            classify_edge(petersen, broken, eid)
+    for eid, ends in enumerate(petersen.edges):
+        if not set(ends) & {u, v}:
+            assert classify_edge(petersen, broken, eid) is EdgeClass.RICH
+
+
 def test_union_sizes_in_345(q3, petersen):
     for g, c in ((q3, EdgeColoring(5, Q3_TWO_ABNORMAL)), (petersen, canonical_petersen().ctilde)):
         for u, v in g.edges:

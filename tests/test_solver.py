@@ -7,7 +7,7 @@ import pytest
 from normalcol.coloring import abnormal_set, is_normal, is_proper
 from normalcol.errors import SizeLimitError
 from normalcol.generate import enumerate_cubic
-from normalcol.graphs import catalog, is_connected
+from normalcol.graphs import _bridges, catalog, connectivity_report, is_connected
 from normalcol.solver import (
     SearchConfig,
     SolveStatus,
@@ -22,6 +22,7 @@ from conftest import (
     bridged_multigraph,
     disjoint_union,
     domino_multigraph,
+    random_bridge_tree,
     random_bridged_multigraph,
     random_cubic_multigraph,
     triple_edge,
@@ -139,9 +140,15 @@ def test_search_order_pinned(petersen):
     # search order moves at least one of them
     assert min_abnormal(petersen).nodes_explored == 12096
     assert min_abnormal(petersen, SearchConfig(k=4)).nodes_explored == 5652
-    assert sum(min_abnormal(g).nodes_explored for g in enumerate_cubic(10, distinct=True)) == 31771
+    # the one bridged class at n = 10 is split into its two bridge-free
+    # pieces; the 18 bridgeless ones are searched whole, as before
+    nodes = {True: [], False: []}
+    for g in enumerate_cubic(10, distinct=True):
+        nodes[connectivity_report(g).bridgeless].append(min_abnormal(g).nodes_explored)
+    assert sum(nodes[True]) == 21749
+    assert nodes[False] == [170]
     result = min_abnormal(bridged_multigraph())
-    assert (result.best_count, result.nodes_explored) == (BRIDGED_MIN, 376)
+    assert (result.best_count, result.nodes_explored) == (BRIDGED_MIN, 8)
 
 
 def test_node_limit(petersen):
@@ -261,6 +268,25 @@ def test_three_edge_colorable_catalog_bridgeless():
 _DIFFERENTIAL_KS = {2: (3, 4, 5), 4: (3, 4, 5), 6: (3, 4, 5), 8: (3, 4), 10: (3,), 12: (3,)}
 
 
+def _check_against_oracle(graph, k):
+    """min_abnormal agrees with the exhaustive oracle at budgets None, 0
+    and 2, and every witness is proper with best_count abnormal edges."""
+    oracle = exhaustive_oracle(graph, k=k)
+    for budget in (None, 0, 2):
+        result = min_abnormal(graph, SearchConfig(k=k, abnormal_budget=budget))
+        within = oracle.status is SolveStatus.OPTIMAL and (
+            budget is None or oracle.best_count <= budget
+        )
+        if within:
+            assert result.status is SolveStatus.OPTIMAL
+            assert result.best_count == oracle.best_count
+            assert is_proper(graph, result.witness, k)
+            assert len(abnormal_set(graph, result.witness)) == result.best_count
+        else:
+            assert result.status is SolveStatus.INFEASIBLE
+            assert (result.best_count, result.witness) == (-1, None)
+
+
 def test_differential_random_multigraphs():
     rng = random.Random(20211)
     graphs = []
@@ -275,17 +301,58 @@ def test_differential_random_multigraphs():
     assert any(not is_connected(g) for g in graphs)
     for graph in graphs:
         for k in _DIFFERENTIAL_KS[graph.n]:
-            oracle = exhaustive_oracle(graph, k=k)
-            for budget in (None, 0, 2):
-                result = min_abnormal(graph, SearchConfig(k=k, abnormal_budget=budget))
-                within = oracle.status is SolveStatus.OPTIMAL and (
-                    budget is None or oracle.best_count <= budget
-                )
-                if within:
-                    assert result.status is SolveStatus.OPTIMAL
-                    assert result.best_count == oracle.best_count
-                    assert is_proper(graph, result.witness, k)
-                    assert len(abnormal_set(graph, result.witness)) == result.best_count
-                else:
-                    assert result.status is SolveStatus.INFEASIBLE
-                    assert (result.best_count, result.witness) == (-1, None)
+            _check_against_oracle(graph, k)
+
+
+# (block sizes, bridges between blocks) of multi-piece graphs; each is
+# drawn twice, and the glued witnesses are checked as they come
+_BRIDGE_TREES = [
+    ([3, 3], [(0, 1)]),                                 # 6 vertices, 2 pieces
+    ([3, 2, 3], [(0, 1), (1, 2)]),                      # chain of 3 blocks
+    ([3, 4, 3], [(0, 1), (1, 2)]),
+    ([3, 2, 2, 3], [(0, 1), (1, 2), (2, 3)]),           # chain of 4 blocks
+    ([1, 3, 3, 3], [(0, 1), (0, 2), (0, 3)]),           # a vertex of 3 bridges
+]
+
+
+def test_differential_bridge_pieces():
+    rng = random.Random(20216)
+    graphs = []
+    for sizes, bridges in _BRIDGE_TREES:
+        graphs += [random_bridge_tree(rng, sizes, bridges) for _ in range(2)]
+    bridged = random_bridge_tree(rng, [3, 3], [(0, 1)])
+    graphs.append(disjoint_union(bridged, random_cubic_multigraph(rng, 2)))
+    assert any(not is_connected(g) for g in graphs)
+    for graph in graphs:
+        assert not connectivity_report(graph).bridgeless
+        for k in _DIFFERENTIAL_KS[graph.n]:
+            _check_against_oracle(graph, k)
+    # k = 5 costs the oracle about 2 s at 8 vertices, so it runs on one
+    # chain of 3 blocks only; the 6-vertex graphs of 2 pieces get it above
+    chain = graphs[2]
+    assert chain.n == 8 and len(_bridges(chain)[1]) == 2
+    _check_against_oracle(chain, 5)
+
+
+def test_node_limit_on_pieces():
+    # a chain of 4 blocks, 5 pieces; every limit below the full solve's
+    # nodes stops in some piece
+    graph = random_bridge_tree(random.Random(7), [3, 2, 2, 3], [(0, 1), (1, 2), (2, 3)])
+    full = min_abnormal(graph)
+    assert full.status is SolveStatus.OPTIMAL and full.best_count >= 2
+    statuses = set()
+    for limit in range(full.nodes_explored + 2):
+        result = min_abnormal(graph, SearchConfig(node_limit=limit))
+        assert result.nodes_explored <= limit
+        statuses.add(result.status)
+        if limit >= full.nodes_explored:
+            assert result == full
+        elif result.status is SolveStatus.OPTIMAL:
+            # the pieces the limit stopped had found normal colorings
+            assert result.best_count == full.best_count
+        else:
+            assert result.status is SolveStatus.LIMIT
+        if result.witness is not None:
+            assert is_proper(graph, result.witness, 5)
+            assert len(abnormal_set(graph, result.witness)) == result.best_count
+    assert SolveStatus.LIMIT in statuses
