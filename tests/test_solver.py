@@ -335,16 +335,16 @@ def test_differential_bridge_pieces():
 
 
 def test_node_limit_on_pieces():
-    # a chain of 4 blocks, 5 pieces; every limit below the full solve's
+    # a chain of 4 blocks, 4 pieces; every limit below the full solve's
     # nodes stops in some piece
     graph = random_bridge_tree(random.Random(7), [3, 2, 2, 3], [(0, 1), (1, 2), (2, 3)])
     full = min_abnormal(graph)
     assert full.status is SolveStatus.OPTIMAL and full.best_count >= 2
-    statuses = set()
+    outcomes = set()
     for limit in range(full.nodes_explored + 2):
         result = min_abnormal(graph, SearchConfig(node_limit=limit))
         assert result.nodes_explored <= limit
-        statuses.add(result.status)
+        outcomes.add((result.status, result.witness is not None))
         if limit >= full.nodes_explored:
             assert result == full
         elif result.status is SolveStatus.OPTIMAL:
@@ -355,4 +355,6 @@ def test_node_limit_on_pieces():
         if result.witness is not None:
             assert is_proper(graph, result.witness, 5)
             assert len(abnormal_set(graph, result.witness)) == result.best_count
-    assert SolveStatus.LIMIT in statuses
+    # stopped in an earlier piece: no witness; in the last piece after it
+    # found a coloring: a witness of the whole graph
+    assert {(SolveStatus.LIMIT, False), (SolveStatus.LIMIT, True)} <= outcomes
