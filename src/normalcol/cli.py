@@ -28,7 +28,7 @@ from .coloring import (
 from .errors import GraphError, ImproperColoringError, VerificationError
 from .formats import detect_format, parse_graph, write_graph
 from .generate import enumerate_cubic
-from .graphs import CubicGraph, catalog, connectivity_report
+from .graphs import CubicGraph, catalog
 from .petersen import build_p_coloring, canonical_petersen, pullback, verify_h_coloring, write_p_coloring
 from .solver import (
     SearchConfig,
@@ -63,10 +63,10 @@ def _load_graph(args) -> tuple[CubicGraph, dict[str, str]]:
     return _read_graph(args.graph, args.format), {"graph": _sha256(args.graph)}
 
 
-def _load_coloring(args, graph: CubicGraph, hashes: dict[str, str]) -> EdgeColoring:
+def _load_coloring(args, hashes: dict[str, str]) -> EdgeColoring:
     text = Path(args.coloring).read_text()
     hashes["coloring"] = _sha256(args.coloring)
-    return read_coloring(text, graph.m)
+    return read_coloring(text)
 
 
 def _emit_json(obj: dict) -> None:
@@ -84,7 +84,7 @@ def _add_graph_flags(p: _Parser) -> None:
 
 def _cmd_classify(args) -> int:
     graph, hashes = _load_graph(args)
-    coloring = _load_coloring(args, graph, hashes)
+    coloring = _load_coloring(args, hashes)
     classes = classify_all(graph, coloring)
     counts = {"poor": 0, "rich": 0, "abnormal": 0}
     for cls in classes:
@@ -205,7 +205,7 @@ def _cmd_scan(args) -> int:
 def _cmd_jaeger(args) -> int:
     graph, hashes = _load_graph(args)
     if args.coloring:
-        coloring = _load_coloring(args, graph, hashes)
+        coloring = _load_coloring(args, hashes)
     else:
         coloring = has_normal_k(graph, args.k)
         if coloring is None:
@@ -263,7 +263,7 @@ def _cmd_construct(args) -> int:
         if not args.coloring:
             print("error: k4_gadget needs --coloring to locate an abnormal edge", file=sys.stderr)
             return _USAGE_EXIT
-        coloring = _load_coloring(args, graph, hashes)
+        coloring = _load_coloring(args, hashes)
         bad = sorted(abnormal_set(graph, coloring))
         if not bad:
             print("error: the coloring has no abnormal edge to extend", file=sys.stderr)
@@ -280,12 +280,8 @@ def _cmd_construct(args) -> int:
 
 def _cmd_demo(args) -> int:
     graph, hashes = _load_graph(args)
-    coloring = None
-    if args.coloring:
-        # the coloring file applies to the composite graph, which the demo builds
-        text = Path(args.coloring).read_text()
-        hashes["coloring"] = _sha256(args.coloring)
-        coloring = lambda h: read_coloring(text, h.m)
+    # a coloring file applies to the composite graph, which the demo builds
+    coloring = _load_coloring(args, hashes) if args.coloring else None
     report = constructions.pigeonhole_demo(graph, args.variant, args.t, coloring)
     obj = report.to_json_obj()
     obj["inputs"] = hashes
@@ -297,17 +293,13 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_question31(args) -> int:
-    rows = []
-    violations = []
-    for gid, graph in enumerate(enumerate_cubic(args.n, distinct=True)):
-        if not connectivity_report(graph).bridgeless:
-            continue
-        best = min_abnormal(graph).best_count
-        if best > 2:
-            continue
-        rows.append({"graph_id": gid, "min_abnormal": best, "has_normal_5": best == 0})
-        if best != 0:
-            violations.append(gid)
+    report = scan_no_single_abnormal(enumerate_cubic(args.n, distinct=True))
+    rows = [
+        {"graph_id": r.graph_id, "min_abnormal": best, "has_normal_5": best == 0}
+        for r in report.rows
+        if r.bridgeless and (best := r.min_abnormal) <= 2
+    ]
+    violations = [r["graph_id"] for r in rows if not r["has_normal_5"]]
     obj = {"n": args.n, "rows": rows, "violations": violations}
     if args.out == "json":
         _emit_json(obj)
@@ -339,7 +331,7 @@ def _cmd_plot(args) -> int:
     graph, hashes = _load_graph(args)
     classes = None
     if args.coloring:
-        coloring = _load_coloring(args, graph, hashes)
+        coloring = _load_coloring(args, hashes)
         classes = classify_all(graph, coloring)
     size = 420.0
     cx = cy = size / 2
@@ -473,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else _USAGE_EXIT
     try:
         return args.func(args)
-    except (GraphError, ImproperColoringError, FileNotFoundError, ValueError) as exc:
+    except (GraphError, ImproperColoringError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except VerificationError as exc:

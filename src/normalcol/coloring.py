@@ -130,7 +130,9 @@ def write_coloring(coloring: EdgeColoring) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_coloring(text: str, num_edges: int) -> EdgeColoring:
+def read_coloring(text: str) -> EdgeColoring:
+    """Parse a coloring file whose edge ids run 0..len-1, each once.  The
+    length is checked against a graph where the two meet (`_check_total`)."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ParseError("empty coloring input")
@@ -150,6 +152,7 @@ def read_coloring(text: str, num_edges: int) -> EdgeColoring:
         if eid in assignment:
             raise ParseError(f"edge {eid} colored twice")
         assignment[eid] = c
-    if set(assignment) != set(range(num_edges)):
-        raise ParseError(f"coloring must cover edge ids 0..{num_edges - 1} exactly")
-    return EdgeColoring(k, tuple(assignment[e] for e in range(num_edges)))
+    ids = range(len(assignment))
+    if set(assignment) != set(ids):
+        raise ParseError(f"coloring must cover edge ids 0..{len(ids) - 1} exactly")
+    return EdgeColoring(k, tuple(assignment[e] for e in ids))

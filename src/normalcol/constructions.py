@@ -34,7 +34,7 @@ result is proper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .coloring import EdgeClass, EdgeColoring, abnormal_set, classify_all, is_proper, palette
 from .errors import ImproperColoringError, VerificationError
@@ -397,16 +397,16 @@ def pigeonhole_demo(
     graph: CubicGraph,
     variant: str,
     t: int,
-    coloring_of_h: EdgeColoring | Callable[[CubicGraph], EdgeColoring] | None = None,
+    coloring_of_h: EdgeColoring | None = None,
 ) -> DemoReport:
     """Build the composite graph, locate a copy free of abnormal edges, apply
     the matching extension, and check the final abnormal count against the
     claimed constant (0 / 5 / 7 / 9).
 
-    The composite's coloring is solved for when coloring_of_h is None.  It
-    may also be given, or made by a function of the composite (to read a
-    coloring file against the composite's edge count without a second
-    build); either way it must be a proper 5-edge-coloring.
+    The composite's coloring is solved for when coloring_of_h is None.  A
+    given coloring must be a proper 5-edge-coloring of the composite, with
+    one color per composite edge (`composite_graph` builds the same
+    composite, so its edge ids are the ones to color).
 
     The clean copy exists whenever the composite coloring has fewer abnormal
     edges than copies; if not, the report carries clean_copy_index None and
@@ -432,8 +432,6 @@ def pigeonhole_demo(
 
     if coloring_of_h is None:
         coloring_of_h = _solve_h_coloring(h, units)
-    elif callable(coloring_of_h):
-        coloring_of_h = coloring_of_h(h)
     if not is_proper(h, coloring_of_h, 5):
         raise ImproperColoringError("supplied composite coloring is not proper")
 

@@ -61,7 +61,11 @@ from .coloring import EdgeColoring
 from .errors import SizeLimitError
 from .graphs import CubicGraph, _bridges, connectivity_report
 
-_POP = tuple(bin(i).count("1") for i in range(1 << 7))
+_POP = tuple(bin(i).count("1") for i in range(1 << 7))  # palettes within colors 1..7
+
+
+class _BitCount:  # _POP's subscript for palettes of any width, a little slower
+    __getitem__ = staticmethod(int.bit_count)
 
 
 class SolveStatus(Enum):
@@ -161,7 +165,7 @@ def _search(
     """Branch and bound on one bridge-free piece whose vertex 0 has degree 3:
     (status, best count or -1, best coloring or None, nodes explored), for
     colorings with at most `cap` abnormal edges."""
-    m, pop = len(endpoints), _POP
+    m, pop = len(endpoints), _POP if k <= 7 else _BitCount()
     # other endpoint of each incident edge, in incidence order
     nbrs = [tuple(sum(endpoints[f]) - w for f in inc) for w, inc in enumerate(incidence)]
     color = [0] * m
@@ -314,7 +318,6 @@ def exhaustive_oracle(graph: CubicGraph, k: int = 5, max_edges: int = 18) -> Sol
     pal = [0] * n
     state = {"nodes": 0, "best": m + 1}
     best_witness: list[Optional[tuple[int, ...]]] = [None]
-    pop = _POP
 
     # with the static edge order, edge f is classifiable right after the last
     # edge incident to its endpoints gets its color
@@ -343,7 +346,7 @@ def exhaustive_oracle(graph: CubicGraph, k: int = 5, max_edges: int = 18) -> Sol
             pal[v] = save_v | bit
             delta = 0
             for a, b in steps:
-                if pop[pal[a] | pal[b]] == 4:
+                if (pal[a] | pal[b]).bit_count() == 4:
                     delta += 1
             run(eid + 1, committed + delta)
         pal[u] = save_u

@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from normalcol.cli import main
 from normalcol.coloring import EdgeColoring, write_coloring
+from normalcol.constructions import Q3_TWO_ABNORMAL
 from normalcol.formats import parse_graph, write_graph
 from normalcol.graphs import catalog
 from normalcol.petersen import canonical_petersen
 from normalcol.solver import SearchConfig, min_abnormal
 
-from conftest import bridged_multigraph
+from conftest import bridged_multigraph, bridged_simple_10
 
 
 @pytest.fixture
@@ -185,8 +187,6 @@ def test_construct_second_graph_file(files, capsys, variant):
     ["--variant", "k4_gadget", "--edge", "-1"],
 ])
 def test_construct_rejects_unknown_edge_id(files, capsys, tmp_path, flags):
-    from normalcol.constructions import Q3_TWO_ABNORMAL
-
     graph = tmp_path / "q3.el"
     graph.write_text(write_graph(catalog("q3"), "edge-list"))
     col = tmp_path / "q3.col"
@@ -349,3 +349,154 @@ def test_classify_improper_pairing_rejected(files, capsys, tmp_path):
         "classify", "--graph", str(files["petersen_s6"]), "--coloring", str(files["kneser"]),
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["solve", "--graph", "{dir}"],
+    ["construct", "--variant", "two_cut", "--graph", "{k4}", "--graph2", "{dir}"],
+    ["classify", "--graph", "{k4}", "--coloring", "{dir}"],
+])
+def test_directory_path_is_a_usage_error(files, capsys, tmp_path, flags):
+    code = main([f.format(dir=tmp_path, k4=files["k4"]) for f in flags])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["classify", "demo"])
+def test_short_coloring_is_a_usage_error(files, capsys, tmp_path, command):
+    col = tmp_path / "short.col"
+    col.write_text("5\n0 1\n1 2\n")
+    argv = [command, "--graph", str(files["petersen_el"]), "--coloring", str(col)]
+    if command == "demo":
+        argv += ["--variant", "disjoint", "--t", "2"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "covers 2 edges" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# Seeded fuzz: every subcommand, malformed flags and files
+# ---------------------------------------------------------------------------
+
+_HUGE = str(10**18)
+_INTS = ["-7", "-1", "0", "1", "2", "3", "5", "x", "1.5", ""]
+# --t and --n stay small where they size a build or an enumeration: a huge
+# value there is a request for a huge graph, not malformed input
+_SIZES = ["-7", "-1", "0", "1", "2", "3", "4", "x", ""]
+_NS = ["-7", "0", "2", "3", "4", "6", "8", "9", "x", "", str(10**18 + 1)]
+
+
+def _fuzz_files(tmp_path) -> dict[str, str]:
+    petersen_s6 = write_graph(catalog("petersen"), "sparse6")
+    texts = {
+        "k4": write_graph(catalog("k4"), "edge-list"),
+        "q3": write_graph(catalog("q3"), "edge-list"),
+        "bridged": write_graph(bridged_multigraph(), "sparse6"),
+        "bridged10": write_graph(bridged_simple_10(), "edge-list"),
+        "empty_graph": "0 0\n",
+        "huge_header": "1000000000 0\n",
+        "not_cubic": "4 2\n0 1\n2 3\n",
+        "empty": "",
+    }
+    for cut in (1, 2, 5, len(petersen_s6) // 2, len(petersen_s6) - 2):
+        texts[f"s6_cut{cut}"] = petersen_s6[:cut]
+    k4_colors = (1, 2, 3, 3, 2, 1)
+    colorings = {
+        "col_k4": k4_colors,
+        "col_q3": Q3_TWO_ABNORMAL,
+        "col_short": k4_colors[:4],
+        "col_long": k4_colors + (2, 3),
+        "col_bad_color": (0, 2, 3, 3, 2, 1),
+    }
+    for name, colors in colorings.items():
+        texts[name] = "5\n" + "".join(f"{e} {c}\n" for e, c in enumerate(colors))
+    texts["col_gap"] = "5\n0 1\n1 2\n3 3\n"
+    texts["col_repeat"] = "5\n0 1\n1 2\n1 3\n"
+    texts["col_header"] = "five\n0 1\n"
+    texts["col_huge_k"] = f"{_HUGE}\n" + "".join(f"{e} {c}\n" for e, c in enumerate(k4_colors))
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    paths["binary"] = tmp_path / "binary"
+    paths["binary"].write_bytes(b"\xff\xfe\x80 \x00\n\xc3")
+    paths["dir"] = tmp_path / "subdir"
+    paths["dir"].mkdir()
+    paths["missing"] = tmp_path / "missing"
+    return {name: str(path) for name, path in paths.items()}
+
+
+def _fuzz_argvs(rng: random.Random, files: dict[str, str]):
+    graphs = [p for name, p in files.items() if not name.startswith("col_")]
+    colorings = [p for name, p in files.items() if name.startswith("col_")]
+    colorings += [files["binary"], files["dir"], files["missing"], files["k4"]]
+    small = [files[name] for name in ("k4", "q3", "bridged", "bridged10", "empty_graph")]
+    pick = rng.choice
+
+    def maybe(argv, flag, values):
+        if rng.random() < 0.5:
+            argv += [flag, pick(values)]
+
+    # every k from 0 to 12, on every subcommand that takes one
+    for k in range(13):
+        for graph in small:
+            yield ["solve", "--graph", graph, "--k", str(k)]
+            yield ["jaeger", "--graph", graph, "--k", str(k)]
+        yield ["scan", "--n", pick(["4", "6", "8"]), "--k", str(k), "--jobs", "1"]
+    for _ in range(40):
+        argv = ["solve", "--graph", pick(graphs)]
+        maybe(argv, "--k", _INTS + ["8", "12"])
+        maybe(argv, "--budget", _INTS + [_HUGE])
+        maybe(argv, "--node-limit", _INTS + [_HUGE])
+        maybe(argv, "--out", ["tsv", "json", "xml"])
+        yield argv
+        yield ["chi-n", "--graph", pick(graphs), "--out", pick(["tsv", "json"])]
+        for command in ("classify", "jaeger", "plot"):
+            argv = [command, "--graph", pick(small + graphs)]
+            maybe(argv, "--coloring", colorings)
+            maybe(argv, "--format", ["auto", "edge-list", "sparse6", "dot"])
+            yield argv
+        argv = ["scan", "--n", pick(_NS), "--jobs", pick(["-1", "0", "1"])]
+        maybe(argv, "--k", _INTS + ["8", "12"])
+        maybe(argv, "--node-limit", _INTS + [_HUGE])
+        maybe(argv, "--out", ["tsv", "json"])
+        yield argv
+        argv = ["question31", "--n", pick(_NS)]
+        maybe(argv, "--out", ["tsv", "json"])
+        yield argv
+        variant = pick(["disjoint", "cyclic1", "cyclic2", "vertex_replacement", "two_cut",
+                        "k4_gadget", "nosuch"])
+        argv = ["construct", "--variant", variant, "--graph", pick(small + graphs)]
+        maybe(argv, "--t", _SIZES)
+        maybe(argv, "--edge", _INTS + [_HUGE])
+        maybe(argv, "--edge2", _INTS + [_HUGE])
+        maybe(argv, "--vertex", _INTS + [_HUGE])
+        maybe(argv, "--graph2", graphs)
+        maybe(argv, "--coloring", colorings)
+        yield argv
+        argv = ["demo", "--variant", pick(["disjoint", "cyclic1", "cyclic2",
+                                           "vertex_replacement", "nosuch"])]
+        argv += ["--graph", pick([files["k4"], files["bridged"], files["empty_graph"]] + graphs)]
+        argv += ["--t", pick(_SIZES)]
+        maybe(argv, "--coloring", colorings)
+        yield argv
+    # huge --t where it sizes nothing: variants that ignore it, and a graph
+    # that fails the demo's connectivity requirement before any build
+    yield ["construct", "--variant", "two_cut", "--graph", files["k4"], "--t", _HUGE]
+    yield ["construct", "--variant", "k4_gadget", "--graph", files["q3"], "--t", _HUGE,
+           "--coloring", files["col_q3"]]
+    yield ["demo", "--variant", "disjoint", "--graph", files["bridged"], "--t", _HUGE]
+
+
+def test_cli_fuzz_ends_in_a_documented_exit_code(tmp_path, capsys):
+    files = _fuzz_files(tmp_path)
+    runs = 0
+    for argv in _fuzz_argvs(random.Random(20217), files):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+        runs += 1
+    assert runs > 400

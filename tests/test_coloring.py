@@ -148,16 +148,22 @@ def test_coloring_file_roundtrip(petersen):
     kneser = canonical_petersen().ctilde
     text = write_coloring(kneser)
     assert text.splitlines()[0] == "5"
-    again = read_coloring(text, petersen.m)
+    again = read_coloring(text)
     assert again == kneser
+    assert len(again.colors) == petersen.m
 
 
 def test_coloring_file_errors():
     with pytest.raises(ParseError):
-        read_coloring("", 3)
+        read_coloring("")
     with pytest.raises(ParseError):
-        read_coloring("5\n0 1\n0 2\n", 2)
+        read_coloring("5\n0 1\n0 2\n")
     with pytest.raises(ParseError):
-        read_coloring("5\n0 1\n", 2)
+        read_coloring("5\n0 1\n2 2\n")  # a gap: no edge 1
     with pytest.raises(ParseError):
-        read_coloring("x\n", 1)
+        read_coloring("x\n")
+    # a file's length is checked where it meets a graph
+    short = read_coloring("3\n0 1\n1 2\n2 3\n")
+    for check in (is_proper, classify_all, abnormal_set):
+        with pytest.raises(ValueError, match="covers 3 edges, graph has 6"):
+            check(catalog("k4"), short)

@@ -9,7 +9,13 @@ from normalcol.errors import DegreeError, LoopError, ParseError
 from normalcol.formats import detect_format, parse_graph, write_graph
 from normalcol.graphs import CubicGraph, catalog
 
-from conftest import bridged_multigraph, triple_edge
+from conftest import (
+    bridged_multigraph,
+    disjoint_union,
+    random_bridge_tree,
+    random_cubic_multigraph,
+    triple_edge,
+)
 
 K4_TEXT = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 
@@ -67,6 +73,28 @@ def test_sparse6_roundtrip_and_reference(graph):
     again = parse_graph(ref, "sparse6")
     assert again.n == graph.n
     assert sorted(again.edges) == sorted(graph.edges)
+
+
+def test_sparse6_roundtrip_random_multigraphs():
+    # n <= 62 takes a one-character size field, n >= 64 the four-character
+    # one; n = 64 -> 66 also widens each vertex label from 6 to 7 bits
+    rng = random.Random(20219)
+    graphs = []
+    for n in (2, 4, 6, 10, 16, 18, 32, 34, 60, 62, 64, 66, 130):
+        graphs += [random_cubic_multigraph(rng, n) for _ in range(2)]
+    for left, right in ((2, 2), (4, 58), (30, 32), (32, 32), (2, 64)):
+        graphs.append(disjoint_union(random_cubic_multigraph(rng, left),
+                                     random_cubic_multigraph(rng, right)))
+    for sizes in ([3, 3], [3, 4, 3], [21, 20, 21], [21, 22, 21]):
+        chain = [(i, i + 1) for i in range(len(sizes) - 1)]
+        graphs.append(random_bridge_tree(rng, sizes, chain))
+    assert {62, 64} <= {g.n for g in graphs}
+    for graph in graphs:
+        text = write_graph(graph, "sparse6")
+        assert detect_format(text) == "sparse6"
+        again = parse_graph(text, "sparse6")
+        assert again.n == graph.n
+        assert sorted(map(sorted, again.edges)) == sorted(map(sorted, graph.edges))
 
 
 def test_sparse6_parse_reference_petersen():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from normalcol.coloring import EdgeColoring, abnormal_set, palette
@@ -17,7 +19,11 @@ from normalcol.petersen import (
     verify_h_coloring,
     write_p_coloring,
 )
-from normalcol.solver import has_normal_k
+from normalcol.generate import enumerate_cubic
+from normalcol.graphs import connectivity_report
+from normalcol.solver import has_normal_k, min_abnormal
+
+from conftest import random_cubic_multigraph
 
 K4_PROPER = EdgeColoring(3, (1, 2, 3, 3, 2, 1))
 
@@ -85,6 +91,27 @@ def test_jaeger_roundtrip_solver_witnesses(model):
     for name in ("k33", "q3", "petersen"):
         g = catalog(name)
         witness = has_normal_k(g, 5)
+        phi = build_p_coloring(g, witness)
+        assert verify_h_coloring(g, model.graph, phi)
+        assert pullback(g, phi) == witness
+
+
+def test_jaeger_roundtrip_random_witnesses(model):
+    # every class with n <= 10 and random bridgeless multigraphs, each
+    # witness under a random permutation of 1..5
+    rng = random.Random(20210)
+    graphs = [g for n in (4, 6, 8, 10) for g in enumerate_cubic(n, distinct=True)]
+    for n in (2, 4, 6, 8, 10, 12) * 4:
+        graphs.append(random_cubic_multigraph(rng, n))
+    witnesses = []
+    for g in graphs:
+        result = min_abnormal(g)
+        assert (result.best_count == 0) == connectivity_report(g).bridgeless
+        if result.best_count == 0:
+            perm = rng.sample(range(1, 6), 5)
+            witnesses.append((g, result.witness.permuted(dict(zip(range(1, 6), perm)))))
+    assert len(witnesses) >= 40 and any(g.has_parallel_edges() for g, _ in witnesses)
+    for g, witness in witnesses:
         phi = build_p_coloring(g, witness)
         assert verify_h_coloring(g, model.graph, phi)
         assert pullback(g, phi) == witness

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from normalcol.coloring import abnormal_set, is_normal, is_proper
 from normalcol.errors import SizeLimitError
 from normalcol.generate import enumerate_cubic
-from normalcol.graphs import _bridges, catalog, connectivity_report, is_connected
+from normalcol.graphs import CubicGraph, _bridges, catalog, connectivity_report, is_connected
 from normalcol.solver import (
     SearchConfig,
     SolveStatus,
@@ -358,3 +359,43 @@ def test_node_limit_on_pieces():
     # stopped in an earlier piece: no witness; in the last piece after it
     # found a coloring: a witness of the whole graph
     assert {(SolveStatus.LIMIT, False), (SolveStatus.LIMIT, True)} <= outcomes
+
+
+def test_differential_eight_colors():
+    # palettes that hold a color past 7; the oracle needs about 0.1 s per
+    # 4-vertex graph at k = 8 and about 20 s per 6-vertex one (below)
+    rng = random.Random(20218)
+    graphs = [domino_multigraph(), triple_edge()]
+    graphs += [random_cubic_multigraph(rng, 4) for _ in range(4)]
+    for graph in graphs:
+        _check_against_oracle(graph, 8)
+    graph = domino_multigraph()
+    assert {min_abnormal(graph, SearchConfig(k=k)).best_count for k in range(6, 13)} == {0}
+
+
+@pytest.mark.skipif(not os.environ.get("NORMALCOL_SLOW"), reason="about 80 s; set NORMALCOL_SLOW=1")
+def test_differential_eight_colors_six_vertices():
+    rng = random.Random(20218)
+    graphs = [bridged_multigraph()] + [random_cubic_multigraph(rng, 6) for _ in range(3)]
+    for graph in graphs:
+        _check_against_oracle(graph, 8)
+
+
+# 8 vertices, one parallel pair and the bridge 2-3; no k makes it normal.
+# The minimum at k = 5 is the exhaustive oracle's (1.4 M nodes, about 2 s)
+_NO_NORMAL_8 = CubicGraph(8, (
+    (1, 4), (0, 4), (0, 5), (2, 7), (6, 7), (6, 7),
+    (1, 3), (0, 1), (4, 5), (2, 3), (2, 6), (3, 5),
+))
+
+
+def test_multigraph_without_normal_coloring_past_seven_colors():
+    minima = []
+    for k in (5, 7, 8, 12):
+        result = min_abnormal(_NO_NORMAL_8, SearchConfig(k=k))
+        assert result.status is SolveStatus.OPTIMAL
+        assert is_proper(_NO_NORMAL_8, result.witness, k)
+        assert len(abnormal_set(_NO_NORMAL_8, result.witness)) == result.best_count
+        minima.append(result.best_count)
+    assert minima == [4, 2, 2, 2]
+    assert normal_chromatic_index(_NO_NORMAL_8) is None
