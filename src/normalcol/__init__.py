@@ -41,7 +41,6 @@ from .graphs import (
     connectivity_report,
 )
 from .petersen import (
-    PColoring,
     PetersenModel,
     build_p_coloring,
     canonical_petersen,

@@ -169,12 +169,8 @@ def _cmd_chi_n(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    import os
-
     graphs = enumerate_cubic(args.n, distinct=True)
-    cfg = SearchConfig(k=args.k, node_limit=args.node_limit)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    report = scan_no_single_abnormal(graphs, cfg, jobs=jobs)
+    report = scan_no_single_abnormal(graphs, SearchConfig(k=args.k, node_limit=args.node_limit))
     unresolved = report.unresolved_ids()
     if args.out == "json":
         obj = report.to_json_obj(timing=args.timing)
@@ -214,11 +210,12 @@ def _cmd_jaeger(args) -> int:
     phi = build_p_coloring(graph, coloring)
     model = canonical_petersen()
     verified = verify_h_coloring(graph, model.graph, phi)
-    roundtrip = verified and pullback(graph, phi) == coloring
+    # compare colors only: the pullback is a 5-coloring whatever k the input declared
+    roundtrip = verified and pullback(graph, phi).colors == coloring.colors
     if args.out == "json":
         _emit_json(
             {
-                "phi": list(phi.phi),
+                "phi": list(phi),
                 "checks": {"h_coloring": verified, "roundtrip": roundtrip},
                 "inputs": hashes,
             }
@@ -410,7 +407,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None, help="workers (default: all cores)")
     p.add_argument("--timing", action="store_true", help="emit real wall times (non-reproducible)")
     p.add_argument("--out", default="tsv", choices=("tsv", "json"))
     p.set_defaults(func=_cmd_scan)

@@ -5,18 +5,28 @@ The model fixes the Kneser construction: vertices are the 2-subsets of
 colored with the one element of {1..5} outside both.  This coloring is
 proper, every edge is rich, the ten vertex palettes are exactly the ten
 3-subsets of {1..5}, and at the vertex with palette T there is exactly one
-edge of each color in T.  Those uniqueness facts are what make the poor and
-rich mapping rules below well defined.
+edge of each color in T.  So edge_at[(T, c)], the model edge of color c at
+the vertex with palette T, is well defined, and it ends at the vertex with
+palette (complement of T) | {c}.
 
-A normal 5-edge-coloring c of G induces a map into the model's edges:
+A proper 5-edge-coloring c of G maps an edge uv of color c(uv) to
+edge_at[(S(u), c(uv))], where S(x) is the palette of x.  Reading the edge
+from v's side gives edge_at[(S(v), c(uv))], and the two sides agree
+exactly when uv is not abnormal:
 
-* poor xy (palettes of x and y equal, say T): the unique model edge of color
-  c(xy) at the vertex whose palette is T;
-* rich xy: the unique model edge joining the vertices whose palettes are the
-  palettes of x and y (its model color automatically equals c(xy)).
+* poor uv: S(u) = S(v), so both sides use the same key;
+* rich uv: S(u) and S(v) share only c(uv) and cover {1..5}, so S(v) is
+  (complement of S(u)) | {c(uv)}, the far end of the edge at S(u); both
+  sides name that edge;
+* abnormal uv: |S(u) | S(v)| = 4, so S(v) is neither S(u) nor the far end
+  (complement of S(u)) | {c(uv)}, which would make the union {1..5}; the
+  edge named from u's side has no end with palette S(v), and the two
+  sides name different edges.
 
-Sending each vertex star onto a full model star is exactly what makes the
-map an H-coloring, and composing back with the model coloring recovers c.
+A Petersen-coloring here is a plain tuple phi with phi[e] the model edge
+of G's edge e, or -1 where e is abnormal and left unmapped.  Sending each
+vertex star onto a full model star is exactly what makes the map an
+H-coloring, and composing back with the model coloring recovers c.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from .coloring import (
     is_proper,
     palette,
 )
-from .errors import ImproperColoringError, ParseError, VerificationError
+from .errors import ImproperColoringError, VerificationError
 from .graphs import CubicGraph, catalog, petersen_labels
 
 
@@ -41,8 +51,7 @@ class PetersenModel:
     graph: CubicGraph
     labels: tuple[frozenset[int], ...]
     ctilde: EdgeColoring
-    palette_index: dict[frozenset[int], int]
-    edge_at: dict[tuple[int, int], int]  # (vertex, color) -> edge id
+    edge_at: dict[tuple[frozenset[int], int], int]  # (palette, color) -> edge id
 
     def validate(self) -> None:
         if not is_proper(self.graph, self.ctilde, 5):
@@ -74,103 +83,66 @@ def canonical_petersen() -> PetersenModel:
         (c,) = missing
         colors.append(c)
     ctilde = EdgeColoring(5, tuple(colors))
-    palette_index = {full - labels[v]: v for v in range(10)}
-    edge_at = {}
-    for v in range(10):
-        for eid in graph.incident(v):
-            edge_at[(v, colors[eid])] = eid
-    model = PetersenModel(graph, labels, ctilde, palette_index, edge_at)
+    edge_at = {
+        (palette(graph, ctilde, v), colors[eid]): eid
+        for v in range(10)
+        for eid in graph.incident(v)
+    }
+    model = PetersenModel(graph, labels, ctilde, edge_at)
     model.validate()
     return model
 
 
-@dataclass(frozen=True)
-class PColoring:
-    """Candidate Petersen-coloring: map from G edge ids to model edge ids.
-
-    phi[e] is -1 outside the domain (abnormal edges left unmapped when they
-    are allowed at build time).
-    """
-
-    num_edges: int
-    phi: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.phi) != self.num_edges:
-            raise ValueError("phi length must equal the edge count")
-
-    def __getitem__(self, eid: int) -> int:
-        return self.phi[eid]
-
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(e for e in range(self.num_edges) if self.phi[e] >= 0)
-
-    def is_total(self) -> bool:
-        return all(x >= 0 for x in self.phi)
-
-
 def build_p_coloring(
     graph: CubicGraph, coloring: EdgeColoring, allow_abnormal: bool = False
-) -> PColoring:
+) -> tuple[int, ...]:
     """Map every poor and rich edge into the canonical model.
 
-    With allow_abnormal=False the coloring must be normal and the result is
-    total; otherwise abnormal edges are left out of the domain.
+    With allow_abnormal=False the coloring must be normal and the map is
+    total; otherwise abnormal edges map to -1.
     """
     if not is_proper(graph, coloring, 5):
         raise ImproperColoringError("a proper 5-edge-coloring is required")
-    model = canonical_petersen()
-    classes = classify_all(graph, coloring)
+    edge_at = canonical_petersen().edge_at
     palettes = [palette(graph, coloring, v) for v in range(graph.n)]
     phi = []
     for eid, (u, v) in enumerate(graph.edges):
-        cls = classes[eid]
-        if cls is EdgeClass.ABNORMAL:
+        c = coloring.colors[eid]
+        image = edge_at[(palettes[u], c)]
+        if image != edge_at[(palettes[v], c)]:
             if not allow_abnormal:
                 raise ImproperColoringError(
                     f"edge {eid} is abnormal; a normal coloring is required"
                 )
-            phi.append(-1)
-            continue
-        c = coloring.colors[eid]
-        if cls is EdgeClass.POOR:
-            target_vertex = model.palette_index[palettes[u]]
-            phi.append(model.edge_at[(target_vertex, c)])
-        else:
-            x = model.palette_index[palettes[u]]
-            y = model.palette_index[palettes[v]]
-            shared = set(model.graph.incident(x)) & set(model.graph.incident(y))
-            (peid,) = shared
-            phi.append(peid)
-    return PColoring(graph.m, tuple(phi))
+            image = -1
+        phi.append(image)
+    return tuple(phi)
 
 
-def verify_h_coloring(graph: CubicGraph, host: CubicGraph, pcol: PColoring) -> bool:
+def verify_h_coloring(graph: CubicGraph, host: CubicGraph, phi: tuple[int, ...]) -> bool:
     """True iff every vertex star of G maps onto a full vertex star of host."""
-    if pcol.num_edges != graph.m:
+    if len(phi) != graph.m:
         raise ValueError("map size does not match the graph")
-    if not pcol.is_total():
+    if any(p < 0 for p in phi):
         raise ValueError("H-coloring verification needs a total map")
     stars = {frozenset(host.incident(w)) for w in range(host.n)}
     for v in range(graph.n):
-        image = frozenset(pcol.phi[e] for e in graph.incident(v))
+        image = frozenset(phi[e] for e in graph.incident(v))
         if len(image) != 3 or image not in stars:
             return False
     return True
 
 
-def pullback(graph: CubicGraph, pcol: PColoring) -> EdgeColoring:
+def pullback(graph: CubicGraph, phi: tuple[int, ...]) -> EdgeColoring:
     """Compose a verified Petersen-coloring with the model coloring.
 
     The result is checked to be a proper and normal 5-edge-coloring; any
     failure raises rather than returning a bad witness.
     """
     model = canonical_petersen()
-    if not verify_h_coloring(graph, model.graph, pcol):
+    if not verify_h_coloring(graph, model.graph, phi):
         raise VerificationError("the map is not an H-coloring of the model")
-    colors = tuple(model.ctilde.colors[pcol.phi[e]] for e in range(graph.m))
-    result = EdgeColoring(5, colors)
+    result = EdgeColoring(5, tuple(model.ctilde.colors[p] for p in phi))
     if not is_proper(graph, result, 5):
         raise VerificationError("pullback produced an improper coloring")
     if not is_normal(graph, result):
@@ -187,11 +159,11 @@ def preimage_degrees(
     contribute.  For a normal coloring and F a cycle of the model, every
     degree is 0 or 2; a single odd degree would be impossible.
     """
-    pcol = build_p_coloring(graph, coloring, allow_abnormal=True)
+    phi = build_p_coloring(graph, coloring, allow_abnormal=True)
     chosen = set(model_edges)
     degrees = [0] * graph.n
-    for eid in range(graph.m):
-        if pcol.phi[eid] in chosen:
+    for eid, image in enumerate(phi):
+        if image in chosen:
             u, v = graph.endpoints(eid)
             degrees[u] += 1
             degrees[v] += 1
@@ -242,31 +214,6 @@ def model_cycles() -> tuple[frozenset[int], ...]:
 # Map files: one "g_edge_id p_edge_id" line per mapped edge
 # ---------------------------------------------------------------------------
 
-def write_p_coloring(pcol: PColoring) -> str:
-    lines = [
-        f"{eid} {pcol.phi[eid]}" for eid in range(pcol.num_edges) if pcol.phi[eid] >= 0
-    ]
+def write_p_coloring(phi: tuple[int, ...]) -> str:
+    lines = [f"{eid} {p}" for eid, p in enumerate(phi) if p >= 0]
     return "\n".join(lines) + "\n"
-
-
-def read_p_coloring(text: str, num_edges: int) -> PColoring:
-    phi = [-1] * num_edges
-    model = canonical_petersen()
-    for ln in (raw.strip() for raw in text.splitlines()):
-        if not ln:
-            continue
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"bad map line {ln!r}")
-        try:
-            g_eid, p_eid = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"bad map line {ln!r}") from exc
-        if not (0 <= g_eid < num_edges):
-            raise ParseError(f"graph edge id {g_eid} out of range")
-        if not (0 <= p_eid < model.graph.m):
-            raise ParseError(f"model edge id {p_eid} out of range")
-        if phi[g_eid] != -1:
-            raise ParseError(f"edge {g_eid} mapped twice")
-        phi[g_eid] = p_eid
-    return PColoring(num_edges, tuple(phi))

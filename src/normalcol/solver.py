@@ -468,8 +468,7 @@ class ScanReport:
         }
 
 
-def _scan_one(args: tuple[int, CubicGraph, SearchConfig]) -> ScanRow:
-    graph_id, graph, cfg = args
+def _scan_one(graph_id: int, graph: CubicGraph, cfg: SearchConfig) -> ScanRow:
     t0 = time.perf_counter()
     report = connectivity_report(graph)
     result = min_abnormal(graph, cfg)
@@ -489,26 +488,15 @@ def _scan_one(args: tuple[int, CubicGraph, SearchConfig]) -> ScanRow:
 
 
 def scan_no_single_abnormal(
-    graphs: Iterable[CubicGraph],
-    cfg: SearchConfig | None = None,
-    jobs: int = 1,
+    graphs: Iterable[CubicGraph], cfg: SearchConfig | None = None
 ) -> ScanReport:
     """Solve min_abnormal for each graph in the stream and aggregate minima.
 
-    Any graph with exact minimum 1 is flagged; no proper 5-edge-coloring of a
-    cubic graph has exactly one abnormal edge, so a flag would mean a solver
-    bug (or a remarkable counterexample).  With jobs > 1 the per-graph solves
-    run in a process pool; the merged report is re-sorted by graph id.
+    The graphs are solved one at a time as the stream yields them, and row
+    i belongs to the i-th graph.  Any graph with exact minimum 1 is flagged;
+    no proper 5-edge-coloring of a cubic graph has exactly one abnormal
+    edge, so a flag would mean a solver bug (or a remarkable counterexample).
     """
     if cfg is None:
         cfg = SearchConfig()
-    tasks = [(i, g, cfg) for i, g in enumerate(graphs)]
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_scan_one, tasks))
-    else:
-        rows = [_scan_one(t) for t in tasks]
-    rows.sort(key=lambda r: r.graph_id)
-    return ScanReport(rows)
+    return ScanReport([_scan_one(i, g, cfg) for i, g in enumerate(graphs)])

@@ -129,7 +129,7 @@ def test_criterion_4_jaeger_roundtrip(normal_witnesses):
         model = canonical_petersen()
         for graph, witness in normal_witnesses:
             phi = build_p_coloring(graph, witness)
-            assert phi.is_total()
+            assert -1 not in phi
             assert verify_h_coloring(graph, model.graph, phi)
             assert pullback(graph, phi) == witness
 

@@ -33,3 +33,11 @@ def test_benchmark_api_exists():
 
     assert callable(composite_graph)
     assert DEMO_VARIANTS == ("disjoint", "cyclic1", "vertex_replacement", "cyclic2")
+
+
+def test_benchmark_roundtrip_accepts_the_map():
+    # the benchmark hands build_p_coloring's result straight to these two
+    model = normalcol.canonical_petersen()
+    phi = normalcol.build_p_coloring(model.graph, model.ctilde)
+    assert normalcol.verify_h_coloring(model.graph, model.graph, phi)
+    assert normalcol.pullback(model.graph, phi) == model.ctilde

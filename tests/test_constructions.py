@@ -135,6 +135,123 @@ def test_constructions_reject_bad_ids(petersen, k4, k33, q3):
         cyclic_join_two_edges(petersen, 0, 1, 2)  # edges sharing vertex 0
 
 
+# Layouts rebuilt slot by slot from the module docstring's copy-major
+# description, without the library's helpers, and compared edge for edge.
+
+LAYOUT_GRAPHS = ("petersen", "k4", "q3", "k33")
+
+
+class _Layout:
+    """An edge list filled by slot; every slot must be filled exactly once."""
+
+    def __init__(self, m: int):
+        self.slots: list = [None] * m
+
+    def put(self, slot: int, u: int, v: int) -> None:
+        assert self.slots[slot] is None, f"slot {slot} filled twice"
+        self.slots[slot] = (u, v)
+
+    def put_copy(self, g: CubicGraph, removed, i: int, n_copy: int, relabel=lambda u: u):
+        """Copy i of G minus `removed`: the kept edge of original id f goes to
+        slot i*len(kept) + (its rank among the kept ids), on vertices
+        [i*n_copy, (i+1)*n_copy)."""
+        kept = sorted(set(range(g.m)) - set(removed))
+        for f in kept:
+            u, v = g.edges[f]
+            off = i * n_copy
+            self.put(i * len(kept) + kept.index(f), off + relabel(u), off + relabel(v))
+
+    def graph(self, n: int) -> CubicGraph:
+        assert None not in self.slots
+        return CubicGraph(n, tuple(self.slots))
+
+
+def _independent_pairs(g: CubicGraph):
+    return [
+        (e1, e2)
+        for e1 in range(g.m)
+        for e2 in range(g.m)
+        if e1 != e2 and not set(g.edges[e1]) & set(g.edges[e2])
+    ]
+
+
+def test_disjoint_layout_rebuilt():
+    for name, t in product(LAYOUT_GRAPHS, (1, 2, 3)):
+        g = catalog(name)
+        layout = _Layout(t * g.m)
+        for i in range(t):
+            layout.put_copy(g, (), i, g.n)
+        assert disjoint_copies(g, t) == layout.graph(t * g.n)
+
+
+def test_cyclic_join_one_edge_layout_rebuilt():
+    for name, t in product(LAYOUT_GRAPHS, (1, 2, 3)):
+        g = catalog(name)
+        for e in range(g.m):
+            x, y = sorted(g.edges[e])
+            layout = _Layout(t * g.m)
+            for i in range(t):
+                layout.put_copy(g, (e,), i, g.n)
+            for i in range(t):  # joining edge y_i -- x_{i+1 mod t}
+                layout.put(t * (g.m - 1) + i, i * g.n + y, (i + 1) % t * g.n + x)
+            assert cyclic_join_one_edge(g, e, t) == layout.graph(t * g.n)
+
+
+def test_cyclic_join_two_edges_layout_rebuilt():
+    for name, t in product(LAYOUT_GRAPHS, (2, 3)):
+        g = catalog(name)
+        pairs = _independent_pairs(g)
+        assert pairs
+        for e1, e2 in pairs:
+            (a, b), (c, d) = sorted(g.edges[e1]), sorted(g.edges[e2])
+            layout = _Layout(t * g.m)
+            for i in range(t):
+                layout.put_copy(g, (e1, e2), i, g.n)
+            base = t * (g.m - 2)
+            for i in range(t):  # per step the pair d_i -- a_{i+1}, c_i -- b_{i+1}
+                nxt = (i + 1) % t * g.n
+                layout.put(base + 2 * i, i * g.n + d, nxt + a)
+                layout.put(base + 2 * i + 1, i * g.n + c, nxt + b)
+            assert cyclic_join_two_edges(g, e1, e2, t) == layout.graph(t * g.n)
+
+
+def test_vertex_replacement_layout_rebuilt():
+    # the demo's hosts for t = 1..3 (all K3,3) and every catalog graph as host
+    hosts = [replacement_host(t) for t in (1, 2, 3)] + [catalog(n) for n in LAYOUT_GRAPHS]
+    for host, name in product(hosts, LAYOUT_GRAPHS):
+        g = catalog(name)
+        for v in range(g.n):
+            relabel = lambda u: u - 1 if u > v else u
+            star = sorted(f for f in range(g.m) if v in g.edges[f])
+            stubs = [relabel(sum(g.edges[f]) - v) for f in star]
+            n_copy = g.n - 1
+            layout = _Layout(host.n * (g.m - 3) + host.m)
+            for w in range(host.n):
+                layout.put_copy(g, star, w, n_copy, relabel)
+            for f, (w1, w2) in enumerate(host.edges):
+                # the host edge's rank among its end's edges, by id, picks the stub
+                r1 = sorted(h for h in range(host.m) if w1 in host.edges[h]).index(f)
+                r2 = sorted(h for h in range(host.m) if w2 in host.edges[h]).index(f)
+                slot = host.n * (g.m - 3) + f
+                layout.put(slot, w1 * n_copy + stubs[r1], w2 * n_copy + stubs[r2])
+            assert vertex_replacement(host, g, v) == layout.graph(host.n * n_copy)
+
+
+def test_two_cut_connection_layout_rebuilt():
+    for name1, name2 in product(LAYOUT_GRAPHS, LAYOUT_GRAPHS):
+        g1, g2 = catalog(name1), catalog(name2)
+        for e1, e2 in product(range(g1.m), range(g2.m)):
+            (x1, y1), (x2, y2) = sorted(g1.edges[e1]), sorted(g2.edges[e2])
+            layout = _Layout(g1.m + g2.m)
+            layout.put_copy(g1, (e1,), 0, 0)
+            for r, f in enumerate(f for f in range(g2.m) if f != e2):
+                u, v = g2.edges[f]
+                layout.put(g1.m - 1 + r, g1.n + u, g1.n + v)
+            layout.put(g1.m + g2.m - 2, x1, g1.n + x2)
+            layout.put(g1.m + g2.m - 1, y1, g1.n + y2)
+            assert two_cut_connection(g1, e1, g2, e2) == layout.graph(g1.n + g2.n)
+
+
 @pytest.mark.parametrize("name,eids", [("k4", (0,)), ("petersen", (0, 3)), ("q3", (2, 5))])
 def test_stub_rejoin_reconstructs_cubic(name, eids):
     """A join keeps each copy's edges in id order and rejoins every open

@@ -4,18 +4,16 @@ import random
 
 import pytest
 
-from normalcol.coloring import EdgeColoring, abnormal_set, palette
+from normalcol.coloring import EdgeColoring, abnormal_set, is_proper, palette
 from normalcol.constructions import Q3_TWO_ABNORMAL
-from normalcol.errors import ImproperColoringError, ParseError, VerificationError
+from normalcol.errors import ImproperColoringError, VerificationError
 from normalcol.graphs import catalog
 from normalcol.petersen import (
-    PColoring,
     build_p_coloring,
     canonical_petersen,
     model_cycles,
     preimage_degrees,
     pullback,
-    read_p_coloring,
     verify_h_coloring,
     write_p_coloring,
 )
@@ -23,14 +21,58 @@ from normalcol.generate import enumerate_cubic
 from normalcol.graphs import connectivity_report
 from normalcol.solver import has_normal_k, min_abnormal
 
-from conftest import random_cubic_multigraph
+from conftest import random_bridged_multigraph, random_cubic_multigraph
 
 K4_PROPER = EdgeColoring(3, (1, 2, 3, 3, 2, 1))
+FULL = frozenset(range(1, 6))
 
 
 @pytest.fixture(scope="module")
 def model():
     return canonical_petersen()
+
+
+def model_vertex(model, pal):
+    """The model vertex whose palette is pal, found by scanning the model."""
+    (w,) = [w for w in range(10) if palette(model.graph, model.ctilde, w) == pal]
+    return w
+
+
+def reference_map(graph, coloring):
+    """The two-rule map, written from the Kneser labels alone: the vertex
+    with palette S carries the label FULL - S, and a model edge's color is
+    the one element outside both end labels.  Abnormal edges map to -1."""
+    model = canonical_petersen()
+    vertex_of = {FULL - label: w for w, label in enumerate(model.labels)}
+
+    def label_color(eid):
+        a, b = model.graph.endpoints(eid)
+        (c,) = FULL - model.labels[a] - model.labels[b]
+        return c
+
+    phi = []
+    for eid, (u, v) in enumerate(graph.edges):
+        su, sv = palette(graph, coloring, u), palette(graph, coloring, v)
+        x, y = vertex_of[su], vertex_of[sv]
+        if su == sv:  # poor: the edge of color c(uv) at the vertex with palette S(u)
+            c = coloring.colors[eid]
+            (image,) = [e for e in model.graph.incident(x) if label_color(e) == c]
+        elif su | sv == FULL:  # rich: the edge joining the two palettes' vertices
+            (image,) = set(model.graph.incident(x)) & set(model.graph.incident(y))
+        else:
+            image = -1
+        phi.append(image)
+    return tuple(phi)
+
+
+def random_proper_coloring(rng, graph):
+    """Greedy in random edge order with random free colors: an edge meets at
+    most four others, so five colors always leave one free."""
+    colors = [0] * graph.m
+    for eid in rng.sample(range(graph.m), graph.m):
+        taken = {colors[f] for w in graph.endpoints(eid) for f in graph.incident(w)}
+        colors[eid] = rng.choice(sorted(set(range(1, 6)) - taken))
+    return EdgeColoring(5, tuple(colors))
 
 
 def test_model_invariants(model):
@@ -43,38 +85,45 @@ def test_model_invariants(model):
     j = model.labels.index(frozenset({3, 4}))
     eid = (set(model.graph.incident(i)) & set(model.graph.incident(j))).pop()
     assert model.ctilde.colors[eid] == 5
-    # palette_index inverts palettes
+    # edge_at names, for each vertex palette and color in it, the edge of
+    # that color at the vertex with that palette: 30 keys, each edge twice
+    assert len(model.edge_at) == 30
     for v in range(10):
-        assert model.palette_index[palette(model.graph, model.ctilde, v)] == v
+        pal = palette(model.graph, model.ctilde, v)
+        for eid in model.graph.incident(v):
+            assert model.edge_at[(pal, model.ctilde.colors[eid])] == eid
     # rich-rule instance: palettes {1,2,3} and {3,4,5} meet at the edge
     # joining {4,5} and {1,2}, whose model color is their intersection 3
-    x = model.palette_index[frozenset({1, 2, 3})]
-    y = model.palette_index[frozenset({3, 4, 5})]
+    x = model_vertex(model, frozenset({1, 2, 3}))
+    y = model_vertex(model, frozenset({3, 4, 5}))
     assert (model.labels[x], model.labels[y]) == (frozenset({4, 5}), frozenset({1, 2}))
     shared = (set(model.graph.incident(x)) & set(model.graph.incident(y))).pop()
     assert model.ctilde.colors[shared] == 3
+    # and the one rule reaches it from either palette
+    assert model.edge_at[(frozenset({1, 2, 3}), 3)] == shared
+    assert model.edge_at[(frozenset({3, 4, 5}), 3)] == shared
 
 
 def test_identity_map_on_model(model):
     phi = build_p_coloring(model.graph, model.ctilde)
-    assert phi.is_total()
-    assert phi.phi == tuple(range(15))
+    assert -1 not in phi
+    assert phi == tuple(range(15))
     assert verify_h_coloring(model.graph, model.graph, phi)
     assert pullback(model.graph, phi) == model.ctilde
 
 
 def test_poor_rule_k4(model, k4):
     phi = build_p_coloring(k4, K4_PROPER)
-    assert phi.is_total()
+    assert -1 not in phi
     # all palettes are {1,2,3}, so every edge maps into the star of the
     # vertex labeled {4,5}
-    target = model.palette_index[frozenset({1, 2, 3})]
+    target = model_vertex(model, frozenset({1, 2, 3}))
     assert model.labels[target] == frozenset({4, 5})
     star = set(model.graph.incident(target))
-    assert set(phi.phi) <= star
+    assert set(phi) <= star
     # the poor rule picks the edge at that star carrying the same color
     for eid in range(k4.m):
-        assert model.ctilde.colors[phi.phi[eid]] == K4_PROPER.colors[eid]
+        assert model.ctilde.colors[phi[eid]] == K4_PROPER.colors[eid]
     assert verify_h_coloring(k4, model.graph, phi)
     assert pullback(k4, phi) == EdgeColoring(5, K4_PROPER.colors)
 
@@ -84,7 +133,7 @@ def test_rich_rule_color_matches(model):
     # checks the rich rule's color agreement edge by edge
     phi = build_p_coloring(model.graph, model.ctilde)
     for eid in range(15):
-        assert model.ctilde.colors[phi.phi[eid]] == model.ctilde.colors[eid]
+        assert model.ctilde.colors[phi[eid]] == model.ctilde.colors[eid]
 
 
 def test_jaeger_roundtrip_solver_witnesses(model):
@@ -122,7 +171,8 @@ def test_abnormal_edges_excluded(q3):
     with pytest.raises(ImproperColoringError):
         build_p_coloring(q3, c, allow_abnormal=False)
     phi = build_p_coloring(q3, c, allow_abnormal=True)
-    assert phi.domain == frozenset(range(q3.m)) - abnormal_set(q3, c)
+    domain = frozenset(e for e, image in enumerate(phi) if image >= 0)
+    assert domain == frozenset(range(q3.m)) - abnormal_set(q3, c)
 
 
 def test_improper_rejected(k4):
@@ -131,7 +181,7 @@ def test_improper_rejected(k4):
 
 
 def test_constant_map_fails(model):
-    constant = PColoring(15, (0,) * 15)
+    constant = (0,) * 15
     assert not verify_h_coloring(model.graph, model.graph, constant)
     with pytest.raises(VerificationError):
         pullback(model.graph, constant)
@@ -166,21 +216,24 @@ def test_parity_engine_cycles(model, petersen):
 
 def test_star_bijection_law(model):
     # for a vertex x with only poor/rich incident edges, the map sends its
-    # star bijectively onto the star of palette_index(S(x)); preimage degrees
+    # star bijectively onto the star of the model vertex with palette S(x),
+    # which is also edge_at's image of S(x) and its colors; preimage degrees
     # under any F follow as |F ∩ star|
     for name in ("k33", "q3"):
         g = catalog(name)
         witness = has_normal_k(g, 5)
         phi = build_p_coloring(g, witness)
         for x in range(g.n):
-            xp = model.palette_index[palette(g, witness, x)]
-            image = {phi.phi[e] for e in g.incident(x)}
+            pal = palette(g, witness, x)
+            xp = model_vertex(model, pal)
+            image = {phi[e] for e in g.incident(x)}
             assert image == set(model.graph.incident(xp))
+            assert image == {model.edge_at[(pal, c)] for c in pal}
         for w in range(10):
             star = frozenset(model.graph.incident(w))
             degrees = preimage_degrees(g, witness, star)
             for x in range(g.n):
-                xp = model.palette_index[palette(g, witness, x)]
+                xp = model_vertex(model, palette(g, witness, x))
                 assert degrees[x] == len(star & set(model.graph.incident(xp)))
                 assert degrees[x] in (0, 1, 3)
 
@@ -195,17 +248,61 @@ def test_abnormal_coloring_breaks_parity(model, q3):
 
 
 def test_p_coloring_file_roundtrip(q3):
+    # one "eid p" line per mapped edge, in edge order; abnormal edges are
+    # left out, and a map with no entries is a lone newline
+    def parse(text, num_edges):
+        phi = [-1] * num_edges
+        for line in text.splitlines():
+            eid, image = map(int, line.split())
+            phi[eid] = image
+        return tuple(phi)
+
     witness = has_normal_k(q3, 5)
     phi = build_p_coloring(q3, witness)
     text = write_p_coloring(phi)
-    again = read_p_coloring(text, q3.m)
-    assert again == phi
+    assert text.endswith("\n") and len(text.splitlines()) == q3.m
+    assert parse(text, q3.m) == phi
+    partial = build_p_coloring(q3, EdgeColoring(5, Q3_TWO_ABNORMAL), allow_abnormal=True)
+    text = write_p_coloring(partial)
+    assert [int(line.split()[0]) for line in text.splitlines()] == [
+        e for e in range(q3.m) if e not in abnormal_set(q3, EdgeColoring(5, Q3_TWO_ABNORMAL))
+    ]
+    assert parse(text, q3.m) == partial
+    assert write_p_coloring(()) == "\n"
+    assert write_p_coloring((-1, -1)) == "\n"
 
 
-def test_p_coloring_file_errors(q3):
-    with pytest.raises(ParseError):
-        read_p_coloring("0 1 2\n", q3.m)
-    with pytest.raises(ParseError):
-        read_p_coloring("0 99\n", q3.m)
-    with pytest.raises(ParseError):
-        read_p_coloring("0 1\n0 2\n", q3.m)
+def test_one_rule_matches_two_rule_reference(model):
+    # every class with n <= 10 (bridged ones included) and seeded
+    # multigraphs, bridged multigraphs among them; each graph's min_abnormal
+    # witness under a random permutation of 1..5, plus two random proper
+    # 5-colorings, which carry many abnormal edges
+    rng = random.Random(20218)
+    graphs = [g for n in (4, 6, 8, 10) for g in enumerate_cubic(n, distinct=True)]
+    for n in (2, 4, 6, 8, 10, 12) * 6:
+        graphs.append(random_cubic_multigraph(rng, n))
+    for left, right in ((2, 2), (2, 4), (4, 4), (4, 6)):
+        graphs.append(random_bridged_multigraph(rng, left, right))
+    colorings = [(catalog("q3"), EdgeColoring(5, Q3_TWO_ABNORMAL))]
+    witnesses_with_abnormal = 0
+    for g in graphs:
+        result = min_abnormal(g)
+        witnesses_with_abnormal += result.best_count > 0
+        perm = dict(zip(range(1, 6), rng.sample(range(1, 6), 5)))
+        colorings.append((g, result.witness.permuted(perm)))
+        colorings += [(g, random_proper_coloring(rng, g)) for _ in range(2)]
+    abnormal_edges = 0
+    for g, c in colorings:
+        assert is_proper(g, c, 5)
+        phi = build_p_coloring(g, c, allow_abnormal=True)
+        assert phi == reference_map(g, c)
+        bad = abnormal_set(g, c)
+        assert frozenset(e for e, image in enumerate(phi) if image == -1) == bad
+        if bad:
+            with pytest.raises(ImproperColoringError):
+                build_p_coloring(g, c)
+        else:
+            assert build_p_coloring(g, c) == phi
+        abnormal_edges += len(bad)
+    assert len(colorings) == 1 + 3 * len(graphs)
+    assert witnesses_with_abnormal >= 5 and abnormal_edges >= 500

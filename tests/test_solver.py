@@ -226,17 +226,6 @@ def test_scan_tsv_shape():
     assert obj["single_abnormal"] == []
 
 
-def test_scan_parallel_merge_matches_serial():
-    graphs = list(enumerate_cubic(6, distinct=True)) + [catalog("q3")]
-    serial = scan_no_single_abnormal(graphs, jobs=1)
-    parallel = scan_no_single_abnormal(graphs, jobs=2)
-    strip = lambda rep: [
-        (r.graph_id, r.n, r.m, r.bridgeless, r.cyc4, r.min_abnormal, r.nodes)
-        for r in rep.rows
-    ]
-    assert strip(serial) == strip(parallel)
-
-
 def test_witness_soundness_over_stream():
     for graph in enumerate_cubic(6, distinct=True):
         result = min_abnormal(graph)
