@@ -203,9 +203,11 @@ def _cmd_jaeger(args) -> int:
     if args.coloring:
         coloring = _load_coloring(args, hashes)
     else:
-        coloring = has_normal_k(graph, args.k)
+        # a Petersen-coloring needs a normal coloring in at most 5 colors
+        k = min(args.k, 5)
+        coloring = has_normal_k(graph, k)
         if coloring is None:
-            print(f"no normal {args.k}-edge-coloring exists for this graph", file=sys.stderr)
+            print(f"no normal {k}-edge-coloring exists for this graph", file=sys.stderr)
             return _VERIFY_EXIT
     phi = build_p_coloring(graph, coloring)
     model = canonical_petersen()
@@ -414,7 +416,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("jaeger", help="build, verify, and round-trip a Petersen-coloring")
     _add_graph_flags(p)
     p.add_argument("--coloring", default=None)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=int, default=5,
+                   help="colors of the solver's normal coloring; k above 5 is solved at 5")
     p.add_argument("--out", default="json", choices=("tsv", "json"))
     p.set_defaults(func=_cmd_jaeger)
 

@@ -18,6 +18,28 @@ lexicographic order, that minimum is also the first candidate of its class,
 so the representatives, their labels and their order are those of a filter
 that keeps the first member of each class.  The test needs no memory across
 candidates.
+
+Relabelings are compared one segment at a time: segment i of a labeling
+lists the labels larger than i adjacent to label i, padded to three entries
+with n, and the sorted edge lists compare as the sequences of segments do.
+A BFS relabeling is built label by label; the unlabeled neighbors of label i
+take the next free labels, so segment i is fixed before the order of those
+new children is chosen, and the search branches over the orders only while
+the segments tie.
+
+The test runs on partial candidates, while the stream builds them.  When the
+current vertex moves on to v, vertices 0..v-1 are saturated and the
+candidate's segments 0..v-1 are final.  A relabeling whose labels 0..i went
+to saturated vertices has segments 0..i that no completion changes.  If it
+is smaller than the candidate on them, no completion is canonical and the
+subtree is pruned; if it is larger, it is dropped, since no completion makes
+it smaller.  The rest are carried down the recursion as pending relabelings
+(labels, vertex by label, next segment, next free label): those that tie up
+to v and those waiting on an unsaturated vertex.  The stream starts with one
+per root, and at a complete candidate (v = n) the same extension is the full
+test.  Pruning removes only subtrees without a canonical candidate and the
+leaf test is unchanged, so the emitted graphs, their labels and their order
+are those of the test on every complete candidate.
 """
 
 from __future__ import annotations
@@ -30,22 +52,89 @@ from .graphs import CubicGraph, is_connected
 
 def _labeled_stream(n: int, constrained: bool) -> Iterator[tuple[tuple[int, int], ...]]:
     deg = [0] * n
-    adj = [0] * n  # neighbor bitmask; simple graphs only
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     edges: list[tuple[int, int]] = []
+    # constrained mode: the candidate's final segments, padded with n
+    target: list[list[int]] = []
 
-    def rec(prev_v: int, min_partner: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        v = -1
+    def extend(label: list[int], vertex: list[int], i: int, fresh: int, v: int,
+               out: list[tuple]) -> bool:
+        """Extend one relabeling over the candidate's final segments i..v-1.
+
+        Returns True when it comes out smaller.  Otherwise the survivors
+        that tie up to v, or wait on an unsaturated vertex, go to `out`;
+        those that come out larger are dropped.  `label` and `vertex` are
+        the caller's copies and are written in place.
+        """
+        while i < v:
+            x = vertex[i]
+            if deg[x] < 3:
+                break
+            seg = []
+            new = []
+            for y in nbrs[x]:
+                ly = label[y]
+                if ly < 0:
+                    new.append(y)
+                elif ly > i:
+                    seg.append(ly)
+            seg.sort()
+            seg.extend(range(fresh, fresh + len(new)))
+            seg.extend([n] * (3 - len(seg)))
+            if seg != target[i]:
+                return seg < target[i]
+            if len(new) > 1:
+                for order in permutations(new):
+                    lab, vert = label[:], vertex[:]
+                    for k, y in enumerate(order):
+                        lab[y] = fresh + k
+                        vert[fresh + k] = y
+                    if extend(lab, vert, i + 1, fresh + len(new), v, out):
+                        return True
+                return False
+            if new:
+                label[new[0]] = fresh
+                vertex[fresh] = new[0]
+                fresh += 1
+            i += 1
+        out.append((label, vertex, i, fresh))
+        return False
+
+    def advance(pending: list[tuple], v: int) -> list[tuple] | None:
+        """The pending relabelings carried past segment v-1, or None to prune."""
+        out: list[tuple] = []
+        for p in pending:
+            label, vertex, i, fresh = p
+            if i == v or deg[vertex[i]] < 3:
+                out.append(p)  # waits on the same segment: shared, not copied
+            elif extend(label[:], vertex[:], i, fresh, v, out):
+                return None
+        return out
+
+    def rec(prev_v: int, min_partner: int,
+            pending: list[tuple]) -> Iterator[tuple[tuple[int, int], ...]]:
+        v = n
         for i in range(n):
             if deg[i] < 3:
                 v = i
                 break
-        if v == -1:
-            yield tuple(edges)
-            return
         if v != prev_v:
             min_partner = v + 1
-            if constrained and v > 0 and deg[v] == 0:
-                return  # partners are always larger; v could never reach a smaller vertex
+            if constrained:
+                if 0 < v < n and deg[v] == 0:
+                    return  # partners are always larger; v could never reach a smaller vertex
+                # segments from prev_v on may be left over from a sibling subtree
+                del target[max(prev_v, 0):]
+                for j in range(len(target), v):
+                    seg = [y for y in nbrs[j] if y > j]
+                    seg.sort()
+                    target.append(seg + [n] * (3 - len(seg)))
+                pending = advance(pending, v)
+                if pending is None:
+                    return  # a relabeling is smaller on final segments: no completion is canonical
+        if v == n:
+            yield tuple(edges)
+            return
         if constrained and v == 0:
             # force N(0) = {1, 2, 3}
             u = deg[0] + 1
@@ -59,83 +148,28 @@ def _labeled_stream(n: int, constrained: bool) -> Iterator[tuple[tuple[int, int]
                     fresh = w
                     break
         for u in candidates:
-            if deg[u] >= 3 or (adj[v] >> u) & 1:
+            if deg[u] >= 3 or u in nbrs[v]:
                 continue
             if constrained and deg[u] == 0 and u != fresh:
                 continue  # BFS labeling: first touch goes to the smallest untouched label
             deg[v] += 1
             deg[u] += 1
-            adj[v] |= 1 << u
-            adj[u] |= 1 << v
+            nbrs[v].append(u)
+            nbrs[u].append(v)
             edges.append((v, u))
-            yield from rec(v, u + 1)
+            yield from rec(v, u + 1, pending)
             edges.pop()
+            nbrs[v].pop()
+            nbrs[u].pop()
             deg[v] -= 1
             deg[u] -= 1
-            adj[v] &= ~(1 << u)
-            adj[u] &= ~(1 << v)
 
-    yield from rec(-1, 1)
-
-
-def _is_canonical(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
-    """Whether no BFS relabeling of the graph has a smaller sorted edge list.
-
-    `edges` is sorted with u < v in every pair.  Segment i of a labeling
-    lists the labels larger than i adjacent to label i, padded to three
-    entries with n: a shorter segment equal up to its end is followed by an
-    edge of a later vertex, so it compares as larger.  Unlabeled neighbors
-    of label i receive the next free labels, which exceed every label in
-    use, so segment i is fixed before the order of those new children is
-    chosen.  The search compares one segment at a time against the
-    candidate's and branches over the children's orders only while equal.
-    """
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    segs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-        segs[u].append(v)
-    target = [tuple(seg + [n] * (3 - len(seg))) for seg in segs]
-    label = [-1] * n
-    vertex = [0] * n
-
-    def smaller(i: int, fresh: int) -> bool:
-        """Whether the labels fixed so far extend to a smaller edge list."""
-        if i == n:
-            return False
-        new = []
-        seg = []
-        for x in nbrs[vertex[i]]:
-            lx = label[x]
-            if lx < 0:
-                new.append(x)
-            elif lx > i:
-                seg.append(lx)
-        seg.sort()
-        seg.extend(range(fresh, fresh + len(new)))
-        seg.extend([n] * (3 - len(seg)))
-        seg_t = tuple(seg)
-        if seg_t != target[i]:
-            return seg_t < target[i]
-        for order in permutations(new):
-            for k, x in enumerate(order):
-                label[x] = fresh + k
-                vertex[fresh + k] = x
-            found = smaller(i + 1, fresh + len(new))
-            for x in order:
-                label[x] = -1
-            if found:
-                return True
-        return False
-
-    for root in range(n):
-        label[root] = 0
-        vertex[0] = root
-        if smaller(0, 1):
-            return False
-        label[root] = -1
-    return True
+    roots = []  # constrained mode: one pending relabeling per root
+    for r in range(n):
+        label = [-1] * n
+        label[r] = 0
+        roots.append((label, [r] + [0] * (n - 1), 0, 1))
+    yield from rec(-1, 1, roots)
 
 
 def enumerate_cubic(n: int, distinct: bool = False) -> Iterator[CubicGraph]:
@@ -154,5 +188,4 @@ def enumerate_cubic(n: int, distinct: bool = False) -> Iterator[CubicGraph]:
                 yield graph
         return
     for edges in _labeled_stream(n, constrained=True):
-        if _is_canonical(n, edges):
-            yield CubicGraph(n, edges)
+        yield CubicGraph(n, edges)

@@ -8,6 +8,7 @@ shared across criteria through session fixtures.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -88,7 +89,7 @@ def test_criterion_1_no_single_abnormal(class_scans):
             assert report.single_abnormal_ids() == []
 
 
-@pytest.mark.skipif(not os.environ.get("NORMALCOL_SLOW"), reason="about 16 s; set NORMALCOL_SLOW=1")
+@pytest.mark.skipif(not os.environ.get("NORMALCOL_SLOW"), reason="about 4 s; set NORMALCOL_SLOW=1")
 def test_criteria_1_and_2_at_n14():
     with criterion(1, "no cubic graph with n = 14 has exact minimum 1; minimum 0 iff bridgeless"):
         report = scan_no_single_abnormal(enumerate_cubic(14, distinct=True))
@@ -97,6 +98,19 @@ def test_criteria_1_and_2_at_n14():
         for row in report.rows:
             assert row.status is SolveStatus.OPTIMAL
             assert (row.min_abnormal == 0) == row.bridgeless
+        assert report.single_abnormal_ids() == []
+
+
+@pytest.mark.skipif(not os.environ.get("NORMALCOL_SLOW"), reason="about 65 s; set NORMALCOL_SLOW=1")
+def test_criteria_1_and_2_at_n16():
+    with criterion(1, "no cubic graph with n = 16 has exact minimum 1; minimum 0 iff bridgeless"):
+        report = scan_no_single_abnormal(enumerate_cubic(16, distinct=True))
+        assert len(report.rows) == 4060
+        assert sum(row.bridgeless for row in report.rows) == 3874
+        for row in report.rows:
+            assert row.status is SolveStatus.OPTIMAL
+            assert (row.min_abnormal == 0) == row.bridgeless
+        assert Counter(row.min_abnormal for row in report.rows) == {0: 3874, 4: 185, 6: 1}
         assert report.single_abnormal_ids() == []
 
 

@@ -162,6 +162,15 @@ def test_jaeger_roundtrip_below_five_colors(files, capsys, tmp_path):
     assert out.splitlines()[-1] == "# h_coloring=true roundtrip=true"
 
 
+@pytest.mark.parametrize("k", ["6", "7", "8"])
+def test_jaeger_above_five_colors_solves_at_five(files, capsys, k):
+    # a k-witness for k > 5 may use colors 6..k, which no Petersen-coloring
+    # maps; the solver runs at 5 colors instead
+    code, out = run(capsys, ["jaeger", "--graph", str(files["petersen_el"]), "--k", k])
+    assert code == 0
+    assert json.loads(out)["checks"] == {"h_coloring": True, "roundtrip": True}
+
+
 def test_construct_roundtrips(files, capsys):
     code, out = run(capsys, [
         "construct", "--variant", "cyclic1", "--graph", str(files["k4"]), "--t", "3",
