@@ -269,9 +269,6 @@ def _cmd_construct(args) -> int:
             return _USAGE_EXIT
         eid = args.edge if args.edge is not None else bad[0]
         out, _ = constructions.k4_gadget_extend(graph, coloring, eid)
-    else:
-        print(f"error: unknown variant {variant!r}", file=sys.stderr)
-        return _USAGE_EXIT
     fmt = args.format if args.format != "auto" else "edge-list"
     print(write_graph(out, fmt), end="")
     return 0

@@ -5,8 +5,8 @@ and v together contain 3 colors, rich when they contain 5, and abnormal when
 they contain 4.  A coloring with no abnormal edge is normal.
 
 Palettes are represented internally as small bitmasks so the classification
-is a mask-or plus a popcount; the exact search calls this in its innermost
-loop.
+is a mask-or plus a popcount.  The exact search keeps its own palette masks
+and popcount table (`solver._POP`) instead of calling the classification here.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ class EdgeColoring:
         for eid, c in enumerate(self.colors):
             if not (1 <= c <= self.k):
                 raise ValueError(f"edge {eid}: color {c} outside 1..{self.k}")
-
-    def __getitem__(self, eid: int) -> int:
-        return self.colors[eid]
 
     def permuted(self, perm: dict[int, int]) -> "EdgeColoring":
         """Apply a color permutation; classification is invariant under this."""

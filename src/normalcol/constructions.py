@@ -28,7 +28,9 @@ the rest, given as a dict edge id -> color:
 
 All three color the removed edges in order with the smallest color missing
 at both ends (the star's first edge copies `external`) and verify that the
-result is proper.
+result is proper.  `pigeonhole_demo` completes its clean copy with the same
+greedy completion: one call for every variant, with the copied color only for
+vertex replacement and nothing to restore for disjoint copies.
 """
 
 from __future__ import annotations
@@ -314,9 +316,21 @@ def k_abnormal_example(k: int) -> tuple[CubicGraph, EdgeColoring]:
 # Pigeonhole demonstrations
 # ---------------------------------------------------------------------------
 
-DEMO_VARIANTS = ("disjoint", "cyclic1", "vertex_replacement", "cyclic2")
+# variant -> (abnormal edges the extension may leave, fewest copies, the
+# connectivity G needs); the nonzero bounds are 2k+1 for k = 2, 3, 4.
+_VARIANTS = {
+    "disjoint": (0, 1, lambda r: r.bridgeless),
+    "cyclic1": (5, 1, lambda r: r.edge_connectivity >= 2),
+    "vertex_replacement": (7, 1, lambda r: r.edge_connectivity >= 3),
+    "cyclic2": (9, 2, lambda r: r.cyclically_4_edge_connected),
+}
+DEMO_VARIANTS = tuple(_VARIANTS)
 
-_BOUNDS = {"disjoint": 0, "cyclic1": 5, "vertex_replacement": 7, "cyclic2": 9}
+
+def _variant(name: str) -> tuple:
+    if name not in _VARIANTS:
+        raise ValueError(f"unknown variant {name!r}; expected one of {DEMO_VARIANTS}")
+    return _VARIANTS[name]
 
 
 @dataclass(frozen=True)
@@ -372,6 +386,7 @@ class _Composite:
     h: CubicGraph
     removed: tuple[int, ...]  # edge ids of G missing from each copy
     units: int                # number of copies for the pigeonhole
+    host: Optional[CubicGraph] = None  # vertex replacement's host graph
 
 
 def _build_composite(graph: CubicGraph, variant: str, t: int) -> _Composite:
@@ -383,13 +398,12 @@ def _build_composite(graph: CubicGraph, variant: str, t: int) -> _Composite:
         e1, e2 = default_three_path(graph)
         return _Composite(cyclic_join_two_edges(graph, e1, e2, t), (e1, e2), t)
     host = replacement_host(t)
-    return _Composite(vertex_replacement(host, graph, 0), graph.incident(0), host.n)
+    return _Composite(vertex_replacement(host, graph, 0), graph.incident(0), host.n, host)
 
 
 def composite_graph(graph: CubicGraph, variant: str, t: int) -> CubicGraph:
     """The composite graph a demo run would build for this variant and t."""
-    if variant not in _BOUNDS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {DEMO_VARIANTS}")
+    _variant(variant)
     return _build_composite(graph, variant, t).h
 
 
@@ -399,9 +413,9 @@ def pigeonhole_demo(
     t: int,
     coloring_of_h: EdgeColoring | None = None,
 ) -> DemoReport:
-    """Build the composite graph, locate a copy free of abnormal edges, apply
-    the matching extension, and check the final abnormal count against the
-    claimed constant (0 / 5 / 7 / 9).
+    """Build the composite graph, locate a copy free of abnormal edges, restore
+    that copy's removed edges with the extensions' greedy completion, and
+    check the final abnormal count against the claimed constant (0 / 5 / 7 / 9).
 
     The composite's coloring is solved for when coloring_of_h is None.  A
     given coloring must be a proper 5-edge-coloring of the composite, with
@@ -412,22 +426,14 @@ def pigeonhole_demo(
     edges than copies; if not, the report carries clean_copy_index None and
     pass False instead of failing hard.
     """
-    if variant not in _BOUNDS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {DEMO_VARIANTS}")
-    if t < (2 if variant == "cyclic2" else 1):
+    bound, min_t, needs = _variant(variant)
+    if t < min_t:
         raise ValueError("copy count too small for this variant")
-    report = connectivity_report(graph)
-    requirement = {
-        "disjoint": report.bridgeless,
-        "cyclic1": report.edge_connectivity >= 2,
-        "vertex_replacement": report.edge_connectivity >= 3,
-        "cyclic2": report.cyclically_4_edge_connected,
-    }[variant]
-    if not requirement:
+    if not needs(connectivity_report(graph)):
         raise ValueError(f"input graph fails the connectivity required by {variant!r}")
 
     built = _build_composite(graph, variant, t)
-    h, removed, units = built.h, built.removed, built.units
+    h, removed, units, host = built.h, built.removed, built.units, built.host
     span = graph.m - len(removed)  # edges per copy in h
 
     if coloring_of_h is None:
@@ -436,7 +442,6 @@ def pigeonhole_demo(
         raise ImproperColoringError("supplied composite coloring is not proper")
 
     bad = abnormal_set(h, coloring_of_h)
-    bound = _BOUNDS[variant]
 
     clean = None
     for i in range(units):
@@ -452,24 +457,11 @@ def pigeonhole_demo(
             )
         return DemoReport(variant, t, h.n, len(bad), None, None, bound, False)
 
-    if variant == "disjoint":
-        final_coloring = EdgeColoring(
-            5, tuple(coloring_of_h.colors[clean * span : (clean + 1) * span])
-        )
-    else:
-        copy_colors = {
-            f: coloring_of_h.colors[clean * span + pos]
-            for pos, f in enumerate(_kept_edges(graph, removed))
-        }
-        if variant == "cyclic1":
-            final_coloring = extend_one_edge(graph, copy_colors, *removed)
-        elif variant == "cyclic2":
-            final_coloring = extend_two_edges(graph, copy_colors, *removed)
-        else:
-            # the host edge attached to the clean copy's first stub
-            host = replacement_host(t)
-            external = coloring_of_h.colors[host.n * span + host.incident(clean)[0]]
-            final_coloring = extend_vertex_star(graph, copy_colors, 0, external)
-
-    final = len(abnormal_set(graph, final_coloring))
+    copy_colors = {
+        f: coloring_of_h.colors[clean * span + pos]
+        for pos, f in enumerate(_kept_edges(graph, removed))
+    }
+    # vertex replacement: the first star edge copies the host edge at the copy's first stub
+    first = None if host is None else coloring_of_h.colors[units * span + host.incident(clean)[0]]
+    final = len(abnormal_set(graph, _complete(graph, copy_colors, removed, first)))
     return DemoReport(variant, t, h.n, len(bad), clean, final, bound, final <= bound)

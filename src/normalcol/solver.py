@@ -76,14 +76,17 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Solver knobs: colors, an optional bound on abnormal edges (results
-    above it are reported INFEASIBLE), and an optional node limit."""
+    """Solver knobs: colors (at least 3, as every vertex needs 3), an optional
+    bound on abnormal edges (results above it are reported INFEASIBLE), and
+    an optional node limit."""
 
     k: int = 5
     abnormal_budget: Optional[int] = None
     node_limit: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.k < 3:
+            raise ValueError("k must be at least 3: a cubic graph needs 3 colors at every vertex")
         if self.abnormal_budget is not None and self.abnormal_budget < 0:
             raise ValueError("abnormal_budget must be non-negative")
         if self.node_limit is not None and self.node_limit < 0:
@@ -266,9 +269,9 @@ def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveRes
     pieces, each permuted so that the bridge to its parent is poor.
 
     Returns status OPTIMAL with a witness attaining the minimum, INFEASIBLE
-    when no proper coloring satisfies the constraints (always the case for
-    k < 3; possible for k in {3, 4}; never for k >= 5 without a budget), or
-    LIMIT when the node limit ran out before a proof.  The budget and the
+    when no proper coloring satisfies the constraints (possible for k in
+    {3, 4}; never for k >= 5 without a budget), or LIMIT when the node
+    limit ran out before a proof.  The budget and the
     node limit bound sums over the pieces: each piece is searched with what
     the pieces before it left.  An infeasible piece makes G infeasible, and
     a LIMIT in any piece makes the result LIMIT; it carries a witness of G,
@@ -278,9 +281,6 @@ def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveRes
     """
     if cfg is None:
         cfg = SearchConfig()
-    if cfg.k < 3:
-        return SolveResult(SolveStatus.INFEASIBLE, -1, None, 0)
-
     k = cfg.k
     colors = [0] * graph.m
     total = nodes = 0

@@ -7,7 +7,7 @@ import pytest
 
 from normalcol.cli import main
 from normalcol.coloring import EdgeColoring, write_coloring
-from normalcol.constructions import Q3_TWO_ABNORMAL
+from normalcol.constructions import DEMO_VARIANTS, Q3_TWO_ABNORMAL, composite_graph
 from normalcol.formats import parse_graph, write_graph
 from normalcol.graphs import catalog
 from normalcol.petersen import canonical_petersen
@@ -171,6 +171,21 @@ def test_jaeger_above_five_colors_solves_at_five(files, capsys, k):
     assert json.loads(out)["checks"] == {"h_coloring": True, "roundtrip": True}
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--n", "4", "--k", "0"],
+    ["solve", "--graph", "K4", "--k", "2"],
+    ["jaeger", "--graph", "K4", "--k", "2"],
+])
+def test_fewer_than_three_colors_is_a_usage_error(files, capsys, argv):
+    # no cubic graph has a proper coloring in fewer than 3 colors, so a k
+    # below 3 is a bad argument, not an infeasible instance
+    argv = [str(files["k4"]) if a == "K4" else a for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_construct_roundtrips(files, capsys):
     code, out = run(capsys, [
         "construct", "--variant", "cyclic1", "--graph", str(files["k4"]), "--t", "3",
@@ -226,6 +241,19 @@ def test_construct_rejects_unknown_edge_id(files, capsys, tmp_path, flags):
     assert code == 1 and captured.out == ""
     bad = flags[flags.index("--edge") + 1]
     assert captured.err == f"error: unknown edge id {bad}\n"
+
+
+@pytest.mark.parametrize("t", [2, 3])
+@pytest.mark.parametrize("variant", DEMO_VARIANTS)
+@pytest.mark.parametrize("name", ["petersen", "k4"])
+def test_construct_prints_the_demo_composite(files, capsys, name, variant, t):
+    # construct's defaults (edge 0, the first 3-path, replacement_host(t),
+    # vertex 0) must build the composite that demo runs on
+    graph = files["petersen_el" if name == "petersen" else "k4"]
+    code, out = run(capsys, ["construct", "--variant", variant, "--graph", str(graph),
+                             "--t", str(t)])
+    assert code == 0
+    assert out == write_graph(composite_graph(catalog(name), variant, t))
 
 
 def test_demo_json(files, capsys):

@@ -87,7 +87,8 @@ def test_oracle_size_limit(petersen):
 
 
 def test_infeasible_below_three_colors(k4):
-    assert min_abnormal(k4, SearchConfig(k=2)).status is SolveStatus.INFEASIBLE
+    with pytest.raises(ValueError):
+        min_abnormal(k4, SearchConfig(k=2))
     assert exhaustive_oracle(k4, k=2).status is SolveStatus.INFEASIBLE
 
 
