@@ -53,7 +53,6 @@ from .solver import (
     SearchConfig,
     SolveResult,
     SolveStatus,
-    exhaustive_oracle,
     has_normal_k,
     min_abnormal,
     normal_chromatic_index,

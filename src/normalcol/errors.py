@@ -24,6 +24,3 @@ class ImproperColoringError(ValueError):
 class VerificationError(RuntimeError):
     """A claimed invariant failed an explicit runtime check."""
 
-
-class SizeLimitError(ValueError):
-    """Input exceeds the size limit of an exhaustive procedure."""

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, count
-from typing import Collection, Iterator
+from itertools import combinations
+from typing import Iterator
 
 from .errors import DegreeError, LoopError
 
@@ -152,73 +152,70 @@ class ConnectivityReport:
     cyclically_4_edge_connected: bool
 
 
-def _bridges(graph: CubicGraph, removed: Collection[int] = ()) -> tuple[int, list[int]]:
-    """Component count and bridge edge ids of the graph minus `removed`.
+def _cut_sets(graph: CubicGraph) -> tuple[int, list[int]]:
+    """Component count and each edge's set of fundamental cycles, as an int.
 
-    One iterative DFS with Tarjan's lowlink (Tarjan 1974).  A vertex skips
-    only the edge id it was entered by, so a parallel copy of that edge is a
-    back edge.
+    One breadth-first spanning forest.  Non-tree edge e closes one
+    fundamental cycle, bit 1 << e, and lies on no other; a tree edge lies on
+    those of the non-tree edges with one end below it, the XOR of the bits
+    below it, summed in one walk up the forest.  An edge set meets every cycle an even number of
+    times, so is a cut, exactly when its sets XOR to 0 (the cycle-space view
+    of cuts of Pritchard and Thurimella 2011, here over the full basis).
     """
     edges, inc = graph.edges, graph.incidence
-    disc = [-1] * graph.n
-    low = [0] * graph.n
-    tick = count()
-    bridges: list[int] = []
+    seen = [False] * graph.n
+    up = [-1] * graph.n  # tree edge to the parent, -1 at a root
+    below = [0] * graph.n  # XOR of the non-tree bits at, then under, a vertex
+    sets = [0] * graph.m
     components = 0
     for root in range(graph.n):
-        if disc[root] >= 0:
+        if seen[root]:
             continue
         components += 1
-        disc[root] = low[root] = next(tick)
-        stack = [(root, -1, iter(inc[root]))]
-        while stack:
-            v, entry, todo = stack[-1]
-            for eid in todo:
-                if eid == entry or eid in removed:
-                    continue
-                a, b = edges[eid]
-                w = b if a == v else a
-                if disc[w] < 0:
-                    disc[w] = low[w] = next(tick)
-                    stack.append((w, eid, iter(inc[w])))
-                    break
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-            else:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                    if low[v] > disc[u]:
-                        bridges.append(entry)
-    return components, bridges
+        seen[root] = True
+        queue = [root]
+        for v in queue:
+            for eid in inc[v]:
+                w = sum(edges[eid]) - v
+                if not seen[w]:
+                    seen[w] = True
+                    up[w] = eid
+                    queue.append(w)
+                elif eid != up[v]:  # non-tree: seen once from each end
+                    sets[eid] = 1 << eid
+                    below[v] ^= 1 << eid
+        for v in reversed(queue[1:]):  # children before parents; the root has no tree edge
+            sets[up[v]] = below[v]
+            below[sum(edges[up[v]]) - v] ^= below[v]
+    return components, sets
 
 
 def connectivity_report(graph: CubicGraph) -> ConnectivityReport:
     """Bridges, edge connectivity, and cyclic 4-edge-connectivity.
 
-    A side X of an s-edge cut of a cubic graph has (3|X| - s)/2 inner edges,
-    so it holds a cycle iff |X| >= s; a single vertex has 3 edges out.  So a
-    graph that is disconnected (lambda 0), has a bridge (lambda 1) or has a
-    2-cut (lambda 2: some G - e has a bridge) is not cyclically
+    Read off `_cut_sets`: a bridge has the empty set, a 2-cut is two edges
+    with equal sets.  A side X of an s-edge cut of a cubic graph has
+    (3|X| - s)/2 inner edges, so it holds a cycle iff |X| >= s; a single
+    vertex has 3 edges out.  So a graph that is disconnected (lambda 0), has
+    a bridge (lambda 1) or has a 2-cut (lambda 2) is not cyclically
     4-edge-connected.  Otherwise lambda = 3, as every vertex star is a 3-cut.
     A 3-cut then leaves two sides of odd size, and both hold a cycle unless
     the cut is a vertex star.  Two edges of a 3-cut that share a vertex v on
     side X make it v's star, or else X - v would be a side of a 2-cut.  So
-    the graph is cyclically 4-edge-connected iff G - e - f has no bridge for
-    every pair of edges e, f that share no endpoint.
+    the graph is cyclically 4-edge-connected iff no edges e, f sharing no
+    endpoint have sets[e] ^ sets[f] equal to the set of a third edge.
     """
-    components, bridges = _bridges(graph)
+    components, sets = _cut_sets(graph)
     if components != 1:  # the empty graph has no cut at all
-        return ConnectivityReport(not bridges, 0, components == 0)
-    if bridges:
+        return ConnectivityReport(0 not in sets, 0, components == 0)
+    if 0 in sets:
         return ConnectivityReport(False, 1, False)
-    if any(_bridges(graph, (e,))[1] for e in range(graph.m)):
+    distinct = set(sets)
+    if len(distinct) < graph.m:
         return ConnectivityReport(True, 2, False)
     ends = [set(uv) for uv in graph.edges]
     cyc4 = not any(
-        _bridges(graph, (e, f))[1]
+        sets[e] ^ sets[f] in distinct
         for e, f in combinations(range(graph.m), 2)
         if ends[e].isdisjoint(ends[f])
     )
@@ -226,7 +223,7 @@ def connectivity_report(graph: CubicGraph) -> ConnectivityReport:
 
 
 def is_connected(graph: CubicGraph) -> bool:
-    return _bridges(graph)[0] == 1
+    return _cut_sets(graph)[0] == 1
 
 
 def enumerate_paths_of_length_three(graph: CubicGraph) -> Iterator[tuple[int, int, int]]:

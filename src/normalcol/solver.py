@@ -1,8 +1,8 @@
 """Exact minimization of abnormal edges over proper k-edge-colorings.
 
 `min_abnormal` splits G at its bridges and solves each piece on its own.
-The pieces are the components of G minus its bridges (`graphs._bridges`
-finds them in one Tarjan pass); in a piece, each bridge at one of its
+The pieces are the components of G minus its bridges (the edges in no
+cycle, read off `graphs._cut_sets`); in a piece, each bridge at one of its
 vertices becomes a pendant edge to a new degree-1 vertex.  The minimum of G
 is the sum of the piece minima, for every k >= 3:
 
@@ -43,23 +43,18 @@ A connected bridgeless graph is one piece with its own vertex and edge
 order, so its search is the plain search of the whole graph.  The budget
 and the node limit bound sums over the pieces: each piece gets what the
 pieces before it left over.
-
-`exhaustive_oracle` enumerates every proper coloring in plain edge id order
-with no bounding, no symmetry reduction and no decomposition; it exists to
-validate the branch and bound on small inputs and shares none of its
-shortcuts.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
 from .coloring import EdgeColoring
-from .errors import SizeLimitError
-from .graphs import CubicGraph, _bridges, connectivity_report
+from .graphs import CubicGraph, _cut_sets, connectivity_report
 
 _POP = tuple(bin(i).count("1") for i in range(1 << 7))  # palettes within colors 1..7
 
@@ -122,7 +117,7 @@ class _Piece:
 
 def _pieces(graph: CubicGraph) -> list[_Piece]:
     """The pieces of G, each after its parent in the tree of pieces."""
-    bridges = set(_bridges(graph)[1])
+    bridges = {eid for eid, cycles in enumerate(_cut_sets(graph)[1]) if not cycles}
     edges, inc = graph.edges, graph.incidence
     seen = [False] * graph.n
     pieces = []
@@ -234,12 +229,17 @@ def _search(
             pal[w] |= 1 << (c - 1)
             ncol[w] += 1
 
+    # search recurses once per colored edge, which may pass the default limit
+    depth = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + m)
     try:
         search(0, 3)
         status = SolveStatus.INFEASIBLE if best_colors is None else SolveStatus.OPTIMAL
     except _NodeLimit:
         # no coloring has fewer than 0 abnormal edges
         status = SolveStatus.OPTIMAL if best == 0 else SolveStatus.LIMIT
+    finally:
+        sys.setrecursionlimit(depth)
     if best_colors is None:
         return status, -1, None, nodes
     return status, best, best_colors, nodes
@@ -298,67 +298,6 @@ def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveRes
         for f, c in enumerate(piece_colors):
             colors[piece.eids[f]] = perm[c]
     return SolveResult(status, total, EdgeColoring(k, tuple(colors)), nodes)
-
-
-def exhaustive_oracle(graph: CubicGraph, k: int = 5, max_edges: int = 18) -> SolveResult:
-    """Brute-force minimum over all proper k-edge-colorings, no pruning.
-
-    Enumerates colorings edge by edge in id order, rejecting only improper
-    partial assignments.  Limited to small graphs; used as the independent
-    correctness oracle for min_abnormal.
-    """
-    if graph.m > max_edges:
-        raise SizeLimitError(f"{graph.m} edges exceed the oracle limit {max_edges}")
-    if k < 3:
-        return SolveResult(SolveStatus.INFEASIBLE, -1, None, 0)
-
-    n, m = graph.n, graph.m
-    endpoints = graph.edges
-    color = [0] * m
-    pal = [0] * n
-    state = {"nodes": 0, "best": m + 1}
-    best_witness: list[Optional[tuple[int, ...]]] = [None]
-
-    # with the static edge order, edge f is classifiable right after the last
-    # edge incident to its endpoints gets its color
-    last_at = [max(graph.incident(v)) for v in range(n)]
-    decided_at: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for f, (a, b) in enumerate(endpoints):
-        decided_at[max(last_at[a], last_at[b])].append((a, b))
-
-    def run(eid: int, committed: int) -> None:
-        if eid == m:
-            if committed < state["best"]:
-                state["best"] = committed
-                best_witness[0] = tuple(color)
-            return
-        u, v = endpoints[eid]
-        save_u, save_v = pal[u], pal[v]
-        forbidden = save_u | save_v
-        steps = decided_at[eid]
-        for c in range(1, k + 1):
-            bit = 1 << (c - 1)
-            if forbidden & bit:
-                continue
-            state["nodes"] += 1
-            color[eid] = c
-            pal[u] = save_u | bit
-            pal[v] = save_v | bit
-            delta = 0
-            for a, b in steps:
-                if (pal[a] | pal[b]).bit_count() == 4:
-                    delta += 1
-            run(eid + 1, committed + delta)
-        pal[u] = save_u
-        pal[v] = save_v
-        color[eid] = 0
-
-    run(0, 0)
-    if best_witness[0] is None:
-        return SolveResult(SolveStatus.INFEASIBLE, -1, None, state["nodes"])
-    return SolveResult(
-        SolveStatus.OPTIMAL, state["best"], EdgeColoring(k, best_witness[0]), state["nodes"]
-    )
 
 
 def has_normal_k(graph: CubicGraph, k: int) -> Optional[EdgeColoring]:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 import pytest
 
+from normalcol.coloring import EdgeColoring
 from normalcol.graphs import CubicGraph, catalog
+from normalcol.solver import SolveResult, SolveStatus
 
 
 @pytest.fixture
@@ -120,6 +123,67 @@ def random_bridge_tree(
     rng.shuffle(label)
     rng.shuffle(edges)
     return CubicGraph(len(label), tuple((label[u], label[v]) for u, v in edges))
+
+
+def exhaustive_oracle(graph: CubicGraph, k: int = 5, max_edges: int = 18) -> SolveResult:
+    """Brute-force minimum over all proper k-edge-colorings, no pruning.
+
+    Enumerates colorings edge by edge in id order, rejecting only improper
+    partial assignments.  Limited to small graphs; used as the independent
+    correctness oracle for min_abnormal.
+    """
+    if graph.m > max_edges:
+        raise ValueError(f"{graph.m} edges exceed the oracle limit {max_edges}")
+    if k < 3:
+        return SolveResult(SolveStatus.INFEASIBLE, -1, None, 0)
+
+    n, m = graph.n, graph.m
+    endpoints = graph.edges
+    color = [0] * m
+    pal = [0] * n
+    state = {"nodes": 0, "best": m + 1}
+    best_witness: list[Optional[tuple[int, ...]]] = [None]
+
+    # with the static edge order, edge f is classifiable right after the last
+    # edge incident to its endpoints gets its color
+    last_at = [max(graph.incident(v)) for v in range(n)]
+    decided_at: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for f, (a, b) in enumerate(endpoints):
+        decided_at[max(last_at[a], last_at[b])].append((a, b))
+
+    def run(eid: int, committed: int) -> None:
+        if eid == m:
+            if committed < state["best"]:
+                state["best"] = committed
+                best_witness[0] = tuple(color)
+            return
+        u, v = endpoints[eid]
+        save_u, save_v = pal[u], pal[v]
+        forbidden = save_u | save_v
+        steps = decided_at[eid]
+        for c in range(1, k + 1):
+            bit = 1 << (c - 1)
+            if forbidden & bit:
+                continue
+            state["nodes"] += 1
+            color[eid] = c
+            pal[u] = save_u | bit
+            pal[v] = save_v | bit
+            delta = 0
+            for a, b in steps:
+                if (pal[a] | pal[b]).bit_count() == 4:
+                    delta += 1
+            run(eid + 1, committed + delta)
+        pal[u] = save_u
+        pal[v] = save_v
+        color[eid] = 0
+
+    run(0, 0)
+    if best_witness[0] is None:
+        return SolveResult(SolveStatus.INFEASIBLE, -1, None, state["nodes"])
+    return SolveResult(
+        SolveStatus.OPTIMAL, state["best"], EdgeColoring(k, best_witness[0]), state["nodes"]
+    )
 
 
 @pytest.fixture

@@ -32,13 +32,12 @@ from normalcol.petersen import (
 )
 from normalcol.solver import (
     SolveStatus,
-    exhaustive_oracle,
     has_normal_k,
     min_abnormal,
     scan_no_single_abnormal,
 )
 
-from conftest import bridged_multigraph, domino_multigraph, triple_edge
+from conftest import bridged_multigraph, domino_multigraph, exhaustive_oracle, triple_edge
 
 EXPECTED_CLASSES = {4: 1, 6: 2, 8: 5, 10: 19}
 

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import normalcol
 from normalcol.cli import main
 from normalcol.coloring import EdgeColoring, write_coloring
 from normalcol.constructions import DEMO_VARIANTS, Q3_TWO_ABNORMAL, composite_graph
@@ -125,6 +131,39 @@ def test_scan_deterministic_bytes(files, capsys):
     _, first = run(capsys, ["scan", "--n", "6", "--out", "json"])
     _, second = run(capsys, ["scan", "--n", "6", "--out", "json"])
     assert first == second
+
+
+# full stdout sha256 of the default scan reports; a change here means the
+# minima, statuses, node counts or witnesses moved
+SCAN_SHA256 = {
+    ("--n", "10"): "7db320f472f92f28ebdac92a61eddc50d2d27c703e6361e52278d30e3f2beb4f",
+    ("--n", "12"): "ab87bc6eba064bfc9560c65ca7ba1590e68f2d321fa2c7fd9e5ae761b0182b58",
+    ("--n", "12", "--out", "json"):
+        "e28bbddfc5170afaa58587090ac6335d417d5da1d3f5efa638f2420da58f383c",
+}
+
+
+@pytest.mark.parametrize("flags", list(SCAN_SHA256), ids=" ".join)
+def test_scan_bytes_pinned(capsys, flags):
+    code, out = run(capsys, ["scan", *flags])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_SHA256[flags]
+
+
+def test_solve_deeper_than_the_recursion_limit(tmp_path):
+    # 1,050 edges in one bridgeless piece: the search recurses once per
+    # colored edge, past the interpreter's default limit of 1,000 frames
+    path = tmp_path / "prism700.el"
+    path.write_text(write_graph(catalog("prism", 350), "edge-list"))
+    src = str(Path(normalcol.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-m", "normalcol", "solve", "--graph", str(path)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "Traceback" not in out.stderr
+    obj = json.loads(out.stdout)
+    assert (obj["status"], obj["min_abnormal"]) == ("optimal", 0)
+    assert obj["checks"]["witness_proper"] is True
 
 
 def test_jaeger_roundtrip(files, capsys):

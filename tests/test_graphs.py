@@ -6,7 +6,12 @@ from itertools import combinations
 
 import pytest
 
-from normalcol.constructions import composite_graph, two_cut_connection, vertex_replacement
+from normalcol.constructions import (
+    DEMO_VARIANTS,
+    composite_graph,
+    two_cut_connection,
+    vertex_replacement,
+)
 from normalcol.errors import DegreeError, LoopError
 from normalcol.generate import enumerate_cubic
 from normalcol.graphs import (
@@ -15,11 +20,13 @@ from normalcol.graphs import (
     connectivity_report,
     is_connected,
 )
+from normalcol.solver import _pieces
 
 from conftest import (
     bridged_multigraph,
     bridged_simple_10,
     disjoint_union,
+    random_bridge_tree,
     random_bridged_multigraph,
     random_cubic_multigraph,
     triple_edge,
@@ -191,6 +198,12 @@ def _differential_corpus() -> list[CubicGraph]:
         graphs.append(two_cut_connection(g1, rng.randrange(g1.m), g2, rng.randrange(g2.m)))
     k4 = catalog("k4")
     graphs.append(vertex_replacement(k4, k4, 0))
+    graphs += [composite_graph(k4, variant, t) for variant in DEMO_VARIANTS for t in (2, 3)]
+    # labeled, not canonical: vertex and edge orders the classes never show
+    graphs += [g for g in enumerate_cubic(8) if rng.random() < 0.001]
+    for sizes in ([3, 3], [5, 3], [3, 2, 3], [3, 4, 3], [3, 2, 2, 3]):
+        chain = [(i, i + 1) for i in range(len(sizes) - 1)]
+        graphs += [random_bridge_tree(rng, sizes, chain) for _ in range(2)]
     return graphs
 
 
@@ -199,6 +212,12 @@ def test_connectivity_matches_brute_force():
     for graph in _differential_corpus():
         expected = brute_force_connectivity(graph)
         assert _report_tuple(graph) == expected, graph.edges
+        # the bridges the solver splits at are the edges whose removal adds
+        # a component
+        base = len(_components(graph, frozenset()))
+        assert is_connected(graph) == (base == 1), graph.edges
+        bridges = {e for e in range(graph.m) if len(_components(graph, frozenset((e,)))) > base}
+        assert {piece.via for piece in _pieces(graph) if piece.via >= 0} == bridges, graph.edges
         outcomes.append((expected, graph.has_parallel_edges()))
     # the corpus reaches every outcome a cubic graph can have, and bridgeless
     # graphs whose parallel edges a bridge pass must not take for bridges

@@ -2,17 +2,16 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 
 import pytest
 
 from normalcol.coloring import abnormal_set, is_normal, is_proper
-from normalcol.errors import SizeLimitError
 from normalcol.generate import enumerate_cubic
-from normalcol.graphs import CubicGraph, _bridges, catalog, connectivity_report, is_connected
+from normalcol.graphs import CubicGraph, _cut_sets, catalog, connectivity_report, is_connected
 from normalcol.solver import (
     SearchConfig,
     SolveStatus,
-    exhaustive_oracle,
     has_normal_k,
     min_abnormal,
     normal_chromatic_index,
@@ -23,6 +22,7 @@ from conftest import (
     bridged_multigraph,
     disjoint_union,
     domino_multigraph,
+    exhaustive_oracle,
     random_bridge_tree,
     random_bridged_multigraph,
     random_cubic_multigraph,
@@ -79,11 +79,6 @@ def test_oracle_equivalence(graph):
 def test_oracle_equivalence_k4_colors():
     g = catalog("q3")
     assert exhaustive_oracle(g, k=4).best_count == min_abnormal(g, SearchConfig(k=4)).best_count
-
-
-def test_oracle_size_limit(petersen):
-    with pytest.raises(SizeLimitError):
-        exhaustive_oracle(petersen, max_edges=12)
 
 
 def test_infeasible_below_three_colors(k4):
@@ -151,6 +146,18 @@ def test_search_order_pinned(petersen):
     assert nodes[False] == [170]
     result = min_abnormal(bridged_multigraph())
     assert (result.best_count, result.nodes_explored) == (BRIDGED_MIN, 8)
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # one bridgeless piece of 1,050 edges, more than the default limit of
+    # 1,000 frames; the search must neither crash nor leave the limit raised
+    prism = catalog("prism", 350)
+    depth = sys.getrecursionlimit()
+    result = min_abnormal(prism)
+    assert sys.getrecursionlimit() == depth
+    assert (result.status, result.best_count) == (SolveStatus.OPTIMAL, 0)
+    assert is_proper(prism, result.witness, 5)
+    assert is_normal(prism, result.witness)
 
 
 def test_node_limit(petersen):
@@ -321,7 +328,7 @@ def test_differential_bridge_pieces():
     # k = 5 costs the oracle about 2 s at 8 vertices, so it runs on one
     # chain of 3 blocks only; the 6-vertex graphs of 2 pieces get it above
     chain = graphs[2]
-    assert chain.n == 8 and len(_bridges(chain)[1]) == 2
+    assert chain.n == 8 and _cut_sets(chain)[1].count(0) == 2
     _check_against_oracle(chain, 5)
 
 
