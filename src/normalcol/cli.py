@@ -32,6 +32,7 @@ from .graphs import CubicGraph, catalog
 from .petersen import build_p_coloring, canonical_petersen, pullback, verify_h_coloring, write_p_coloring
 from .solver import (
     SearchConfig,
+    SolveStatus,
     _normal_index_with_witness,
     has_normal_k,
     min_abnormal,
@@ -141,6 +142,9 @@ def _cmd_solve(args) -> int:
     if not all(checks.values()):
         print("verification failure: witness checks failed", file=sys.stderr)
         return _VERIFY_EXIT
+    if result.status is SolveStatus.LIMIT:
+        print("incomplete: the node limit stopped the solve", file=sys.stderr)
+        return _INCOMPLETE_EXIT
     return 0
 
 

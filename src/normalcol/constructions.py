@@ -31,6 +31,14 @@ at both ends (the star's first edge copies `external`) and verify that the
 result is proper.  `pigeonhole_demo` completes its clean copy with the same
 greedy completion: one call for every variant, with the copied color only for
 vertex replacement and nothing to restore for disjoint copies.
+
+Without a given coloring, `pigeonhole_demo` solves the composite with one
+`min_abnormal` call at budget copies - 1.  The solver first probes each
+pendant-free piece (a bridgeless component) for a normal coloring and runs
+the budgeted search only when the probe proves there is none, so a
+composite with a normal coloring costs one normal-coloring search.  A node
+limit that stops a probe would give LIMIT with no witness; the demo sets no
+limit.
 """
 
 from __future__ import annotations
@@ -371,16 +379,6 @@ def replacement_host(t: int) -> CubicGraph:
     return catalog("prism", t if t % 2 == 0 else t + 1)
 
 
-def _solve_h_coloring(h: CubicGraph, units: int) -> EdgeColoring:
-    for budget in range(units):
-        result = min_abnormal(h, SearchConfig(k=5, abnormal_budget=budget))
-        if result.witness is not None:
-            return result.witness
-    raise VerificationError(
-        f"found no proper coloring of the composite with fewer than {units} abnormal edges"
-    )
-
-
 @dataclass(frozen=True)
 class _Composite:
     h: CubicGraph
@@ -437,7 +435,11 @@ def pigeonhole_demo(
     span = graph.m - len(removed)  # edges per copy in h
 
     if coloring_of_h is None:
-        coloring_of_h = _solve_h_coloring(h, units)
+        coloring_of_h = min_abnormal(h, SearchConfig(k=5, abnormal_budget=units - 1)).witness
+        if coloring_of_h is None:
+            raise VerificationError(
+                f"found no proper coloring of the composite with fewer than {units} abnormal edges"
+            )
     if not is_proper(h, coloring_of_h, 5):
         raise ImproperColoringError("supplied composite coloring is not proper")
 

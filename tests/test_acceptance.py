@@ -88,28 +88,33 @@ def test_criterion_1_no_single_abnormal(class_scans):
             assert report.single_abnormal_ids() == []
 
 
-@pytest.mark.skipif(not os.environ.get("NORMALCOL_SLOW"), reason="about 4 s; set NORMALCOL_SLOW=1")
-def test_criteria_1_and_2_at_n14():
-    with criterion(1, "no cubic graph with n = 14 has exact minimum 1; minimum 0 iff bridgeless"):
-        report = scan_no_single_abnormal(enumerate_cubic(14, distinct=True))
-        assert len(report.rows) == 509
-        assert sum(row.bridgeless for row in report.rows) == 480
+# n -> (classes (OEIS A002851), bridgeless classes, minima), each measured
+# by a full scan; the skip reasons give the time on a 2-core machine
+_OPT_IN_SCANS = {
+    14: (509, 480, {0: 480, 4: 29}),
+    16: (4060, 3874, {0: 3874, 4: 185, 6: 1}),
+    18: (41301, 39866, {0: 39866, 4: 1430, 6: 5}),
+}
+
+
+def _opt_in(n: int, seconds: str):
+    slow = pytest.mark.skipif(
+        not os.environ.get("NORMALCOL_SLOW"), reason=f"about {seconds}; set NORMALCOL_SLOW=1"
+    )
+    return pytest.param(n, marks=slow, id=f"n{n}")
+
+
+@pytest.mark.parametrize("n", [_opt_in(14, "1 s"), _opt_in(16, "6 s"), _opt_in(18, "80 s")])
+def test_criteria_1_and_2_opt_in(n):
+    classes, bridgeless, minima = _OPT_IN_SCANS[n]
+    with criterion(1, f"no cubic graph with n = {n} has exact minimum 1; minimum 0 iff bridgeless"):
+        report = scan_no_single_abnormal(enumerate_cubic(n, distinct=True))
+        assert len(report.rows) == classes
+        assert sum(row.bridgeless for row in report.rows) == bridgeless
         for row in report.rows:
             assert row.status is SolveStatus.OPTIMAL
             assert (row.min_abnormal == 0) == row.bridgeless
-        assert report.single_abnormal_ids() == []
-
-
-@pytest.mark.skipif(not os.environ.get("NORMALCOL_SLOW"), reason="about 65 s; set NORMALCOL_SLOW=1")
-def test_criteria_1_and_2_at_n16():
-    with criterion(1, "no cubic graph with n = 16 has exact minimum 1; minimum 0 iff bridgeless"):
-        report = scan_no_single_abnormal(enumerate_cubic(16, distinct=True))
-        assert len(report.rows) == 4060
-        assert sum(row.bridgeless for row in report.rows) == 3874
-        for row in report.rows:
-            assert row.status is SolveStatus.OPTIMAL
-            assert (row.min_abnormal == 0) == row.bridgeless
-        assert Counter(row.min_abnormal for row in report.rows) == {0: 3874, 4: 185, 6: 1}
+        assert Counter(row.min_abnormal for row in report.rows) == minima
         assert report.single_abnormal_ids() == []
 
 

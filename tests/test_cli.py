@@ -136,10 +136,10 @@ def test_scan_deterministic_bytes(files, capsys):
 # full stdout sha256 of the default scan reports; a change here means the
 # minima, statuses, node counts or witnesses moved
 SCAN_SHA256 = {
-    ("--n", "10"): "7db320f472f92f28ebdac92a61eddc50d2d27c703e6361e52278d30e3f2beb4f",
-    ("--n", "12"): "ab87bc6eba064bfc9560c65ca7ba1590e68f2d321fa2c7fd9e5ae761b0182b58",
+    ("--n", "10"): "46c7a812d903c4e4d614f0bac2ad7f84bf59fbe6fcd94d7454cdbd8cbae7a03b",
+    ("--n", "12"): "9df710c5bba9843b0433826318dcd69e14fa089a390470847388923dea00b9eb",
     ("--n", "12", "--out", "json"):
-        "e28bbddfc5170afaa58587090ac6335d417d5da1d3f5efa638f2420da58f383c",
+        "55727c40112159a62e9f9830367e66ce0d0fff27ffbc236aceb705cf8c291bc9",
 }
 
 
@@ -148,6 +148,38 @@ def test_scan_bytes_pinned(capsys, flags):
     code, out = run(capsys, ["scan", *flags])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_SHA256[flags]
+
+
+@pytest.mark.parametrize("out", ["tsv", "json"])
+def test_solve_node_limit_is_incomplete(files, capsys, out):
+    code = main(["solve", "--graph", str(files["petersen_s6"]), "--node-limit", "10",
+                 "--out", out])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "incomplete: the node limit stopped the solve" in captured.err
+    if out == "json":
+        obj = json.loads(captured.out)
+        assert (obj["status"], obj["min_abnormal"], obj["nodes"]) == ("limit", -1, 10)
+    else:
+        assert captured.out.splitlines()[-1] == "limit\t-1\t10"
+
+
+def test_solve_the_vertex_replacement_composite(files, capsys, tmp_path):
+    # 54 vertices, minimum 0: the normal-coloring probe finds a witness in
+    # 316,322 nodes; without it the search still held 19 abnormal edges
+    # after 2 M nodes
+    code, composite = run(capsys, [
+        "construct", "--variant", "vertex_replacement", "--graph", str(files["petersen_el"]),
+        "--t", "2",
+    ])
+    assert code == 0
+    path = tmp_path / "composite.el"
+    path.write_text(composite)
+    code, out = run(capsys, ["solve", "--graph", str(path), "--node-limit", "400000"])
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["status"], obj["min_abnormal"]) == ("optimal", 0)
+    assert obj["checks"] == {"witness_proper": True, "witness_count_matches": True}
 
 
 def test_solve_deeper_than_the_recursion_limit(tmp_path):

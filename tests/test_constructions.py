@@ -37,7 +37,7 @@ from normalcol.graphs import (
     is_connected,
 )
 from normalcol.petersen import canonical_petersen
-from normalcol.solver import min_abnormal
+from normalcol.solver import SearchConfig, SolveResult, SolveStatus, min_abnormal
 
 K4_PROPER = EdgeColoring(3, (1, 2, 3, 3, 2, 1))
 
@@ -601,6 +601,24 @@ def test_demo_rejects_bad_connectivity():
     )
     with pytest.raises(ValueError):
         pigeonhole_demo(bridged, "disjoint", 2)
+
+
+@pytest.mark.parametrize("variant, units", [("disjoint", 3), ("vertex_replacement", 6)])
+def test_demo_solves_with_one_budgeted_call(petersen, monkeypatch, variant, units):
+    # the demo asks for fewer abnormal edges than copies in one solve; a
+    # composite without such a coloring is a verification failure
+    from normalcol import constructions
+
+    calls = []
+
+    def no_witness(h, cfg):
+        calls.append(cfg)
+        return SolveResult(SolveStatus.INFEASIBLE, -1, None, 0)
+
+    monkeypatch.setattr(constructions, "min_abnormal", no_witness)
+    with pytest.raises(VerificationError, match=f"fewer than {units} abnormal edges"):
+        pigeonhole_demo(petersen, variant, 3)
+    assert calls == [SearchConfig(k=5, abnormal_budget=units - 1)]
 
 
 def test_replacement_host_shapes():

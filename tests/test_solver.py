@@ -133,16 +133,21 @@ def test_determinism(petersen):
 
 def test_search_order_pinned(petersen):
     # exact node counts fix the branch-edge rule, its tie-break, the
-    # pre-colored star and the color-introduction order; any change to the
-    # search order moves at least one of them
-    assert min_abnormal(petersen).nodes_explored == 12096
-    assert min_abnormal(petersen, SearchConfig(k=4)).nodes_explored == 5652
+    # pre-colored star, the color-introduction order and the normal-coloring
+    # probe; any change to the search order moves at least one of them.
+    # Petersen at k = 5 ends in its probe; at k = 4 the probe takes 67 nodes
+    # and proves there is no normal coloring, then the plain search runs
+    assert min_abnormal(petersen).nodes_explored == 355
+    assert min_abnormal(petersen, SearchConfig(k=4)).nodes_explored == 5719
+    # at k = 3 every proper coloring is normal, so the search runs once
+    assert min_abnormal(petersen, SearchConfig(k=3)).nodes_explored == 24
     # the one bridged class at n = 10 is split into its two bridge-free
-    # pieces; the 18 bridgeless ones are searched whole, as before
+    # pieces, both with a pendant edge, so neither is probed; the 18
+    # bridgeless ones are one pendant-free piece each
     nodes = {True: [], False: []}
     for g in enumerate_cubic(10, distinct=True):
         nodes[connectivity_report(g).bridgeless].append(min_abnormal(g).nodes_explored)
-    assert sum(nodes[True]) == 21749
+    assert sum(nodes[True]) == 1307
     assert nodes[False] == [170]
     result = min_abnormal(bridged_multigraph())
     assert (result.best_count, result.nodes_explored) == (BRIDGED_MIN, 8)
@@ -182,11 +187,33 @@ def test_node_limit_after_a_normal_coloring_is_optimal(q3):
 
 
 def test_node_limit_keeps_sound_incumbent(petersen):
-    result = min_abnormal(petersen, SearchConfig(node_limit=100))
+    # at k = 4 the 67-node probe finds no normal coloring, and the plain
+    # search has an incumbent by node 100
+    result = min_abnormal(petersen, SearchConfig(k=4, node_limit=100))
     assert result.status is SolveStatus.LIMIT
     assert result.witness is not None
-    assert is_proper(petersen, result.witness, 5)
+    assert is_proper(petersen, result.witness, 4)
     assert len(abnormal_set(petersen, result.witness)) == result.best_count
+
+
+def test_node_limit_through_the_probe(petersen):
+    # Petersen at k = 4: the probe takes 67 nodes, the whole solve 5,719;
+    # a limit inside the probe stops it before any coloring is found
+    probe, full = 67, min_abnormal(petersen, SearchConfig(k=4))
+    assert min_abnormal(petersen, SearchConfig(k=4, abnormal_budget=0)).nodes_explored == probe
+    assert (full.status, full.nodes_explored) == (SolveStatus.OPTIMAL, 5719)
+    for limit in [*range(201), *range(300, 5801, 100), 5718, 5719]:
+        result = min_abnormal(petersen, SearchConfig(k=4, node_limit=limit))
+        assert result.nodes_explored <= limit
+        if limit <= probe:
+            assert (result.status, result.witness) == (SolveStatus.LIMIT, None)
+        if result.witness is not None:
+            assert is_proper(petersen, result.witness, 4)
+            assert len(abnormal_set(petersen, result.witness)) == result.best_count
+        if limit >= full.nodes_explored:
+            assert result == full
+        else:
+            assert result.status is SolveStatus.LIMIT
 
 
 def test_solver_on_disconnected_graph(petersen):
