@@ -293,11 +293,17 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_question31(args) -> int:
-    report = scan_no_single_abnormal(enumerate_cubic(args.n, distinct=True))
+    # at budget 2 a minimum above 2 ends INFEASIBLE without an optimality proof
+    graphs = enumerate_cubic(args.n, distinct=True)
+    report = scan_no_single_abnormal(graphs, SearchConfig(abnormal_budget=2))
     rows = [
-        {"graph_id": r.graph_id, "min_abnormal": best, "has_normal_5": best == 0}
+        {
+            "graph_id": r.graph_id,
+            "min_abnormal": r.min_abnormal,
+            "has_normal_5": r.min_abnormal == 0,
+        }
         for r in report.rows
-        if r.bridgeless and (best := r.min_abnormal) <= 2
+        if r.bridgeless and r.status is SolveStatus.OPTIMAL
     ]
     violations = [r["graph_id"] for r in rows if not r["has_normal_5"]]
     obj = {"n": args.n, "rows": rows, "violations": violations}

@@ -26,7 +26,12 @@ lists (color, palette bitmask, number of colored edges):
   somewhere (color classes are interchangeable, so both reductions
   preserve the minimum);
 * the branch edge is the uncolored edge whose endpoint stars forbid the most
-  colors, ties broken by lowest edge id;
+  colors, ties broken by lowest edge id.  The uncolored edge ids are kept
+  in a list in id order: the branch edge leaves it while its colors are
+  tried and goes back at its old index, so the scan walks only that list.
+  Each end of an uncolored edge has at most 2 other colored edges, so no
+  edge forbids more than 4 colors, and the scan stops at the first edge
+  that forbids 4;
 * an edge is classified once both endpoint stars are full; a pendant
   vertex has one edge, so its star never fills.  Coloring uv can fill the
   star of u, of v, or both, and a star it fills has just become full.  So
@@ -36,8 +41,9 @@ lists (color, palette bitmask, number of colored edges):
 * undoing a color is one XOR per palette, since the color was absent from
   both endpoint stars;
 * the incumbent bound starts at min(|E|, budget) + 1, so one test
-  `committed >= best` cuts both the branches that cannot beat the incumbent
-  and those over the configured budget.
+  `count < best` cuts both the branches that cannot beat the incumbent and
+  those over the configured budget.  It is made before recursing: a child
+  that fails it counts as a node but is never called.
 
 A pendant-free piece, that is a bridgeless component of G with its own
 vertex and edge order, is first probed with cap 0: the search looks for a
@@ -180,28 +186,33 @@ def _search(
     best = m + 1 if cap is None else min(m, cap) + 1
     best_colors: Optional[tuple[int, ...]] = None
     nodes = 0
+    stop = -1 if limit is None else limit
+    # the (color, bit) pairs a node may try, indexed by the largest color used
+    choices = [
+        tuple((c, 1 << (c - 1)) for c in range(1, min(k, used + 1) + 1)) for used in range(k + 1)
+    ]
 
     def search(committed: int, max_used: int) -> None:
         nonlocal best, best_colors, nodes
-        if committed >= best:
-            return
         eid, score = -1, -1
-        for f in range(m):
-            if not color[f]:
-                a, b = endpoints[f]
-                s = pop[pal[a] | pal[b]]
-                if s > score:
-                    eid, score = f, s
+        for f in uncolored:
+            a, b = endpoints[f]
+            s = pop[pal[a] | pal[b]]
+            if s > score:
+                eid, score = f, s
+                if s == 4:  # no edge forbids more: 2 colored edges at each end
+                    break
         if eid < 0:
             best, best_colors = committed, tuple(color)
             return
+        i = uncolored.index(eid)
+        del uncolored[i]
         u, v = endpoints[eid]
         forbidden = pal[u] | pal[v]
-        for c in range(1, min(k, max_used + 1) + 1):
-            bit = 1 << (c - 1)
+        for c, bit in choices[max_used]:
             if forbidden & bit:
                 continue
-            if limit is not None and nodes == limit:
+            if nodes == stop:
                 raise _NodeLimit
             nodes += 1
             color[eid] = c
@@ -209,22 +220,24 @@ def _search(
             pal[v] |= bit
             ncol[u] += 1
             ncol[v] += 1
-            delta = 0
+            count = committed
             if ncol[u] == 3:
                 for x in nbrs[u]:
                     if ncol[x] == 3 and pop[pal[u] | pal[x]] == 4:
-                        delta += 1
+                        count += 1
             if ncol[v] == 3:
                 for x in nbrs[v]:
                     if x != u and ncol[x] == 3 and pop[pal[v] | pal[x]] == 4:
-                        delta += 1
-            search(committed + delta, max(max_used, c))
+                        count += 1
+            if count < best:  # else the child is pruned without a call
+                search(count, c if c > max_used else max_used)
             # bit is not in forbidden, so XOR restores both palettes
             pal[u] ^= bit
             pal[v] ^= bit
             ncol[u] -= 1
             ncol[v] -= 1
             color[eid] = 0
+        uncolored.insert(i, eid)
 
     # pre-color the star of vertex 0 (proper colorings always admit a color
     # permutation putting 1, 2, 3 there in edge id order); no edge is
@@ -235,6 +248,7 @@ def _search(
         for w in endpoints[eid]:
             pal[w] |= 1 << (c - 1)
             ncol[w] += 1
+    uncolored = [f for f in range(m) if not color[f]]  # id order, kept by search
 
     # search recurses once per colored edge, which may pass the default limit
     depth = sys.getrecursionlimit()

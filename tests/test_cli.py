@@ -360,6 +360,24 @@ def test_question31_rows_json(capsys):
     assert obj["violations"] == []
 
 
+def test_question31_matches_the_unbudgeted_filter(capsys):
+    # question31 solves at budget 2; the reference proves every minimum and
+    # keeps the bridgeless rows at most 2
+    from normalcol.generate import enumerate_cubic
+    from normalcol.solver import scan_no_single_abnormal
+
+    code, out = run(capsys, ["question31", "--n", "10", "--out", "json"])
+    assert code == 0
+    report = scan_no_single_abnormal(enumerate_cubic(10, distinct=True))
+    expected = [
+        {"graph_id": r.graph_id, "min_abnormal": r.min_abnormal, "has_normal_5": r.min_abnormal == 0}
+        for r in report.rows
+        if r.bridgeless and r.min_abnormal <= 2
+    ]
+    assert expected  # the n = 10 classes do reach the filter
+    assert json.loads(out) == {"n": 10, "rows": expected, "violations": []}
+
+
 def test_plot_svg(files, capsys):
     code, out = run(capsys, [
         "plot", "--graph", str(files["petersen_el"]), "--coloring", str(files["kneser"]),

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from normalcol.coloring import abnormal_set, is_normal, is_proper
+from normalcol.constructions import composite_graph
 from normalcol.generate import enumerate_cubic
 from normalcol.graphs import CubicGraph, _cut_sets, catalog, connectivity_report, is_connected
 from normalcol.solver import (
@@ -151,6 +152,22 @@ def test_search_order_pinned(petersen):
     assert nodes[False] == [170]
     result = min_abnormal(bridged_multigraph())
     assert (result.best_count, result.nodes_explored) == (BRIDGED_MIN, 8)
+
+
+def test_search_order_pinned_on_composites(petersen):
+    # the budget-0 solves behind the extension-bound demos: the composites
+    # of the Petersen graph (each ends in its probe), and Petersen at k = 6
+    # and at k = 8, where palettes outgrow the popcount table
+    for variant, t, nodes in [
+        ("disjoint", 3, 1065),
+        ("cyclic1", 3, 3006),
+        ("cyclic2", 3, 91),
+        ("vertex_replacement", 2, 316322),
+    ]:
+        result = min_abnormal(composite_graph(petersen, variant, t), SearchConfig(abnormal_budget=0))
+        assert (result.best_count, result.nodes_explored) == (0, nodes), variant
+    assert min_abnormal(petersen, SearchConfig(k=6)).nodes_explored == 1367
+    assert min_abnormal(petersen, SearchConfig(k=8)).nodes_explored == 36
 
 
 def test_search_deeper_than_the_recursion_limit():
