@@ -33,7 +33,7 @@ from .petersen import build_p_coloring, canonical_petersen, pullback, verify_h_c
 from .solver import (
     SearchConfig,
     SolveStatus,
-    _normal_index_with_witness,
+    _normal_index_witness,
     has_normal_k,
     min_abnormal,
     scan_no_single_abnormal,
@@ -51,22 +51,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_USAGE_EXIT)
 
 
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _read(path: str) -> tuple[str, str]:
+    """A file's text, decoded as UTF-8, and the SHA-256 of the bytes read."""
+    data = Path(path).read_bytes()
+    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
 
 
-def _read_graph(path: str, fmt: str = "auto") -> CubicGraph:
-    text = Path(path).read_text()
-    return parse_graph(text, detect_format(text) if fmt == "auto" else fmt)
+def _read_graph(path: str, fmt: str = "auto") -> tuple[CubicGraph, str]:
+    text, digest = _read(path)
+    return parse_graph(text, detect_format(text) if fmt == "auto" else fmt), digest
 
 
 def _load_graph(args) -> tuple[CubicGraph, dict[str, str]]:
-    return _read_graph(args.graph, args.format), {"graph": _sha256(args.graph)}
+    graph, digest = _read_graph(args.graph, args.format)
+    return graph, {"graph": digest}
 
 
 def _load_coloring(args, hashes: dict[str, str]) -> EdgeColoring:
-    text = Path(args.coloring).read_text()
-    hashes["coloring"] = _sha256(args.coloring)
+    text, hashes["coloring"] = _read(args.coloring)
     return read_coloring(text)
 
 
@@ -150,7 +152,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_chi_n(args) -> int:
     graph, hashes = _load_graph(args)
-    index, witness = _normal_index_with_witness(graph)
+    witness = _normal_index_witness(graph)
+    index = None if witness is None else witness.k
     # no index is a certified answer: k = m admits every coloring there is
     checks = {} if witness is None else {"witness_normal": is_normal(graph, witness)}
     if args.out == "json":
@@ -255,10 +258,10 @@ def _cmd_construct(args) -> int:
             e1, e2 = constructions.default_three_path(graph)
         out = constructions.cyclic_join_two_edges(graph, e1, e2, args.t)
     elif variant == "vertex_replacement":
-        host = _read_graph(args.graph2) if args.graph2 else constructions.replacement_host(args.t)
+        host = _read_graph(args.graph2)[0] if args.graph2 else constructions.replacement_host(args.t)
         out = constructions.vertex_replacement(host, graph, args.vertex)
     elif variant == "two_cut":
-        other = _read_graph(args.graph2) if args.graph2 else catalog("k4")
+        other = _read_graph(args.graph2)[0] if args.graph2 else catalog("k4")
         e1 = args.edge if args.edge is not None else 0
         e2 = args.edge2 if args.edge2 is not None else 0
         out = constructions.two_cut_connection(graph, e1, other, e2)

@@ -64,21 +64,25 @@ def palette(graph: CubicGraph, coloring: EdgeColoring, v: int) -> frozenset[int]
     return frozenset(coloring.colors[eid] for eid in graph.incident(v))
 
 
+def _palette_masks(graph: CubicGraph, coloring: EdgeColoring) -> list[int]:
+    """Every vertex's palette bitmask, in one pass over the edges."""
+    _check_total(graph, coloring)
+    masks = [0] * graph.n
+    for (u, v), c in zip(graph.edges, coloring.colors):
+        masks[u] |= 1 << (c - 1)
+        masks[v] |= 1 << (c - 1)
+    return masks
+
+
 def is_proper(graph: CubicGraph, coloring: EdgeColoring, k: int | None = None) -> bool:
     """True iff every vertex sees 3 distinct colors, all within 1..k."""
-    _check_total(graph, coloring)
-    if k is None:
-        k = coloring.k
-    if any(c > k for c in coloring.colors):
-        return False
-    for v in range(graph.n):
-        if bin(palette_mask(graph, coloring, v)).count("1") != 3:
-            return False
-    return True
+    masks = _palette_masks(graph, coloring)
+    k = coloring.k if k is None else k
+    return all(c <= k for c in coloring.colors) and all(mask.bit_count() == 3 for mask in masks)
 
 
 def _classify_mask(union_mask: int) -> EdgeClass:
-    size = bin(union_mask).count("1")
+    size = union_mask.bit_count()
     if size == 3:
         return EdgeClass.POOR
     if size == 5:
@@ -92,15 +96,15 @@ def classify_edge(graph: CubicGraph, coloring: EdgeColoring, eid: int) -> EdgeCl
     _check_total(graph, coloring)
     u, v = graph.endpoints(eid)
     mask_u, mask_v = palette_mask(graph, coloring, u), palette_mask(graph, coloring, v)
-    if bin(mask_u).count("1") != 3 or bin(mask_v).count("1") != 3:
+    if mask_u.bit_count() != 3 or mask_v.bit_count() != 3:
         raise ImproperColoringError("classification requires a proper coloring at both ends")
     return _classify_mask(mask_u | mask_v)
 
 
 def classify_all(graph: CubicGraph, coloring: EdgeColoring) -> tuple[EdgeClass, ...]:
-    if not is_proper(graph, coloring):
+    masks = _palette_masks(graph, coloring)
+    if any(mask.bit_count() != 3 for mask in masks):
         raise ImproperColoringError("classification requires a proper coloring")
-    masks = [palette_mask(graph, coloring, v) for v in range(graph.n)]
     return tuple(
         _classify_mask(masks[u] | masks[v]) for u, v in graph.edges
     )

@@ -34,7 +34,7 @@ vertex replacement and nothing to restore for disjoint copies.
 
 Without a given coloring, `pigeonhole_demo` solves the composite with one
 `min_abnormal` call at budget copies - 1.  The solver first probes each
-pendant-free piece (a bridgeless component) for a normal coloring and runs
+bridgeless component for a normal coloring and runs
 the budgeted search only when the probe proves there is none, so a
 composite with a normal coloring costs one normal-coloring search.  A node
 limit that stops a probe would give LIMIT with no witness; the demo sets no

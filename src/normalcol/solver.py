@@ -2,14 +2,16 @@
 
 `min_abnormal` splits G at its bridges and solves each piece on its own.
 The pieces are the components of G minus its bridges (the edges in no
-cycle, read off `graphs._cut_sets`); in a piece, each bridge at one of its
-vertices becomes a pendant edge to a new degree-1 vertex.  The minimum of G
-is the sum of the piece minima, for every k >= 3:
+cycle, read off `graphs._cut_sets`).  A piece is searched in G's own vertex
+and edge ids, over the edges at its vertices, the bridges among them.  A
+bridge's far end lies in another piece, so its star never fills during this
+piece's search and the bridge is never classified.  The minimum of G is the
+sum of the piece minima, for every k >= 3:
 
 * a coloring of G restricts to a coloring of every piece, in which every
   non-bridge edge has the same two palettes, so it is abnormal in G iff it
-  is abnormal in its piece (a pendant edge is never classified).  A bridge
-  may be abnormal in G, so G has at least the sum of the piece counts;
+  is abnormal in its piece.  A bridge may be abnormal in G, so G has at
+  least the sum of the piece counts;
 * conversely, walk the tree of pieces top-down from a root piece.  A child
   piece meets its parent at one bridge xy, x in the parent; permute the
   child's colors so that the bridge color and the other two colors at y
@@ -18,13 +20,15 @@ is the sum of the piece minima, for every k >= 3:
   has exactly the sum of the piece counts as abnormal edges.
 
 Each piece runs the same depth-first branch and bound over edge colors, a
-recursive `search(committed, max_used)` over plain per-edge and per-vertex
-lists (color, palette bitmask, number of colored edges):
+recursive `search(committed, max_used)` over two plain lists indexed by G's
+ids, built once per solve: the color of each edge and the palette bitmask
+of each vertex.  In a proper partial coloring a vertex has as many colored
+edges as its palette has colors, so a star is full when its palette holds 3.
 
-* the three edges at the piece's lowest-id vertex of G are pre-colored 1,
-  2, 3, and a color may only be introduced once all smaller colors appear
-  somewhere (color classes are interchangeable, so both reductions
-  preserve the minimum);
+* the three edges at the piece's lowest vertex are pre-colored 1, 2, 3, and
+  a color may only be introduced once all smaller colors appear somewhere
+  (color classes are interchangeable, so both reductions preserve the
+  minimum).  A piece with m edges therefore uses at most min(k, m) colors;
 * the branch edge is the uncolored edge whose endpoint stars forbid the most
   colors, ties broken by lowest edge id.  The uncolored edge ids are kept
   in a list in id order: the branch edge leaves it while its colors are
@@ -32,30 +36,28 @@ lists (color, palette bitmask, number of colored edges):
   Each end of an uncolored edge has at most 2 other colored edges, so no
   edge forbids more than 4 colors, and the scan stops at the first edge
   that forbids 4;
-* an edge is classified once both endpoint stars are full; a pendant
-  vertex has one edge, so its star never fills.  Coloring uv can fill the
-  star of u, of v, or both, and a star it fills has just become full.  So
-  the edges at u whose other star is full are counted first, then those at
-  v except the ones going back to u, which u already counted; each counts
-  as abnormal when the two palettes together hold 4 colors;
+* an edge is classified once both endpoint stars are full.  Coloring uv can
+  fill the star of u, of v, or both, and a star it fills has just become
+  full.  So the edges at u whose other star is full are counted first, then
+  those at v except the ones going back to u, which u already counted; each
+  counts as abnormal when the two palettes together hold 4 colors;
 * undoing a color is one XOR per palette, since the color was absent from
-  both endpoint stars;
-* the incumbent bound starts at min(|E|, budget) + 1, so one test
+  both endpoint stars, so a finished search leaves both lists clean;
+* the incumbent bound starts at min(m, budget) + 1, so one test
   `count < best` cuts both the branches that cannot beat the incumbent and
   those over the configured budget.  It is made before recursing: a child
   that fails it counts as a node but is never called.
 
-A pendant-free piece, that is a bridgeless component of G with its own
-vertex and edge order, is first probed with cap 0: the search looks for a
-normal coloring.  Only when the probe proves there is none and the budget
-is not 0 does the plain search run with the configured cap.  At k = 3 every
-proper coloring is normal, so the plain search runs alone.  A piece with a
-pendant edge gets the plain search alone; for k <= 5 a leaf piece never has
-a normal coloring, as two copies glued at its pendant would be a normal
-coloring of a cubic graph with a bridge.  The budget and the node limit
-bound sums over the pieces and their searches: each search gets what the
-ones before it left over, so a limit inside a probe ends in LIMIT with no
-witness.
+A piece that no bridge meets, that is a bridgeless component of G, is first
+probed with cap 0: the search looks for a normal coloring.  Only when the
+probe proves there is none and the budget is not 0 does the plain search
+run with the configured cap.  At k = 3 every proper coloring is normal, so
+the plain search runs alone.  A piece with a bridge gets the plain search
+alone; for k <= 5 a leaf piece never has a normal coloring, as two copies
+glued at its bridge would be a normal coloring of a cubic graph with a
+bridge.  The budget and the node limit bound sums over the pieces and their
+searches: each search gets what the ones before it left over, so a limit
+inside a probe ends in LIMIT with no witness.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from typing import Iterable, Optional
 from .coloring import EdgeColoring
 from .graphs import CubicGraph, _cut_sets, connectivity_report
 
-_POP = tuple(bin(i).count("1") for i in range(1 << 7))  # palettes within colors 1..7
+_POP = tuple(i.bit_count() for i in range(1 << 7))  # palettes within colors 1..7
 
 
 class _BitCount:  # _POP's subscript for palettes of any width, a little slower
@@ -115,17 +117,17 @@ class _NodeLimit(Exception):
 
 @dataclass(frozen=True)
 class _Piece:
-    """A component of G minus its bridges, relabeled: its vertices of G in
-    id order, then one pendant vertex per bridge at them.  Local edge ids
-    follow G's order and `eids` maps them to G's.  `via` is the bridge to
-    the parent piece and `root` its end in this piece; a component's first
-    piece has via -1."""
+    """A component of G minus its bridges, in G's ids: `eids` are the edges
+    at its vertices, the bridges among them, in id order, and `start` is
+    its lowest vertex.  `via` is the bridge to the parent piece and `root`
+    its end in this piece; a component's first piece has via -1.  `bridged`
+    tells whether any bridge meets the piece."""
 
-    edges: list[tuple[int, int]]
-    incidence: list[list[int]]
     eids: list[int]
+    start: int
     via: int
     root: int
+    bridged: bool
 
 
 def _pieces(graph: CubicGraph) -> list[_Piece]:
@@ -150,47 +152,37 @@ def _pieces(graph: CubicGraph) -> list[_Piece]:
                             queue.append((w, eid))
                         else:
                             members.append(w)
-            members.sort()
-            local = {v: i for i, v in enumerate(members)}
             eids = sorted({eid for v in members for eid in inc[v]})
-            piece_edges = []
-            for eid in eids:
-                # a bridge's far end gets the next pendant number
-                a, b = (local.setdefault(w, len(local)) for w in edges[eid])
-                piece_edges.append((a, b) if a < b else (b, a))
-            incidence: list[list[int]] = [[] for _ in local]
-            for f, (a, b) in enumerate(piece_edges):
-                incidence[a].append(f)
-                incidence[b].append(f)
-            pieces.append(_Piece(piece_edges, incidence, eids, via, root))
+            pieces.append(_Piece(eids, min(members), via, root, not bridges.isdisjoint(eids)))
     return pieces
 
 
 def _search(
+    graph: CubicGraph,
+    arrays: tuple[list[tuple[int, ...]], list[int], list[int]],
     piece: _Piece,
     k: int,
     cap: Optional[int],
     limit: Optional[int],
 ) -> tuple[SolveStatus, int, Optional[tuple[int, ...]], int]:
-    """Branch and bound on one bridge-free piece whose vertex 0 has degree 3:
-    (status, best count or -1, best coloring or None, nodes explored), for
-    colorings with at most `cap` abnormal edges."""
-    endpoints, incidence = piece.edges, piece.incidence
-    m, pop = len(endpoints), _POP if k <= 7 else _BitCount()
-    # other endpoint of each incident edge, in incidence order
-    nbrs = [tuple(sum(endpoints[f]) - w for f in inc) for w, inc in enumerate(incidence)]
-    color = [0] * m
-    pal = [0] * len(incidence)   # palette bitmask per vertex
-    ncol = [0] * len(incidence)  # colored incident edges per vertex
+    """Branch and bound on one piece of G: (status, best count or -1, best
+    coloring of `piece.eids` or None, nodes explored), for colorings with at
+    most `cap` abnormal edges.  `arrays` holds G's neighbors per vertex, in
+    incidence order, and the color and palette lists, all zero on entry and
+    left so on return."""
+    endpoints, eids = graph.edges, piece.eids
+    nbrs, color, pal = arrays
+    m, pop = len(eids), _POP if k <= 7 else _BitCount()
     # the budget is folded into the incumbent bound
     best = m + 1 if cap is None else min(m, cap) + 1
     best_colors: Optional[tuple[int, ...]] = None
     nodes = 0
     stop = -1 if limit is None else limit
-    # the (color, bit) pairs a node may try, indexed by the largest color used
-    choices = [
-        tuple((c, 1 << (c - 1)) for c in range(1, min(k, used + 1) + 1)) for used in range(k + 1)
-    ]
+    # the (color, bit) pairs a node may try, indexed by the largest color
+    # used; the piece never uses more than min(k, m) colors
+    top = min(k, m)
+    pairs = [(c, 1 << (c - 1)) for c in range(1, top + 1)]
+    choices = [tuple(pairs[: used + 1]) for used in range(top + 1)]
 
     def search(committed: int, max_used: int) -> None:
         nonlocal best, best_colors, nodes
@@ -203,7 +195,7 @@ def _search(
                 if s == 4:  # no edge forbids more: 2 colored edges at each end
                     break
         if eid < 0:
-            best, best_colors = committed, tuple(color)
+            best, best_colors = committed, tuple([color[f] for f in eids])
             return
         i = uncolored.index(eid)
         del uncolored[i]
@@ -218,37 +210,32 @@ def _search(
             color[eid] = c
             pal[u] |= bit
             pal[v] |= bit
-            ncol[u] += 1
-            ncol[v] += 1
             count = committed
-            if ncol[u] == 3:
+            if pop[pal[u]] == 3:
                 for x in nbrs[u]:
-                    if ncol[x] == 3 and pop[pal[u] | pal[x]] == 4:
+                    if pop[pal[x]] == 3 and pop[pal[u] | pal[x]] == 4:
                         count += 1
-            if ncol[v] == 3:
+            if pop[pal[v]] == 3:
                 for x in nbrs[v]:
-                    if x != u and ncol[x] == 3 and pop[pal[v] | pal[x]] == 4:
+                    if x != u and pop[pal[x]] == 3 and pop[pal[v] | pal[x]] == 4:
                         count += 1
             if count < best:  # else the child is pruned without a call
                 search(count, c if c > max_used else max_used)
             # bit is not in forbidden, so XOR restores both palettes
             pal[u] ^= bit
             pal[v] ^= bit
-            ncol[u] -= 1
-            ncol[v] -= 1
             color[eid] = 0
         uncolored.insert(i, eid)
 
-    # pre-color the star of vertex 0 (proper colorings always admit a color
-    # permutation putting 1, 2, 3 there in edge id order); no edge is
-    # abnormal yet, since a full star other than 0's needs a triple edge to
-    # 0, whose palettes coincide
-    for c, eid in enumerate(incidence[0], start=1):
+    # pre-color the star of the lowest vertex (proper colorings always
+    # admit a color permutation putting 1, 2, 3 there in edge id order); no
+    # edge is abnormal yet, since another full star needs a triple edge to
+    # that vertex, whose palettes coincide
+    for c, eid in enumerate(graph.incidence[piece.start], start=1):
         color[eid] = c
         for w in endpoints[eid]:
             pal[w] |= 1 << (c - 1)
-            ncol[w] += 1
-    uncolored = [f for f in range(m) if not color[f]]  # id order, kept by search
+    uncolored = [f for f in eids if not color[f]]  # id order, kept by search
 
     # search recurses once per colored edge, which may pass the default limit
     depth = sys.getrecursionlimit()
@@ -261,6 +248,10 @@ def _search(
         status = SolveStatus.OPTIMAL if best == 0 else SolveStatus.LIMIT
     finally:
         sys.setrecursionlimit(depth)
+        for f in eids:  # the pre-colored star, and whatever a node limit left
+            color[f] = 0
+            a, b = endpoints[f]
+            pal[a] = pal[b] = 0
     if best_colors is None:
         return status, -1, None, nodes
     return status, best, best_colors, nodes
@@ -269,27 +260,30 @@ def _search(
 def _gluing(
     graph: CubicGraph, piece: _Piece, piece_colors: tuple[int, ...], colors: list[int], k: int
 ) -> list[int]:
-    """A permutation of 1..k, indexed by color, that takes the bridge color
-    and the other two colors at the piece's end of its parent bridge to
-    those at the parent's end, which `colors` holds already.  Both ends
-    then see the same palette, so the bridge is poor."""
+    """A permutation of the piece's colors into 1..k, indexed by color, that
+    takes the bridge color and the other two colors at the piece's end of
+    its parent bridge to those at the parent's end, which `colors` holds
+    already.  Both ends then see the same palette, so the bridge is poor."""
     bridge_first = lambda v: sorted(graph.incidence[v], key=lambda e: e != piece.via)
     ours = [piece_colors[piece.eids.index(e)] for e in bridge_first(piece.root)]
     theirs = [colors[e] for e in bridge_first(sum(graph.edges[piece.via]) - piece.root)]
     perm = dict(zip(ours, theirs))
     free = (c for c in range(1, k + 1) if c not in theirs)
-    return [0] + [perm[c] if c in perm else next(free) for c in range(1, k + 1)]
+    # the piece uses at most min(k, m) colors
+    top = min(k, len(piece.eids))
+    return [0] + [perm[c] if c in perm else next(free) for c in range(1, top + 1)]
 
 
 def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveResult:
     """Exact minimum of |N_G(c)| over proper k-edge-colorings of a cubic graph.
 
     G is split at its bridges and each bridge-free piece is searched on its
-    own (see the module docstring); for k > 3 a pendant-free piece is first
-    probed for a normal coloring, and searched with the configured budget
-    only when it has none.  The minimum is the sum of the piece minima; the witness glues
-    the piece witnesses top-down over the tree of pieces, each permuted so
-    that the bridge to its parent is poor.
+    own, in G's ids (see the module docstring); for k > 3 a piece that no
+    bridge meets is first probed for a normal coloring, and searched with
+    the configured budget only when it has none.  The minimum is the sum of
+    the piece minima; the witness glues the piece witnesses top-down over
+    the tree of pieces, each permuted so that the bridge to its parent is
+    poor.
 
     Returns status OPTIMAL with a witness attaining the minimum, INFEASIBLE
     when no proper coloring satisfies the constraints (possible for k in
@@ -305,21 +299,24 @@ def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveRes
     """
     cfg = cfg or SearchConfig()
     k = cfg.k
+    edges = graph.edges
+    nbrs = [tuple(sum(edges[f]) - w for f in inc) for w, inc in enumerate(graph.incidence)]
+    arrays = (nbrs, [0] * graph.m, [0] * graph.n)  # every piece's search reuses these
     colors = [0] * graph.m
     total = nodes = 0
     status = SolveStatus.OPTIMAL
     pieces = _pieces(graph)
     for i, piece in enumerate(pieces):
         cap = None if cfg.abnormal_budget is None else cfg.abnormal_budget - total
-        # probe only pendant-free pieces: for k <= 5 a leaf piece has no
-        # normal coloring, since two copies glued at its pendant would give a
-        # normal coloring of a cubic graph with a bridge, and probing every
+        # probe only the pieces no bridge meets: for k <= 5 a leaf piece has
+        # no normal coloring, since two copies glued at its bridge would give
+        # a normal coloring of a cubic graph with a bridge, and probing every
         # piece costs bridged graphs about 44% more nodes.  At k = 3 every
         # proper coloring is normal, so the plain search is the probe
-        pendant_free = all(len(inc) == 3 for inc in piece.incidence)
-        for bound in (0, cap) if pendant_free and cap != 0 and k > 3 else (cap,):
+        probe = not piece.bridged and cap != 0 and k > 3
+        for bound in (0, cap) if probe else (cap,):
             limit = None if cfg.node_limit is None else cfg.node_limit - nodes
-            status, best, piece_colors, used = _search(piece, k, bound, limit)
+            status, best, piece_colors, used = _search(graph, arrays, piece, k, bound, limit)
             nodes += used
             if status is not SolveStatus.INFEASIBLE:
                 break
@@ -327,8 +324,8 @@ def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveRes
             return SolveResult(status, -1, None, nodes)
         total += best
         perm = _gluing(graph, piece, piece_colors, colors, k) if piece.via >= 0 else range(k + 1)
-        for f, c in enumerate(piece_colors):
-            colors[piece.eids[f]] = perm[c]
+        for f, c in zip(piece.eids, piece_colors):
+            colors[f] = perm[c]
     return SolveResult(status, total, EdgeColoring(k, tuple(colors)), nodes)
 
 
@@ -345,18 +342,18 @@ def normal_chromatic_index(graph: CubicGraph) -> Optional[int]:
     existence exactly.  Simple cubic graphs always have one (coloring every
     edge differently is normal); multigraphs with parallel edges may not.
     """
-    return _normal_index_with_witness(graph)[0]
+    witness = _normal_index_witness(graph)
+    return None if witness is None else witness.k
 
 
-def _normal_index_with_witness(
-    graph: CubicGraph,
-) -> tuple[Optional[int], Optional[EdgeColoring]]:
-    """normal_chromatic_index and the witness of the solve that settled it."""
+def _normal_index_witness(graph: CubicGraph) -> Optional[EdgeColoring]:
+    """The witness of the solve that settled normal_chromatic_index: its k
+    is the index.  None when no k admits a normal coloring."""
     for k in range(3, graph.m + 1):
         witness = has_normal_k(graph, k)
         if witness is not None:
-            return k, witness
-    return None, None
+            return witness
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,41 @@ def test_solve_deeper_than_the_recursion_limit(tmp_path):
     assert obj["checks"]["witness_proper"] is True
 
 
+@pytest.mark.parametrize("graph", ["petersen_s6", "bridged"])
+def test_solve_with_a_million_colors(files, capsys, graph):
+    # no piece uses more colors than it has edges, so a huge k answers at once
+    code, out = run(capsys, ["solve", "--graph", str(files[graph]), "--k", "1000000"])
+    assert code == 0
+    obj = json.loads(out)
+    m = len(obj["witness"])
+    code, at_m = run(capsys, ["solve", "--graph", str(files[graph]), "--k", str(m)])
+    assert code == 0
+    assert obj == json.loads(at_m)
+    assert obj["checks"] == {"witness_proper": True, "witness_count_matches": True}
+
+
+def test_each_input_file_is_read_once(files, capsys, monkeypatch):
+    # the reported hash belongs to the very bytes that were parsed
+    opened = []
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(str(self))
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    graph, coloring = files["petersen_el"], files["kneser"]
+    code, out = run(capsys, [
+        "classify", "--graph", str(graph), "--coloring", str(coloring), "--out", "json",
+    ])
+    assert code == 0
+    assert sorted(opened) == sorted([str(graph), str(coloring)])
+    assert json.loads(out)["inputs"] == {
+        "graph": hashlib.sha256(graph.read_bytes()).hexdigest(),
+        "coloring": hashlib.sha256(coloring.read_bytes()).hexdigest(),
+    }
+
+
 def test_jaeger_roundtrip(files, capsys):
     code, out = run(capsys, [
         "jaeger", "--graph", str(files["petersen_el"]),

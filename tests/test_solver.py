@@ -13,6 +13,7 @@ from normalcol.graphs import CubicGraph, _cut_sets, catalog, connectivity_report
 from normalcol.solver import (
     SearchConfig,
     SolveStatus,
+    _pieces,
     has_normal_k,
     min_abnormal,
     normal_chromatic_index,
@@ -21,6 +22,7 @@ from normalcol.solver import (
 
 from conftest import (
     bridged_multigraph,
+    bridged_simple_10,
     disjoint_union,
     domino_multigraph,
     exhaustive_oracle,
@@ -374,6 +376,34 @@ def test_differential_bridge_pieces():
     chain = graphs[2]
     assert chain.n == 8 and _cut_sets(chain)[1].count(0) == 2
     _check_against_oracle(chain, 5)
+
+
+def test_long_bridge_chain_pinned():
+    # 1,000 blocks in a path; some blocks hold bridges or split in two, so
+    # there are 1,361 pieces.  Each piece's search touches only its own
+    # edges, so the chain costs no more than its pieces
+    path = [(i, i + 1) for i in range(999)]
+    graph = random_bridge_tree(random.Random(7), [5] + [6] * 998 + [5], path)
+    assert len(_pieces(graph)) == 1361
+    result = min_abnormal(graph)
+    assert (result.status, result.best_count, result.nodes_explored) == (
+        SolveStatus.OPTIMAL, 220, 24023,
+    )
+    assert is_proper(graph, result.witness, 5)
+    assert len(abnormal_set(graph, result.witness)) == 220
+
+
+def test_huge_k_costs_no_more_than_k_equal_to_m(petersen):
+    # a piece with m edges never uses more than m colors, so k = 10**6
+    # searches exactly as k = m does
+    for graph in (petersen, bridged_simple_10(), bridged_multigraph()):
+        huge = min_abnormal(graph, SearchConfig(k=10**6))
+        at_m = min_abnormal(graph, SearchConfig(k=graph.m))
+        assert (huge.status, huge.best_count, huge.nodes_explored) == (
+            at_m.status, at_m.best_count, at_m.nodes_explored,
+        )
+        assert huge.witness.colors == at_m.witness.colors
+        assert huge.witness.k == 10**6
 
 
 def test_node_limit_on_pieces():
