@@ -46,7 +46,21 @@ edges as its palette has colors, so a star is full when its palette holds 3.
 * the incumbent bound starts at min(m, budget) + 1, so one test
   `count < best` cuts both the branches that cannot beat the incumbent and
   those over the configured budget.  It is made before recursing: a child
-  that fails it counts as a node but is never called.
+  that fails it counts as a node but is never called;
+* a child with no slack, count == best - 1, is pruned the same way when the
+  forward check finds a vertex x with 2 colored edges whose last edge xw
+  has no color c that keeps normal every edge from x to a full star: c
+  must be in neither palette at x and w, x's palette plus c and a full
+  neighbor's must not hold exactly 4 colors together, and when w has 2
+  colored edges too, xw itself must stay normal.  The check looks at the two ends
+  of the edge just colored and, at an end whose star that edge filled, at
+  its neighbors with 2 colored edges.  Palettes only grow, so a full
+  star's palette is final and x's will be its two colors plus c.  So in
+  every completion one of the tested edges is abnormal, and none of those
+  is counted yet: no leaf below best lies in the subtree.  A color above
+  the child's largest is in no palette, so the next new color stands for
+  all of them.  The search therefore meets the same incumbents in the same
+  order, and only node counts move.
 
 A piece that no bridge meets, that is a bridgeless component of G, is first
 probed with cap 0: the search looks for a normal coloring.  Only when the
@@ -66,7 +80,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .coloring import EdgeColoring
 from .graphs import CubicGraph, _cut_sets, connectivity_report
@@ -157,9 +171,50 @@ def _pieces(graph: CubicGraph) -> list[_Piece]:
     return pieces
 
 
+def _dead_end(graph: CubicGraph, nbrs: list[tuple[int, ...]], color: list[int],
+              pal: list[int], pop) -> Callable[[int, int], bool]:
+    """The forward check over one solve's color and palette lists:
+    `dead(v, colors)` tells whether v, an end of the edge just colored,
+    leaves some vertex x with 2 colored edges whose last edge xw has no
+    color in the bitmask `colors` that keeps every edge from x to a full
+    star normal.  That is v itself, or, when v's star is full, a neighbor
+    of v."""
+    star = [tuple(zip(inc, ends)) for inc, ends in zip(graph.incidence, nbrs)]  # (edge, neighbor)
+
+    def stuck(x: int, colors: int) -> bool:
+        px = pal[x]
+        free = colors & ~px
+        for f, y in star[x]:
+            q = pal[y]
+            if not color[f]:
+                # with 2 colored edges at w too, xw joins two final palettes
+                # that share one color besides its own, whatever it is
+                if pop[q] == 2 and pop[px | q] == 3:
+                    return True
+                free &= ~q
+            elif pop[q] == 3:
+                # xy is abnormal when the final palettes hold 4 colors
+                # together: if the full star holds both of x's colors, c
+                # must be its third; else c must be new to it
+                free &= q if px | q == q else ~q
+        return not free
+
+    def dead(v: int, colors: int) -> bool:
+        size = pop[pal[v]]
+        if size == 2:
+            return stuck(v, colors)
+        if size == 3:
+            for x in nbrs[v]:
+                if pop[pal[x]] == 2 and stuck(x, colors):
+                    return True
+        return False
+
+    return dead
+
+
 def _search(
     graph: CubicGraph,
-    arrays: tuple[list[tuple[int, ...]], list[int], list[int]],
+    state: tuple,
     piece: _Piece,
     k: int,
     cap: Optional[int],
@@ -167,12 +222,13 @@ def _search(
 ) -> tuple[SolveStatus, int, Optional[tuple[int, ...]], int]:
     """Branch and bound on one piece of G: (status, best count or -1, best
     coloring of `piece.eids` or None, nodes explored), for colorings with at
-    most `cap` abnormal edges.  `arrays` holds G's neighbors per vertex, in
-    incidence order, and the color and palette lists, all zero on entry and
-    left so on return."""
+    most `cap` abnormal edges.  `state` holds G's neighbors per vertex, in
+    incidence order, the color and palette lists, all zero on entry and
+    left so on return, the palette popcount table and the forward check
+    over those lists."""
     endpoints, eids = graph.edges, piece.eids
-    nbrs, color, pal = arrays
-    m, pop = len(eids), _POP if k <= 7 else _BitCount()
+    nbrs, color, pal, pop, dead = state
+    m = len(eids)
     # the budget is folded into the incumbent bound
     best = m + 1 if cap is None else min(m, cap) + 1
     best_colors: Optional[tuple[int, ...]] = None
@@ -183,6 +239,7 @@ def _search(
     top = min(k, m)
     pairs = [(c, 1 << (c - 1)) for c in range(1, top + 1)]
     choices = [tuple(pairs[: used + 1]) for used in range(top + 1)]
+    masks = [(1 << len(tried)) - 1 for tried in choices]  # the same colors, as bits
 
     def search(committed: int, max_used: int) -> None:
         nonlocal best, best_colors, nodes
@@ -219,8 +276,13 @@ def _search(
                 for x in nbrs[v]:
                     if x != u and pop[pal[x]] == 3 and pop[pal[v] | pal[x]] == 4:
                         count += 1
-            if count < best:  # else the child is pruned without a call
-                search(count, c if c > max_used else max_used)
+            used = c if c > max_used else max_used
+            # a child over the bound, or with no slack left and a dead end
+            # the forward check finds, is pruned without a call
+            if count < best and not (
+                count == best - 1 and (dead(u, masks[used]) or dead(v, masks[used]))
+            ):
+                search(count, used)
             # bit is not in forbidden, so XOR restores both palettes
             pal[u] ^= bit
             pal[v] ^= bit
@@ -248,6 +310,10 @@ def _search(
         status = SolveStatus.OPTIMAL if best == 0 else SolveStatus.LIMIT
     finally:
         sys.setrecursionlimit(depth)
+        # search refers to itself through its closure; breaking that cycle
+        # frees it, and all it holds, now rather than at the cycle
+        # collector's next pass
+        del search
         for f in eids:  # the pre-colored star, and whatever a node limit left
             color[f] = 0
             a, b = endpoints[f]
@@ -301,7 +367,9 @@ def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveRes
     k = cfg.k
     edges = graph.edges
     nbrs = [tuple(sum(edges[f]) - w for f in inc) for w, inc in enumerate(graph.incidence)]
-    arrays = (nbrs, [0] * graph.m, [0] * graph.n)  # every piece's search reuses these
+    color, pal, pop = [0] * graph.m, [0] * graph.n, _POP if k <= 7 else _BitCount()
+    # every piece's search reuses these
+    state = (nbrs, color, pal, pop, _dead_end(graph, nbrs, color, pal, pop))
     colors = [0] * graph.m
     total = nodes = 0
     status = SolveStatus.OPTIMAL
@@ -316,7 +384,7 @@ def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveRes
         probe = not piece.bridged and cap != 0 and k > 3
         for bound in (0, cap) if probe else (cap,):
             limit = None if cfg.node_limit is None else cfg.node_limit - nodes
-            status, best, piece_colors, used = _search(graph, arrays, piece, k, bound, limit)
+            status, best, piece_colors, used = _search(graph, state, piece, k, bound, limit)
             nodes += used
             if status is not SolveStatus.INFEASIBLE:
                 break

@@ -95,7 +95,13 @@ def random_bridge_tree(
     bridge ends of a block go round the block's vertices in turn, each
     taking one stub (so a block of one vertex and three bridges is a vertex
     whose edges are all bridges); a block is redrawn on a loop.  Vertex
-    labels and edge order are shuffled at the end."""
+    labels and edge order are shuffled at the end.
+
+    A block is a random multigraph on its stubs, not a bridgeless one: it
+    may hold bridges of its own or fall apart.  So the result need not be
+    connected, and the number of blocks is only a lower bound on the number
+    of pieces (components of G minus its bridges).  Read pieces and
+    connectivity off the graph, not off `sizes`."""
     offsets = [sum(sizes[:i]) for i in range(len(sizes))]
     ends = [[] for _ in sizes]
     for b in bridges:

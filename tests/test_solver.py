@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import random
 import sys
@@ -136,12 +138,13 @@ def test_determinism(petersen):
 
 def test_search_order_pinned(petersen):
     # exact node counts fix the branch-edge rule, its tie-break, the
-    # pre-colored star, the color-introduction order and the normal-coloring
-    # probe; any change to the search order moves at least one of them.
-    # Petersen at k = 5 ends in its probe; at k = 4 the probe takes 67 nodes
+    # pre-colored star, the color-introduction order, the normal-coloring
+    # probe and the forward check; any change to the search order moves at
+    # least one of them.
+    # Petersen at k = 5 ends in its probe; at k = 4 the probe takes 45 nodes
     # and proves there is no normal coloring, then the plain search runs
-    assert min_abnormal(petersen).nodes_explored == 355
-    assert min_abnormal(petersen, SearchConfig(k=4)).nodes_explored == 5719
+    assert min_abnormal(petersen).nodes_explored == 146
+    assert min_abnormal(petersen, SearchConfig(k=4)).nodes_explored == 5101
     # at k = 3 every proper coloring is normal, so the search runs once
     assert min_abnormal(petersen, SearchConfig(k=3)).nodes_explored == 24
     # the one bridged class at n = 10 is split into its two bridge-free
@@ -150,8 +153,8 @@ def test_search_order_pinned(petersen):
     nodes = {True: [], False: []}
     for g in enumerate_cubic(10, distinct=True):
         nodes[connectivity_report(g).bridgeless].append(min_abnormal(g).nodes_explored)
-    assert sum(nodes[True]) == 1307
-    assert nodes[False] == [170]
+    assert sum(nodes[True]) == 782
+    assert nodes[False] == [130]
     result = min_abnormal(bridged_multigraph())
     assert (result.best_count, result.nodes_explored) == (BRIDGED_MIN, 8)
 
@@ -161,15 +164,49 @@ def test_search_order_pinned_on_composites(petersen):
     # of the Petersen graph (each ends in its probe), and Petersen at k = 6
     # and at k = 8, where palettes outgrow the popcount table
     for variant, t, nodes in [
-        ("disjoint", 3, 1065),
-        ("cyclic1", 3, 3006),
+        ("disjoint", 3, 438),
+        ("cyclic1", 3, 966),
         ("cyclic2", 3, 91),
-        ("vertex_replacement", 2, 316322),
+        ("vertex_replacement", 2, 120794),
     ]:
         result = min_abnormal(composite_graph(petersen, variant, t), SearchConfig(abnormal_budget=0))
         assert (result.best_count, result.nodes_explored) == (0, nodes), variant
-    assert min_abnormal(petersen, SearchConfig(k=6)).nodes_explored == 1367
-    assert min_abnormal(petersen, SearchConfig(k=8)).nodes_explored == 36
+    assert min_abnormal(petersen, SearchConfig(k=6)).nodes_explored == 786
+    assert min_abnormal(petersen, SearchConfig(k=8)).nodes_explored == 35
+
+
+def _outcomes_sha256(results):
+    blob = json.dumps([
+        [r.status.value, r.best_count, None if r.witness is None else list(r.witness.colors)]
+        for r in results
+    ])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# sha256 of (status, best_count, witness colors) per solve, taken before the
+# forward check: pruning may move node counts, never what a solve returns
+def test_class_outcomes_pinned():
+    results = [
+        min_abnormal(g, SearchConfig(k=k))
+        for n in range(4, 11, 2)
+        for g in enumerate_cubic(n, distinct=True)
+        for k in (3, 4, 5)
+    ]
+    assert len(results) == 81
+    assert _outcomes_sha256(results) == (
+        "382f66a2bb11a90dfc9db7faa055d440463e12a97fabd455ea1f3a9b55a4f86e"
+    )
+
+
+def test_composite_outcomes_pinned(petersen):
+    results = [
+        min_abnormal(composite_graph(petersen, variant, t), SearchConfig(abnormal_budget=0))
+        for variant in ("disjoint", "cyclic1", "vertex_replacement", "cyclic2")
+        for t in (2, 3)
+    ]
+    assert _outcomes_sha256(results) == (
+        "81dd4496cf2c47082c32a20870f0001e92826bd58447a75544fceefcb801a975"
+    )
 
 
 def test_search_deeper_than_the_recursion_limit():
@@ -206,7 +243,7 @@ def test_node_limit_after_a_normal_coloring_is_optimal(q3):
 
 
 def test_node_limit_keeps_sound_incumbent(petersen):
-    # at k = 4 the 67-node probe finds no normal coloring, and the plain
+    # at k = 4 the 45-node probe finds no normal coloring, and the plain
     # search has an incumbent by node 100
     result = min_abnormal(petersen, SearchConfig(k=4, node_limit=100))
     assert result.status is SolveStatus.LIMIT
@@ -216,12 +253,12 @@ def test_node_limit_keeps_sound_incumbent(petersen):
 
 
 def test_node_limit_through_the_probe(petersen):
-    # Petersen at k = 4: the probe takes 67 nodes, the whole solve 5,719;
+    # Petersen at k = 4: the probe takes 45 nodes, the whole solve 5,101;
     # a limit inside the probe stops it before any coloring is found
-    probe, full = 67, min_abnormal(petersen, SearchConfig(k=4))
+    probe, full = 45, min_abnormal(petersen, SearchConfig(k=4))
     assert min_abnormal(petersen, SearchConfig(k=4, abnormal_budget=0)).nodes_explored == probe
-    assert (full.status, full.nodes_explored) == (SolveStatus.OPTIMAL, 5719)
-    for limit in [*range(201), *range(300, 5801, 100), 5718, 5719]:
+    assert (full.status, full.nodes_explored) == (SolveStatus.OPTIMAL, 5101)
+    for limit in [*range(201), *range(300, 5801, 100), 5100, 5101]:
         result = min_abnormal(petersen, SearchConfig(k=4, node_limit=limit))
         assert result.nodes_explored <= limit
         if limit <= probe:
@@ -314,9 +351,13 @@ _DIFFERENTIAL_KS = {2: (3, 4, 5), 4: (3, 4, 5), 6: (3, 4, 5), 8: (3, 4), 10: (3,
 
 def _check_against_oracle(graph, k):
     """min_abnormal agrees with the exhaustive oracle at budgets None, 0
-    and 2, and every witness is proper with best_count abnormal edges."""
+    and 2, and at the tight budgets the oracle's minimum (OPTIMAL) and one
+    below it (INFEASIBLE), where a branch that reaches the budget has no
+    slack left and the forward check runs; every witness is proper with
+    best_count abnormal edges."""
     oracle = exhaustive_oracle(graph, k=k)
-    for budget in (None, 0, 2):
+    tight = [b for b in (oracle.best_count, oracle.best_count - 1) if b >= 0]
+    for budget in (None, 0, 2, *tight):
         result = min_abnormal(graph, SearchConfig(k=k, abnormal_budget=budget))
         within = oracle.status is SolveStatus.OPTIMAL and (
             budget is None or oracle.best_count <= budget
@@ -387,7 +428,7 @@ def test_long_bridge_chain_pinned():
     assert len(_pieces(graph)) == 1361
     result = min_abnormal(graph)
     assert (result.status, result.best_count, result.nodes_explored) == (
-        SolveStatus.OPTIMAL, 220, 24023,
+        SolveStatus.OPTIMAL, 220, 20879,
     )
     assert is_proper(graph, result.witness, 5)
     assert len(abnormal_set(graph, result.witness)) == 220
