@@ -4,9 +4,10 @@ An edge uv of a properly colored cubic graph is poor when the palettes of u
 and v together contain 3 colors, rich when they contain 5, and abnormal when
 they contain 4.  A coloring with no abnormal edge is normal.
 
-Palettes are represented internally as small bitmasks so the classification
-is a mask-or plus a popcount.  The exact search keeps its own palette masks
-and popcount table (`solver._POP`) instead of calling the classification here.
+Palettes are represented internally as bitmasks over the coloring's distinct
+colors, so the classification is a mask-or plus a popcount.  The exact search
+keeps its own palette masks and popcount table (`solver._POP`) instead of
+calling the classification here.
 """
 
 from __future__ import annotations
@@ -49,40 +50,38 @@ def _check_total(graph: CubicGraph, coloring: EdgeColoring) -> None:
         )
 
 
-def palette_mask(graph: CubicGraph, coloring: EdgeColoring, v: int) -> int:
-    mask = 0
-    for eid in graph.incident(v):
-        mask |= 1 << (coloring.colors[eid] - 1)
-    return mask
-
-
 def palette(graph: CubicGraph, coloring: EdgeColoring, v: int) -> frozenset[int]:
     """The set of colors on the edges incident to v."""
     _check_total(graph, coloring)
     if not (0 <= v < graph.n):
         raise ValueError(f"unknown vertex {v}")
-    return frozenset(coloring.colors[eid] for eid in graph.incident(v))
+    return frozenset(coloring.colors[eid] for eid in graph.incidence[v])
 
 
 def _palette_masks(graph: CubicGraph, coloring: EdgeColoring) -> list[int]:
-    """Every vertex's palette bitmask, in one pass over the edges."""
-    _check_total(graph, coloring)
+    """Every vertex's palette bitmask, in one pass over the edges.  A color's
+    bit is its index among the coloring's distinct colors, so the masks cost
+    the same whatever the color values; classification only asks which
+    colors are equal."""
+    bits = {c: 1 << i for i, c in enumerate(dict.fromkeys(coloring.colors))}
     masks = [0] * graph.n
     for (u, v), c in zip(graph.edges, coloring.colors):
-        masks[u] |= 1 << (c - 1)
-        masks[v] |= 1 << (c - 1)
+        masks[u] |= bits[c]
+        masks[v] |= bits[c]
     return masks
 
 
 def is_proper(graph: CubicGraph, coloring: EdgeColoring, k: int | None = None) -> bool:
     """True iff every vertex sees 3 distinct colors, all within 1..k."""
-    masks = _palette_masks(graph, coloring)
+    _check_total(graph, coloring)
     k = coloring.k if k is None else k
-    return all(c <= k for c in coloring.colors) and all(mask.bit_count() == 3 for mask in masks)
+    return all(c <= k for c in coloring.colors) and all(
+        mask.bit_count() == 3 for mask in _palette_masks(graph, coloring)
+    )
 
 
-def _classify_mask(union_mask: int) -> EdgeClass:
-    size = union_mask.bit_count()
+def _classify(size: int) -> EdgeClass:
+    """The class of an edge whose two palettes hold `size` colors together."""
     if size == 3:
         return EdgeClass.POOR
     if size == 5:
@@ -93,21 +92,19 @@ def _classify_mask(union_mask: int) -> EdgeClass:
 def classify_edge(graph: CubicGraph, coloring: EdgeColoring, eid: int) -> EdgeClass:
     """Classify one edge by its endpoint palette union.  Only the two
     endpoint stars are checked for properness, so this is O(1)."""
-    _check_total(graph, coloring)
-    u, v = graph.endpoints(eid)
-    mask_u, mask_v = palette_mask(graph, coloring, u), palette_mask(graph, coloring, v)
-    if mask_u.bit_count() != 3 or mask_v.bit_count() != 3:
+    u, v = graph.edges[eid]
+    pal_u, pal_v = palette(graph, coloring, u), palette(graph, coloring, v)
+    if len(pal_u) != 3 or len(pal_v) != 3:
         raise ImproperColoringError("classification requires a proper coloring at both ends")
-    return _classify_mask(mask_u | mask_v)
+    return _classify(len(pal_u | pal_v))
 
 
 def classify_all(graph: CubicGraph, coloring: EdgeColoring) -> tuple[EdgeClass, ...]:
+    _check_total(graph, coloring)
     masks = _palette_masks(graph, coloring)
     if any(mask.bit_count() != 3 for mask in masks):
         raise ImproperColoringError("classification requires a proper coloring")
-    return tuple(
-        _classify_mask(masks[u] | masks[v]) for u, v in graph.edges
-    )
+    return tuple(_classify((masks[u] | masks[v]).bit_count()) for u, v in graph.edges)
 
 
 def abnormal_set(graph: CubicGraph, coloring: EdgeColoring) -> frozenset[int]:

@@ -100,7 +100,7 @@ def cyclic_join_one_edge(graph: CubicGraph, eid: int, t: int) -> CubicGraph:
     if t < 1:
         raise ValueError("t must be at least 1")
     kept = _kept_edges(graph, (eid,))
-    x, y = graph.endpoints(eid)
+    x, y = graph.edges[eid]
     n = graph.n
     edges = _copies([graph.edges[f] for f in kept], t, n)
     edges.extend((i * n + y, ((i + 1) % t) * n + x) for i in range(t))
@@ -115,8 +115,8 @@ def cyclic_join_two_edges(graph: CubicGraph, e1: int, e2: int, t: int) -> CubicG
     if t < 2:
         raise ValueError("t must be at least 2")
     kept = _kept_edges(graph, (e1, e2))
-    a, b = graph.endpoints(e1)
-    c, d = graph.endpoints(e2)
+    a, b = graph.edges[e1]
+    c, d = graph.edges[e2]
     if e1 == e2 or {a, b} & {c, d}:
         raise ValueError("the two designated edges must be independent")
     n = graph.n
@@ -137,16 +137,16 @@ def vertex_replacement(host: CubicGraph, graph: CubicGraph, v: int) -> CubicGrap
     """
     if not (0 <= v < graph.n):
         raise ValueError(f"unknown vertex {v}")
-    star = graph.incident(v)
+    star = graph.incidence[v]
     n_copy = graph.n - 1
     copy = [
         (a - (a > v), b - (b > v)) for a, b in (graph.edges[f] for f in _kept_edges(graph, star))
     ]
-    stubs = [u - (u > v) for u in (graph.other_end(f, v) for f in star)]
+    stubs = [u - (u > v) for u in graph.neighbors[v]]
     edges = _copies(copy, host.n, n_copy)
     for f, (w1, w2) in enumerate(host.edges):
-        r1 = host.incident(w1).index(f)
-        r2 = host.incident(w2).index(f)
+        r1 = host.incidence[w1].index(f)
+        r2 = host.incidence[w2].index(f)
         edges.append((w1 * n_copy + stubs[r1], w2 * n_copy + stubs[r2]))
     return CubicGraph(host.n * n_copy, tuple(edges))
 
@@ -157,11 +157,11 @@ def two_cut_connection(
     """Splice two cubic graphs: drop e1 = x1y1 and e2 = x2y2, add x1x2, y1y2."""
     kept1 = _kept_edges(g1, (e1,))
     kept2 = _kept_edges(g2, (e2,))
-    x1, y1 = g1.endpoints(e1)
-    x2, y2 = g2.endpoints(e2)
+    x1, y1 = g1.edges[e1]
+    x2, y2 = g2.edges[e2]
     off = g1.n
-    edges = [g1.endpoints(f) for f in kept1]
-    edges.extend((off + u, off + v) for u, v in (g2.endpoints(f) for f in kept2))
+    edges = [g1.edges[f] for f in kept1]
+    edges.extend((off + u, off + v) for u, v in (g2.edges[f] for f in kept2))
     edges.append((x1, off + x2))
     edges.append((y1, off + y2))
     return CubicGraph(g1.n + g2.n, tuple(edges))
@@ -188,13 +188,13 @@ def _complete(
     if set(colors) != set(kept) or not all(1 <= colors[e] <= 5 for e in kept):
         raise ImproperColoringError("the partial coloring must be proper")
     for v in range(graph.n):
-        at_v = [colors[e] for e in graph.incident(v) if e in colors]
+        at_v = [colors[e] for e in graph.incidence[v] if e in colors]
         if len(set(at_v)) != len(at_v):
             raise ImproperColoringError("the partial coloring must be proper")
     assignment = dict(colors)
     for eid in removed:
-        x, y = graph.endpoints(eid)
-        seen = {assignment[f] for f in graph.incident(x) + graph.incident(y) if f in assignment}
+        x, y = graph.edges[eid]
+        seen = {assignment[f] for f in graph.incidence[x] + graph.incidence[y] if f in assignment}
         if first is None:
             assignment[eid] = min(_ALL_COLORS - seen)
         elif first in seen:
@@ -229,7 +229,7 @@ def extend_vertex_star(
     """
     if not (0 <= v < graph.n):
         raise ValueError(f"unknown vertex {v}")
-    return _complete(graph, colors, graph.incident(v), external)
+    return _complete(graph, colors, graph.incidence[v], external)
 
 
 def extend_two_edges(
@@ -256,7 +256,7 @@ def _normalizing_permutation(
 ) -> dict[int, int]:
     """Color permutation sending c(e) to 1, the shared palette pair to {1,2},
     the rest of S(u) to 3 and the rest of S(v) to 4."""
-    u, v = graph.endpoints(eid)
+    u, v = graph.edges[eid]
     s_u = palette(graph, coloring, u)
     s_v = palette(graph, coloring, v)
     shared = s_u & s_v
@@ -396,7 +396,7 @@ def _build_composite(graph: CubicGraph, variant: str, t: int) -> _Composite:
         e1, e2 = default_three_path(graph)
         return _Composite(cyclic_join_two_edges(graph, e1, e2, t), (e1, e2), t)
     host = replacement_host(t)
-    return _Composite(vertex_replacement(host, graph, 0), graph.incident(0), host.n, host)
+    return _Composite(vertex_replacement(host, graph, 0), graph.incidence[0], host.n, host)
 
 
 def composite_graph(graph: CubicGraph, variant: str, t: int) -> CubicGraph:
@@ -464,6 +464,6 @@ def pigeonhole_demo(
         for pos, f in enumerate(_kept_edges(graph, removed))
     }
     # vertex replacement: the first star edge copies the host edge at the copy's first stub
-    first = None if host is None else coloring_of_h.colors[units * span + host.incident(clean)[0]]
+    first = None if host is None else coloring_of_h.colors[units * span + host.incidence[clean][0]]
     final = len(abnormal_set(graph, _complete(graph, copy_colors, removed, first)))
     return DemoReport(variant, t, h.n, len(bad), clean, final, bound, final <= bound)

@@ -50,27 +50,64 @@ class CubicGraph:
         for eid, (u, v) in enumerate(self.edges):
             inc[u].append(eid)
             inc[v].append(eid)
-        return tuple(tuple(lst) for lst in inc)
+        return tuple(map(tuple, inc))
 
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        return self.edges[eid]
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per-vertex far ends of the incident edges, in incidence order."""
+        ends: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            ends[u].append(v)
+            ends[v].append(u)
+        return tuple(map(tuple, ends))
 
-    def other_end(self, eid: int, v: int) -> int:
-        u, w = self.edges[eid]
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise ValueError(f"vertex {v} is not an endpoint of edge {eid}")
+    @cached_property
+    def _stars(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per-vertex (edge id, far end) pairs, in incidence order."""
+        stars: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for eid, (u, v) in enumerate(self.edges):
+            stars[u].append((eid, v))
+            stars[v].append((eid, u))
+        return tuple(map(tuple, stars))
 
-    def incident(self, v: int) -> tuple[int, ...]:
-        return self.incidence[v]
+    @cached_property
+    def _cut_space(self) -> tuple[int, tuple[int, ...]]:
+        """Component count and each edge's set of fundamental cycles, as an int.
 
-    def has_parallel_edges(self) -> bool:
-        return len(set(self.edges)) < self.m
-
-    def is_simple(self) -> bool:
-        return not self.has_parallel_edges()
+        One breadth-first spanning forest.  Non-tree edge e closes one
+        fundamental cycle, bit 1 << e, and lies on no other; a tree edge lies
+        on those of the non-tree edges with one end below it, the XOR of the
+        bits below it, summed in one walk up the forest.  An edge set meets
+        every cycle an even number of times, so is a cut, exactly when its
+        sets XOR to 0 (the cycle-space view of cuts of Pritchard and
+        Thurimella 2011, here over the full basis).
+        """
+        stars = self._stars
+        seen = [False] * self.n
+        up = [-1] * self.n  # tree edge to the parent, -1 at a root
+        parent = [-1] * self.n
+        below = [0] * self.n  # XOR of the non-tree bits at, then under, a vertex
+        sets = [0] * self.m
+        components = 0
+        for root in range(self.n):
+            if seen[root]:
+                continue
+            components += 1
+            seen[root] = True
+            queue = [root]
+            for v in queue:
+                for eid, w in stars[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        up[w], parent[w] = eid, v
+                        queue.append(w)
+                    elif eid != up[v]:  # non-tree: seen once from each end
+                        sets[eid] = 1 << eid
+                        below[v] ^= 1 << eid
+            for v in reversed(queue[1:]):  # children before parents; the root has no tree edge
+                sets[up[v]] = below[v]
+                below[parent[v]] ^= below[v]
+        return components, tuple(sets)
 
 
 # ---------------------------------------------------------------------------
@@ -152,50 +189,12 @@ class ConnectivityReport:
     cyclically_4_edge_connected: bool
 
 
-def _cut_sets(graph: CubicGraph) -> tuple[int, list[int]]:
-    """Component count and each edge's set of fundamental cycles, as an int.
-
-    One breadth-first spanning forest.  Non-tree edge e closes one
-    fundamental cycle, bit 1 << e, and lies on no other; a tree edge lies on
-    those of the non-tree edges with one end below it, the XOR of the bits
-    below it, summed in one walk up the forest.  An edge set meets every cycle an even number of
-    times, so is a cut, exactly when its sets XOR to 0 (the cycle-space view
-    of cuts of Pritchard and Thurimella 2011, here over the full basis).
-    """
-    edges, inc = graph.edges, graph.incidence
-    seen = [False] * graph.n
-    up = [-1] * graph.n  # tree edge to the parent, -1 at a root
-    below = [0] * graph.n  # XOR of the non-tree bits at, then under, a vertex
-    sets = [0] * graph.m
-    components = 0
-    for root in range(graph.n):
-        if seen[root]:
-            continue
-        components += 1
-        seen[root] = True
-        queue = [root]
-        for v in queue:
-            for eid in inc[v]:
-                w = sum(edges[eid]) - v
-                if not seen[w]:
-                    seen[w] = True
-                    up[w] = eid
-                    queue.append(w)
-                elif eid != up[v]:  # non-tree: seen once from each end
-                    sets[eid] = 1 << eid
-                    below[v] ^= 1 << eid
-        for v in reversed(queue[1:]):  # children before parents; the root has no tree edge
-            sets[up[v]] = below[v]
-            below[sum(edges[up[v]]) - v] ^= below[v]
-    return components, sets
-
-
 def connectivity_report(graph: CubicGraph) -> ConnectivityReport:
     """Bridges, edge connectivity, and cyclic 4-edge-connectivity.
 
-    Read off `_cut_sets`: a bridge has the empty set, a 2-cut is two edges
-    with equal sets.  A side X of an s-edge cut of a cubic graph has
-    (3|X| - s)/2 inner edges, so it holds a cycle iff |X| >= s; a single
+    Read off `CubicGraph._cut_space`: a bridge has the empty set, a 2-cut is
+    two edges with equal sets.  A side X of an s-edge cut of a cubic graph
+    has (3|X| - s)/2 inner edges, so it holds a cycle iff |X| >= s; a single
     vertex has 3 edges out.  So a graph that is disconnected (lambda 0), has
     a bridge (lambda 1) or has a 2-cut (lambda 2) is not cyclically
     4-edge-connected.  Otherwise lambda = 3, as every vertex star is a 3-cut.
@@ -205,7 +204,7 @@ def connectivity_report(graph: CubicGraph) -> ConnectivityReport:
     the graph is cyclically 4-edge-connected iff no edges e, f sharing no
     endpoint have sets[e] ^ sets[f] equal to the set of a third edge.
     """
-    components, sets = _cut_sets(graph)
+    components, sets = graph._cut_space
     if components != 1:  # the empty graph has no cut at all
         return ConnectivityReport(0 not in sets, 0, components == 0)
     if 0 in sets:
@@ -223,23 +222,17 @@ def connectivity_report(graph: CubicGraph) -> ConnectivityReport:
 
 
 def is_connected(graph: CubicGraph) -> bool:
-    return _cut_sets(graph)[0] == 1
+    return graph._cut_space[0] == 1
 
 
 def enumerate_paths_of_length_three(graph: CubicGraph) -> Iterator[tuple[int, int, int]]:
     """Yield (e1, f, e2) edge triples forming a path on four distinct vertices."""
-    for f in range(graph.m):
-        b, c = graph.endpoints(f)
-        for e1 in graph.incident(b):
-            if e1 == f:
+    stars = graph._stars
+    for f, (b, c) in enumerate(graph.edges):
+        for e1, a in stars[b]:
+            if e1 == f or a == c:
                 continue
-            a = graph.other_end(e1, b)
-            if a == c:
-                continue
-            for e2 in graph.incident(c):
-                if e2 == f or e2 == e1:
-                    continue
-                d = graph.other_end(e2, c)
-                if d in (a, b):
+            for e2, d in stars[c]:
+                if e2 == f or e2 == e1 or d in (a, b):
                     continue
                 yield (e1, f, e2)

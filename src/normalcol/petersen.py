@@ -65,7 +65,7 @@ class PetersenModel:
         for v in range(10):
             for color in palettes[v]:
                 hits = [
-                    e for e in self.graph.incident(v) if self.ctilde.colors[e] == color
+                    e for e in self.graph.incidence[v] if self.ctilde.colors[e] == color
                 ]
                 if len(hits) != 1:
                     raise VerificationError("model edge-at-color must be unique")
@@ -86,7 +86,7 @@ def canonical_petersen() -> PetersenModel:
     edge_at = {
         (palette(graph, ctilde, v), colors[eid]): eid
         for v in range(10)
-        for eid in graph.incident(v)
+        for eid in graph.incidence[v]
     }
     model = PetersenModel(graph, labels, ctilde, edge_at)
     model.validate()
@@ -125,9 +125,9 @@ def verify_h_coloring(graph: CubicGraph, host: CubicGraph, phi: tuple[int, ...])
         raise ValueError("map size does not match the graph")
     if any(p < 0 for p in phi):
         raise ValueError("H-coloring verification needs a total map")
-    stars = {frozenset(host.incident(w)) for w in range(host.n)}
+    stars = {frozenset(host.incidence[w]) for w in range(host.n)}
     for v in range(graph.n):
-        image = frozenset(phi[e] for e in graph.incident(v))
+        image = frozenset(phi[e] for e in graph.incidence[v])
         if len(image) != 3 or image not in stars:
             return False
     return True
@@ -164,7 +164,7 @@ def preimage_degrees(
     degrees = [0] * graph.n
     for eid, image in enumerate(phi):
         if image in chosen:
-            u, v = graph.endpoints(eid)
+            u, v = graph.edges[eid]
             degrees[u] += 1
             degrees[v] += 1
     return tuple(degrees)
@@ -184,7 +184,7 @@ def model_cycles() -> tuple[frozenset[int], ...]:
         edges = [e for e in range(graph.m) if (mask >> e) & 1]
         deg: dict[int, int] = {}
         for e in edges:
-            u, v = graph.endpoints(e)
+            u, v = graph.edges[e]
             deg[u] = deg.get(u, 0) + 1
             deg[v] = deg.get(v, 0) + 1
         if any(d != 2 for d in deg.values()):
@@ -196,7 +196,7 @@ def model_cycles() -> tuple[frozenset[int], ...]:
         stack = [start]
         adj: dict[int, list[int]] = {v: [] for v in verts}
         for e in edges:
-            u, v = graph.endpoints(e)
+            u, v = graph.edges[e]
             adj[u].append(v)
             adj[v].append(u)
         while stack:

@@ -2,11 +2,11 @@
 
 `min_abnormal` splits G at its bridges and solves each piece on its own.
 The pieces are the components of G minus its bridges (the edges in no
-cycle, read off `graphs._cut_sets`).  A piece is searched in G's own vertex
-and edge ids, over the edges at its vertices, the bridges among them.  A
-bridge's far end lies in another piece, so its star never fills during this
-piece's search and the bridge is never classified.  The minimum of G is the
-sum of the piece minima, for every k >= 3:
+cycle, read off `CubicGraph._cut_space`).  A piece is searched in G's own
+vertex and edge ids, over the edges at its vertices, the bridges among them.
+A bridge's far end lies in another piece, so its star never fills during
+this piece's search and the bridge is never classified.  The minimum of G
+is the sum of the piece minima, for every k >= 3:
 
 * a coloring of G restricts to a coloring of every piece, in which every
   non-bridge edge has the same two palettes, so it is abnormal in G iff it
@@ -83,7 +83,7 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from .coloring import EdgeColoring
-from .graphs import CubicGraph, _cut_sets, connectivity_report
+from .graphs import CubicGraph, connectivity_report
 
 _POP = tuple(i.bit_count() for i in range(1 << 7))  # palettes within colors 1..7
 
@@ -146,8 +146,8 @@ class _Piece:
 
 def _pieces(graph: CubicGraph) -> list[_Piece]:
     """The pieces of G, each after its parent in the tree of pieces."""
-    bridges = {eid for eid, cycles in enumerate(_cut_sets(graph)[1]) if not cycles}
-    edges, inc = graph.edges, graph.incidence
+    bridges = {eid for eid, cycles in enumerate(graph._cut_space[1]) if not cycles}
+    inc, stars = graph.incidence, graph._stars
     seen = [False] * graph.n
     pieces = []
     for start in range(graph.n):
@@ -158,8 +158,7 @@ def _pieces(graph: CubicGraph) -> list[_Piece]:
         for root, via in queue:  # breadth first over the tree of pieces
             members = [root]
             for v in members:  # flood fill across non-bridge edges
-                for eid in inc[v]:
-                    w = sum(edges[eid]) - v
+                for eid, w in stars[v]:
                     if not seen[w]:
                         seen[w] = True
                         if eid in bridges:
@@ -171,15 +170,16 @@ def _pieces(graph: CubicGraph) -> list[_Piece]:
     return pieces
 
 
-def _dead_end(graph: CubicGraph, nbrs: list[tuple[int, ...]], color: list[int],
-              pal: list[int], pop) -> Callable[[int, int], bool]:
+def _dead_end(
+    graph: CubicGraph, color: list[int], pal: list[int], pop
+) -> Callable[[int, int], bool]:
     """The forward check over one solve's color and palette lists:
     `dead(v, colors)` tells whether v, an end of the edge just colored,
     leaves some vertex x with 2 colored edges whose last edge xw has no
     color in the bitmask `colors` that keeps every edge from x to a full
     star normal.  That is v itself, or, when v's star is full, a neighbor
     of v."""
-    star = [tuple(zip(inc, ends)) for inc, ends in zip(graph.incidence, nbrs)]  # (edge, neighbor)
+    star, nbrs = graph._stars, graph.neighbors
 
     def stuck(x: int, colors: int) -> bool:
         px = pal[x]
@@ -222,12 +222,11 @@ def _search(
 ) -> tuple[SolveStatus, int, Optional[tuple[int, ...]], int]:
     """Branch and bound on one piece of G: (status, best count or -1, best
     coloring of `piece.eids` or None, nodes explored), for colorings with at
-    most `cap` abnormal edges.  `state` holds G's neighbors per vertex, in
-    incidence order, the color and palette lists, all zero on entry and
-    left so on return, the palette popcount table and the forward check
-    over those lists."""
-    endpoints, eids = graph.edges, piece.eids
-    nbrs, color, pal, pop, dead = state
+    most `cap` abnormal edges.  `state` holds the color and palette lists,
+    all zero on entry and left so on return, the palette popcount table and
+    the forward check over those lists."""
+    endpoints, nbrs, eids = graph.edges, graph.neighbors, piece.eids
+    color, pal, pop, dead = state
     m = len(eids)
     # the budget is folded into the incumbent bound
     best = m + 1 if cap is None else min(m, cap) + 1
@@ -365,11 +364,9 @@ def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveRes
     """
     cfg = cfg or SearchConfig()
     k = cfg.k
-    edges = graph.edges
-    nbrs = [tuple(sum(edges[f]) - w for f in inc) for w, inc in enumerate(graph.incidence)]
     color, pal, pop = [0] * graph.m, [0] * graph.n, _POP if k <= 7 else _BitCount()
     # every piece's search reuses these
-    state = (nbrs, color, pal, pop, _dead_end(graph, nbrs, color, pal, pop))
+    state = (color, pal, pop, _dead_end(graph, color, pal, pop))
     colors = [0] * graph.m
     total = nodes = 0
     status = SolveStatus.OPTIMAL

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import faulthandler
+import os
 import random
 from typing import Optional
 
@@ -8,6 +10,30 @@ import pytest
 from normalcol.coloring import EdgeColoring
 from normalcol.graphs import CubicGraph, catalog
 from normalcol.solver import SolveResult, SolveStatus
+
+
+_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # output capture is suspended while plugins are configured, so fd 2 is
+    # the terminal here; inside a test it is the capture file, whose
+    # contents are lost when the watchdog ends the process
+    config.stash[_STDERR] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR])
+
+
+@pytest.fixture(autouse=True)
+def _watchdog(pytestconfig):
+    """Fail a hung test instead of hanging the run: after 300 s, well above
+    the slowest test (an opt-in n = 18 scan takes about 80 s), dump every
+    thread's traceback to the terminal and exit with a non-zero code."""
+    faulthandler.dump_traceback_later(300, exit=True, file=pytestconfig.stash[_STDERR])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture
@@ -152,7 +178,7 @@ def exhaustive_oracle(graph: CubicGraph, k: int = 5, max_edges: int = 18) -> Sol
 
     # with the static edge order, edge f is classifiable right after the last
     # edge incident to its endpoints gets its color
-    last_at = [max(graph.incident(v)) for v in range(n)]
+    last_at = [max(graph.incidence[v]) for v in range(n)]
     decided_at: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for f, (a, b) in enumerate(endpoints):
         decided_at[max(last_at[a], last_at[b])].append((a, b))

@@ -15,6 +15,7 @@ import pytest
 
 from normalcol.coloring import abnormal_set, is_normal, is_proper
 from normalcol.constructions import (
+    composite_graph,
     cyclic_join_two_edges,
     default_three_path,
     k_abnormal_example,
@@ -31,6 +32,7 @@ from normalcol.petersen import (
     verify_h_coloring,
 )
 from normalcol.solver import (
+    SearchConfig,
     SolveStatus,
     has_normal_k,
     min_abnormal,
@@ -174,7 +176,7 @@ def test_criterion_7_cyclic_join_stays_cyc4():
     with criterion(7, "cyclic two-edge joins of Petersen stay cyclically 4-edge-connected"):
         petersen = catalog("petersen")
         e1, e2 = default_three_path(petersen)
-        assert not set(petersen.endpoints(e1)) & set(petersen.endpoints(e2))
+        assert not set(petersen.edges[e1]) & set(petersen.edges[e2])
         for t in (2, 3):
             h = cyclic_join_two_edges(petersen, e1, e2, t)
             assert connectivity_report(h).cyclically_4_edge_connected
@@ -186,6 +188,15 @@ def test_criterion_8_table_demo_bounds():
         bounds = {"disjoint": 0, "cyclic1": 5, "vertex_replacement": 7, "cyclic2": 9}
         for variant, bound in bounds.items():
             for t in (2, 3):
+                # every composite has a normal coloring, which the demo's
+                # unlimited solve relies on; a node limit 8x the largest
+                # budget-0 count (120,794) makes a wrong prune fail here
+                # in seconds instead of hanging the demo
+                result = min_abnormal(
+                    composite_graph(petersen, variant, t),
+                    SearchConfig(k=5, abnormal_budget=0, node_limit=1_000_000),
+                )
+                assert result.status is SolveStatus.OPTIMAL and result.best_count == 0
                 report = pigeonhole_demo(petersen, variant, t)
                 assert report.bound == bound
                 assert report.clean_copy_index is not None

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -282,6 +283,21 @@ def test_jaeger_roundtrip_below_five_colors(files, capsys, tmp_path):
     code, out = run(capsys, ["jaeger", "--graph", k4, "--coloring", str(col), "--out", "tsv"])
     assert code == 0
     assert out.splitlines()[-1] == "# h_coloring=true roundtrip=true"
+
+
+def test_jaeger_rejects_huge_colors_quickly(files, capsys, tmp_path):
+    # a few bytes of coloring file name colors near 10^9; the check that
+    # they exceed 5 must not cost memory that grows with the values
+    kneser = canonical_petersen().ctilde
+    shift = 10**9
+    col = tmp_path / "shifted.col"
+    col.write_text(write_coloring(
+        EdgeColoring(kneser.k + shift, tuple(c + shift for c in kneser.colors))
+    ))
+    start = time.perf_counter()
+    code, _ = run(capsys, ["jaeger", "--graph", str(files["petersen_el"]), "--coloring", str(col)])
+    assert code == 1
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("k", ["6", "7", "8"])

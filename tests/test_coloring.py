@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 
@@ -68,7 +69,7 @@ def test_classify_abnormal_shape(q3):
     bad = abnormal_set(q3, c)
     assert len(bad) == 2
     for eid in bad:
-        u, v = q3.endpoints(eid)
+        u, v = q3.edges[eid]
         s_u, s_v = palette(q3, c, u), palette(q3, c, v)
         assert len(s_u | s_v) == 4
         # abnormal means the palettes share exactly c(e) and one more color
@@ -83,7 +84,7 @@ def test_canonical_abnormal_instance(q3):
     c = EdgeColoring(5, Q3_TWO_ABNORMAL)
     eid = min(abnormal_set(q3, c))
     normalized = c.permuted(_normalizing_permutation(q3, c, eid))
-    u, v = q3.endpoints(eid)
+    u, v = q3.edges[eid]
     assert normalized.colors[eid] == 1
     assert palette(q3, normalized, u) == frozenset({1, 2, 3})
     assert palette(q3, normalized, v) == frozenset({1, 2, 4})
@@ -101,11 +102,11 @@ def test_classify_edge_checks_only_its_two_stars(petersen):
     # recolor edge 0 of the Kneser coloring to clash at its end u: the
     # edges at u are refused, the edges away from edge 0 still classify
     kneser = canonical_petersen().ctilde
-    u, v = petersen.endpoints(0)
-    clash = kneser.colors[petersen.incident(u)[1]]
+    u, v = petersen.edges[0]
+    clash = kneser.colors[petersen.incidence[u][1]]
     broken = EdgeColoring(5, (clash,) + kneser.colors[1:])
     assert not is_proper(petersen, broken)
-    for eid in petersen.incident(u):
+    for eid in petersen.incidence[u]:
         with pytest.raises(ImproperColoringError):
             classify_edge(petersen, broken, eid)
     for eid, ends in enumerate(petersen.edges):
@@ -167,3 +168,18 @@ def test_coloring_file_errors():
     for check in (is_proper, classify_all, abnormal_set):
         with pytest.raises(ValueError, match="covers 3 edges, graph has 6"):
             check(catalog("k4"), short)
+
+
+def test_classification_cost_ignores_color_values(petersen):
+    # classes depend only on which colors are equal, so colors near 10^9
+    # cost what colors 1..5 cost (one bit per raw color value would make
+    # each palette mask 125 MB)
+    kneser = canonical_petersen().ctilde
+    shift = 10**9
+    shifted = EdgeColoring(kneser.k + shift, tuple(c + shift for c in kneser.colors))
+    start = time.perf_counter()
+    assert is_proper(petersen, shifted)
+    assert not is_proper(petersen, shifted, 5)
+    assert classify_all(petersen, shifted) == classify_all(petersen, kneser)
+    assert classify_edge(petersen, shifted, 0) is EdgeClass.RICH
+    assert time.perf_counter() - start < 0.5

@@ -43,8 +43,8 @@ K4_PROPER = EdgeColoring(3, (1, 2, 3, 3, 2, 1))
 
 
 def _adjacent_edges(g: CubicGraph, eid: int) -> set[int]:
-    u, v = g.endpoints(eid)
-    return (set(g.incident(u)) | set(g.incident(v))) - {eid}
+    u, v = g.edges[eid]
+    return (set(g.incidence[u]) | set(g.incidence[v])) - {eid}
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +257,7 @@ def test_stub_rejoin_reconstructs_cubic(name, eids):
     """A join keeps each copy's edges in id order and rejoins every open
     stub once; one copy of G - e rejoined to itself is G again."""
     g = catalog(name)
-    kept = [g.endpoints(e) for e in range(g.m) if e not in eids]
+    kept = [g.edges[e] for e in range(g.m) if e not in eids]
     if len(eids) == 1:
         copies, h = 1, cyclic_join_one_edge(g, eids[0], 1)
         assert sorted(h.edges) == sorted(g.edges)
@@ -267,7 +267,7 @@ def test_stub_rejoin_reconstructs_cubic(name, eids):
     for i in range(copies):
         shifted = h.edges[i * span : (i + 1) * span]
         assert [(u - i * g.n, v - i * g.n) for u, v in shifted] == kept
-    ends = [v for e in eids for v in g.endpoints(e)]
+    ends = [v for e in eids for v in g.edges[e]]
     assert sorted(v % g.n for uv in h.edges[copies * span :] for v in uv) == sorted(ends * copies)
 
 
@@ -459,7 +459,7 @@ def test_extend_one_edge_unique_missing_color(q3):
 
 
 def test_extend_vertex_star_k4(k4):
-    star = k4.incident(0)
+    star = k4.incidence[0]
     out = extend_vertex_star(k4, _kept_colors(k4, K4_PROPER, star), 0, K4_PROPER.colors[star[0]])
     assert is_proper(k4, out, 5)
     # the first stub keeps its palette; the other two stubs are disturbed
@@ -471,7 +471,7 @@ def test_extend_vertex_star_k4(k4):
 def test_extend_vertex_star_petersen():
     for g, start in _extension_inputs():
         for v in range(g.n):
-            star = g.incident(v)
+            star = g.incidence[v]
             out = extend_vertex_star(g, _kept_colors(g, start, star), v, start.colors[star[0]])
             disturbed = set(star) | _adjacent_edges(g, star[1]) | _adjacent_edges(g, star[2])
             _check_extension(g, start, out, disturbed, 7)
@@ -490,8 +490,8 @@ def test_extend_two_edges_requires_three_path(petersen):
     pair = None
     for e1 in range(petersen.m):
         for e2 in range(e1 + 1, petersen.m):
-            a, b = petersen.endpoints(e1)
-            c, d = petersen.endpoints(e2)
+            a, b = petersen.edges[e1]
+            c, d = petersen.edges[e2]
             if {a, b} & {c, d}:
                 continue
             if not (_adjacent_edges(petersen, e1) & _adjacent_edges(petersen, e2)):
@@ -517,14 +517,14 @@ def test_extensions_reject_bad_input(petersen):
     with pytest.raises(ImproperColoringError):
         extend_one_edge(petersen, colors, 0)
     colors = _kept_colors(petersen, kneser, (0,))
-    a, b = petersen.incident(0)[1:]
+    a, b = petersen.incidence[0][1:]
     colors[a] = colors[b]
     with pytest.raises(ImproperColoringError):
         extend_one_edge(petersen, colors, 0)
     # the copied color must be missing at the first stub
-    star = petersen.incident(0)
-    stub = petersen.other_end(star[0], 0)
-    taken = kneser.colors[next(e for e in petersen.incident(stub) if e != star[0])]
+    star = petersen.incidence[0]
+    stub = petersen.neighbors[0][0]
+    taken = kneser.colors[next(e for e in petersen.incidence[stub] if e != star[0])]
     with pytest.raises(VerificationError, match="collides"):
         extend_vertex_star(petersen, _kept_colors(petersen, kneser, star), 0, taken)
 

@@ -193,7 +193,7 @@ def test_fuzz_random_edits_parse_or_raise_graph_errors():
             graph = parse_graph(text, fmt)
         except (ParseError, DegreeError, LoopError):
             continue
-        assert all(len(graph.incident(v)) == 3 for v in range(graph.n))
+        assert all(len(graph.incidence[v]) == 3 for v in range(graph.n))
 
 
 def test_detect_format(petersen):

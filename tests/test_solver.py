@@ -11,7 +11,7 @@ import pytest
 from normalcol.coloring import abnormal_set, is_normal, is_proper
 from normalcol.constructions import composite_graph
 from normalcol.generate import enumerate_cubic
-from normalcol.graphs import CubicGraph, _cut_sets, catalog, connectivity_report, is_connected
+from normalcol.graphs import CubicGraph, catalog, connectivity_report, is_connected
 from normalcol.solver import (
     SearchConfig,
     SolveStatus,
@@ -382,7 +382,7 @@ def test_differential_random_multigraphs():
             graphs.append(disjoint_union(*parts))
     for left, right in ((2, 2), (2, 2), (2, 2), (2, 4), (2, 4), (4, 4)):
         graphs.append(random_bridged_multigraph(rng, left, right))
-    assert any(g.has_parallel_edges() for g in graphs)
+    assert any(len(set(g.edges)) < g.m for g in graphs)
     assert any(not is_connected(g) for g in graphs)
     for graph in graphs:
         for k in _DIFFERENTIAL_KS[graph.n]:
@@ -415,8 +415,29 @@ def test_differential_bridge_pieces():
     # k = 5 costs the oracle about 2 s at 8 vertices, so it runs on one
     # chain of 3 blocks only; the 6-vertex graphs of 2 pieces get it above
     chain = graphs[2]
-    assert chain.n == 8 and _cut_sets(chain)[1].count(0) == 2
+    assert chain.n == 8 and chain._cut_space[1].count(0) == 2
     _check_against_oracle(chain, 5)
+
+
+def test_cut_space_built_once_per_graph(monkeypatch):
+    # record the graph of every spanning-forest pass, one entry per pass
+    prop = CubicGraph.__dict__["_cut_space"]
+    run_pass, passes = prop.func, []
+
+    def counted(graph: CubicGraph):
+        passes.append(graph)
+        return run_pass(graph)
+
+    monkeypatch.setattr(prop, "func", counted)
+    graph = bridged_multigraph()
+    connectivity_report(graph)
+    assert min_abnormal(graph).best_count == 4
+    assert is_connected(graph)
+    assert passes == [graph]
+    # one solve per k = 3, 4, 5, all on the same graph
+    petersen = catalog("petersen")
+    assert normal_chromatic_index(petersen) == 5
+    assert passes == [graph, petersen]
 
 
 def test_long_bridge_chain_pinned():
