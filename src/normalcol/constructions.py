@@ -278,7 +278,10 @@ def k4_gadget_extend(
 
     Colors are permuted so the designated edge has the canonical abnormal
     shape, then the frozen gadget table colors the seven new edges.
+    The coloring must be a proper 5-edge-coloring.
     """
+    if not is_proper(graph, coloring, 5):
+        raise ImproperColoringError("the K4 gadget needs a proper 5-edge-coloring")
     kept = _kept_edges(graph, (eid,))
     classes = classify_all(graph, coloring)
     if classes[eid] is not EdgeClass.ABNORMAL:

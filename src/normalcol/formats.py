@@ -5,7 +5,11 @@ u != v.  Repeated lines denote parallel edges.
 
 sparse6 is the standard ':'-prefixed encoding and supports multi-edges, which
 is why it is preferred over graph6 here.  The encoder follows the reference
-byte layout exactly, including the power-of-two padding special case.
+byte layout exactly.  The reference puts a 0 before the 1-padding when n is a
+power of two and the last item leaves the current vertex below n - 1; that
+never happens here, because vertex n - 1 of a cubic graph has edges and items
+go by larger endpoint, so the last item sets the current vertex to n - 1.  The
+decoder keeps the general padding rule for texts from other encoders.
 """
 
 from __future__ import annotations
@@ -116,50 +120,26 @@ def _data_to_n(data: list[int]) -> tuple[int, list[int]]:
 
 
 def _bit_width(n: int) -> int:
-    k = 1
-    while (1 << k) < n:
-        k += 1
-    return k
+    return max(1, (n - 1).bit_length())
 
 
 def _write_sparse6(graph: CubicGraph) -> str:
     n = graph.n
-    k = _bit_width(n)
-
-    def enc(x: int) -> list[int]:
-        return [(x >> (k - 1 - i)) & 1 for i in range(k)]
-
-    edges = sorted((max(u, v), min(u, v)) for u, v in graph.edges)
-    bits: list[int] = []
+    label = f"0{_bit_width(n)}b"
+    # items (b, x) as bit strings, in the decoder's order: by larger endpoint
+    items = []
     curv = 0
-    for v, u in edges:
-        if v == curv:
-            bits.append(0)
-            bits.extend(enc(u))
-        elif v == curv + 1:
-            curv += 1
-            bits.append(1)
-            bits.extend(enc(u))
-        else:
+    for v, u in sorted((max(u, v), min(u, v)) for u, v in graph.edges):
+        if v > curv + 1:
+            items.append("1" + format(v, label))
             curv = v
-            bits.append(1)
-            bits.extend(enc(v))
-            bits.append(0)
-            bits.extend(enc(u))
-    # Plain 1-padding would read as an edge at vertex n-1 when n is a power
-    # of two and enough padding bits remain; prepend a 0 in that case.
-    if k < 6 and n == (1 << k) and ((-len(bits)) % 6) >= k and curv < (n - 1):
-        bits.append(0)
-    bits.extend([1] * ((-len(bits)) % 6))
-
-    out = [":"]
-    out.extend(chr(d + 63) for d in _n_to_data(n))
-    for i in range(0, len(bits), 6):
-        word = 0
-        for b in bits[i : i + 6]:
-            word = (word << 1) | b
-        out.append(chr(word + 63))
-    return "".join(out) + "\n"
+        items.append(("1" if v > curv else "0") + format(u, label))
+        curv = v
+    # no power-of-two padding case: vertex n - 1 has edges, so curv ends at n - 1
+    bits = "".join(items)
+    bits += "1" * (-len(bits) % 6)
+    body = [chr(int(bits[i:i + 6], 2) + 63) for i in range(0, len(bits), 6)]
+    return ":" + "".join(chr(d + 63) for d in _n_to_data(n)) + "".join(body) + "\n"
 
 
 def _parse_sparse6(text: str) -> CubicGraph:
@@ -182,42 +162,24 @@ def _parse_sparse6(text: str) -> CubicGraph:
     if 3 * n * (k + 1) > 12 * len(rest):
         raise DegreeError(f"sparse6 body too short for a cubic graph on {n} vertices")
 
-    def pairs():
-        d = 0
-        dlen = 0
-        chunks = iter(rest)
-        while True:
-            if dlen < 1:
-                try:
-                    d = next(chunks)
-                except StopIteration:
-                    return
-                dlen = 6
-            dlen -= 1
-            b = (d >> dlen) & 1
-            x = d & ((1 << dlen) - 1)
-            xlen = dlen
-            while xlen < k:
-                try:
-                    d = next(chunks)
-                except StopIteration:
-                    return
-                dlen = 6
-                x = (x << 6) + d
-                xlen += 6
-            x >>= xlen - k
-            dlen = xlen - k
-            yield b, x
-
-    v = 0
+    # read the (b, x) items, k + 1 bits each, through one buffer that holds
+    # only the bits not yet read
+    mask = (1 << k) - 1
+    buf = nbits = v = 0
     edges = []
-    for b, x in pairs():
-        if b == 1:
-            v += 1
-        if x >= n or v >= n:
-            break  # padding
-        if x > v:
-            v = x
-        else:
-            edges.append((x, v))
+    for d in rest:
+        buf = (buf << 6) | d
+        nbits += 6
+        while nbits > k:
+            nbits -= k + 1
+            item = buf >> nbits
+            buf &= (1 << nbits) - 1
+            v += item >> k
+            x = item & mask
+            if x >= n or v >= n:  # padding
+                return CubicGraph(n, tuple(edges))
+            if x > v:
+                v = x
+            else:
+                edges.append((x, v))
     return CubicGraph(n, tuple(edges))

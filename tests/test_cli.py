@@ -381,6 +381,21 @@ def test_construct_rejects_unknown_edge_id(files, capsys, tmp_path, flags):
     assert captured.err == f"error: unknown edge id {bad}\n"
 
 
+@pytest.mark.parametrize("old, new", [(5, 6), (4, 7)])
+def test_construct_k4_gadget_rejects_colors_beyond_five(capsys, tmp_path, old, new):
+    graph = tmp_path / "q3.el"
+    graph.write_text(write_graph(catalog("q3"), "edge-list"))
+    col = tmp_path / "q3.col"
+    colors = tuple(new if c == old else c for c in Q3_TWO_ABNORMAL)
+    col.write_text(write_coloring(EdgeColoring(new, colors)))
+    code = main(["construct", "--variant", "k4_gadget", "--graph", str(graph),
+                 "--coloring", str(col)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: the K4 gadget needs a proper 5-edge-coloring\n"
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("t", [2, 3])
 @pytest.mark.parametrize("variant", DEMO_VARIANTS)
 @pytest.mark.parametrize("name", ["petersen", "k4"])

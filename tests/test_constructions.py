@@ -296,9 +296,15 @@ PINNED_COMPOSITES = {
 @pytest.mark.parametrize("name,variant,t", list(PINNED_COMPOSITES))
 def test_composite_layouts_and_demos_pinned(name, variant, t):
     g = catalog(name)
+    composite = composite_graph(g, variant, t)
+    # every composite has a normal coloring, which the demo's unlimited solve
+    # relies on; under a node limit (the largest takes 120,794 nodes) a wrong
+    # prune fails here in seconds instead of hanging the demo
+    result = min_abnormal(composite, SearchConfig(k=5, abnormal_budget=0, node_limit=1_000_000))
+    assert result.status is SolveStatus.OPTIMAL and result.best_count == 0
     blob = json.dumps(
         {
-            "edges": composite_graph(g, variant, t).edges,
+            "edges": composite.edges,
             "demo": pigeonhole_demo(g, variant, t).to_json_obj(),
         },
         sort_keys=True,
@@ -392,6 +398,15 @@ def test_k4_gadget_extend_steps(q3):
 def test_k4_gadget_rejects_poor_edge(k4):
     with pytest.raises(ValueError):
         k4_gadget_extend(k4, EdgeColoring(5, K4_PROPER.colors), 0)
+
+
+@pytest.mark.parametrize("old, new", [(5, 6), (4, 7)])
+def test_k4_gadget_rejects_colors_beyond_five(q3, old, new):
+    # still proper, with abnormal edges {1, 3}, but not a 5-edge-coloring
+    coloring = EdgeColoring(new, tuple(new if c == old else c for c in Q3_TWO_ABNORMAL))
+    assert is_proper(q3, coloring) and abnormal_set(q3, coloring) == {1, 3}
+    with pytest.raises(ImproperColoringError):
+        k4_gadget_extend(q3, coloring, 1)
 
 
 @pytest.mark.parametrize("k", range(2, 9))

@@ -3,10 +3,11 @@ from __future__ import annotations
 import random
 
 import networkx as nx
+import networkx.readwrite.graph6 as nx_graph6
 import pytest
 
 from normalcol.errors import DegreeError, LoopError, ParseError
-from normalcol.formats import detect_format, parse_graph, write_graph
+from normalcol.formats import _data_to_n, _n_to_data, detect_format, parse_graph, write_graph
 from normalcol.graphs import CubicGraph, catalog
 
 from conftest import (
@@ -95,6 +96,16 @@ def test_sparse6_roundtrip_random_multigraphs():
         again = parse_graph(text, "sparse6")
         assert again.n == graph.n
         assert sorted(map(sorted, again.edges)) == sorted(map(sorted, graph.edges))
+        # byte for byte the reference encoding, so the parse above read it too
+        assert text == nx.to_sparse6_bytes(_nx_multigraph(graph), header=False).decode("ascii")
+
+
+@pytest.mark.parametrize("n", [0, 1, 62, 63, 258047, 258048, 2**36 - 1])
+def test_size_field_matches_reference(n):
+    # one, four and eight characters: 63 opens the longer fields
+    data = _n_to_data(n)
+    assert data == nx_graph6.n_to_data(n)
+    assert _data_to_n(data + [5]) == nx_graph6.data_to_n(data + [5]) == (n, [5])
 
 
 def test_sparse6_parse_reference_petersen():

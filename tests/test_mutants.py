@@ -1,0 +1,151 @@
+"""Recorded mutants, each checked against the tests that catch it (opt-in:
+NORMALCOL_SLOW=1).
+
+A mutant is one exact text edit to a module of normalcol.  The check copies
+the package and these tests into a temporary directory, applies the edit to
+the copy, and runs the named tests there in a subprocess; a run that
+outlasts its timeout counts as failed.  Kinds:
+
+* killed: the run of `fails` must fail.
+* weakening: a sound weakening of a pruning rule, so only node-count pins may
+  fail: the run of `fails` (node pins) must fail and the run of `passes`
+  (outcome pins) must pass.
+* equivalent: no input found tells it apart, so the run of `passes` must pass.
+
+A pruning rule or fast path added later records its mutants here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
+
+import pytest
+
+import normalcol
+
+_TIMEOUT = 120  # seconds per run; the slowest named test takes a few
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    old: str
+    new: str
+    kind: str
+    fails: tuple[str, ...] = ()
+    passes: tuple[str, ...] = ()
+
+
+_NODE_PINS = ("tests/test_solver.py::test_search_order_pinned",)
+_OUTCOME_PINS = (
+    "tests/test_solver.py::test_class_outcomes_pinned",
+    "tests/test_solver.py::test_composite_outcomes_pinned",
+    "tests/test_cli.py::test_scan_outcomes_pinned",
+)
+_CONNECTIVITY = ("tests/test_graphs.py::test_connectivity_matches_brute_force",)
+
+MUTANTS = [
+    # the cut space read by connectivity_report and the solver's bridge split
+    Mutant("shared-endpoint-exclusion-dropped", "graphs.py",
+           "for e, f in combinations(range(graph.m), 2)\n        if ends[e].isdisjoint(ends[f])\n",
+           "for e, f in combinations(range(graph.m), 2)\n",
+           "killed", fails=_CONNECTIVITY),
+    Mutant("tree-edge-own-bit", "graphs.py",
+           "sets[up[v]] = below[v]\n", "sets[up[v]] = below[v] ^ (1 << up[v])\n",
+           "killed", fails=_CONNECTIVITY),
+    # the branch-edge scan
+    Mutant("branch-edge-back-at-end", "solver.py",
+           "uncolored.insert(i, eid)", "uncolored.append(eid)",
+           "killed", fails=_NODE_PINS),
+    Mutant("scan-stops-at-score-3", "solver.py",
+           "if s == 4:", "if s >= 3:",
+           "equivalent", passes=_NODE_PINS + (
+               "tests/test_solver.py::test_search_order_pinned_on_composites",)),
+    Mutant("scan-stops-at-score-2", "solver.py",
+           "if s == 4:", "if s >= 2:",
+           "killed", fails=_NODE_PINS + (
+               "tests/test_solver.py::test_search_order_pinned_on_composites",)),
+    # the tight forward check
+    Mutant("forward-check-colors-up-to-max-used", "solver.py",
+           "dead(u, masks[used]) or dead(v, masks[used])",
+           "dead(u, masks[used - 1]) or dead(v, masks[used - 1])",
+           "killed", fails=(
+               "tests/test_solver.py::test_petersen_not_4_normal",
+               "tests/test_solver.py::test_normal_chromatic_index",
+               "tests/test_solver.py::test_composite_outcomes_pinned",
+           )),
+    Mutant("forward-check-ignores-w-palette", "solver.py",
+           "                    return True\n                free &= ~q\n",
+           "                    return True\n",
+           "weakening", fails=_NODE_PINS, passes=_OUTCOME_PINS),
+    Mutant("forward-check-xw-test-at-any-colored-w", "solver.py",
+           "if pop[q] == 2 and pop[px | q] == 3:", "if pop[q] >= 1 and pop[px | q] == 3:",
+           "killed", fails=(
+               "tests/test_solver.py::test_petersen_not_4_normal",
+               "tests/test_solver.py::test_normal_chromatic_index",
+               "tests/test_solver.py::test_composite_outcomes_pinned",
+           )),
+    # the sparse6 codec
+    Mutant("sparse6-padding-stop-on-x-only", "formats.py",
+           "if x >= n or v >= n:  # padding", "if x >= n:  # padding",
+           "killed", fails=("tests/test_formats.py::test_sparse6_roundtrip_random_multigraphs",)),
+    Mutant("sparse6-buffer-unmasked", "formats.py",
+           "            buf &= (1 << nbits) - 1\n", "",
+           "killed", fails=("tests/test_formats.py::test_sparse6_roundtrip_and_reference",)),
+    Mutant("sparse6-zero-padding", "formats.py",
+           'bits += "1" * (-len(bits) % 6)', 'bits += "0" * (-len(bits) % 6)',
+           "killed", fails=("tests/test_formats.py::test_sparse6_roundtrip_and_reference",)),
+]
+
+
+def _passes(root: Path, tests: tuple[str, ...]) -> bool:
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=root, env=env, capture_output=True, text=True, timeout=_TIMEOUT,
+        )
+    except subprocess.TimeoutExpired:
+        return False
+    # 0: all passed, 1: some failed; anything else is a broken run
+    assert run.returncode in (0, 1), run.stdout + run.stderr
+    return run.returncode == 0
+
+
+def _copy(root: Path) -> Path:
+    """The package and these tests under root, with nothing pointing back."""
+    skip = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(Path(normalcol.__file__).parent, root / "src" / "normalcol", ignore=skip)
+    shutil.copytree(Path(__file__).parent, root / "tests", ignore=skip)
+    (root / "pytest.ini").write_text("[pytest]\n")  # no pythonpath to the original
+    return root / "src" / "normalcol"
+
+
+_SLOW = pytest.mark.skipif(not os.environ.get("NORMALCOL_SLOW"), reason="set NORMALCOL_SLOW=1")
+
+
+@_SLOW
+def test_named_tests_pass_unmutated(tmp_path):
+    _copy(tmp_path)
+    named = {t for m in MUTANTS for t in m.fails + m.passes}
+    assert _passes(tmp_path, tuple(sorted(named)))
+
+
+@_SLOW
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_mutant_is_caught(mutant, tmp_path):
+    assert bool(mutant.fails) == (mutant.kind != "equivalent")
+    assert bool(mutant.passes) == (mutant.kind != "killed")
+    module = _copy(tmp_path) / mutant.module
+    text = module.read_text()
+    assert text.count(mutant.old) == 1
+    module.write_text(text.replace(mutant.old, mutant.new))
+    if mutant.fails:
+        assert not _passes(tmp_path, mutant.fails), f"{mutant.name} survived"
+    if mutant.passes:
+        assert _passes(tmp_path, mutant.passes), f"{mutant.name} failed {mutant.passes}"
