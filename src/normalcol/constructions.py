@@ -377,6 +377,8 @@ def default_three_path(graph: CubicGraph) -> tuple[int, int]:
 
 def replacement_host(t: int) -> CubicGraph:
     """Smallest catalog 3-connected bipartite cubic host on >= 2t vertices."""
+    if t < 1:
+        raise ValueError("t must be at least 1")
     if 2 * t <= 6:
         return catalog("k33")
     return catalog("prism", t if t % 2 == 0 else t + 1)

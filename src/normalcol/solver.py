@@ -60,7 +60,37 @@ edges as its palette has colors, so a star is full when its palette holds 3.
   is counted yet: no leaf below best lies in the subtree.  A color above
   the child's largest is in no palette, so the next new color stands for
   all of them.  The search therefore meets the same incumbents in the same
-  order, and only node counts move.
+  order, and only node counts move;
+* a search for a normal coloring (cap 0, k <= 5, a piece that no bridge
+  meets, which is a whole component of G) also prunes a child by the parity
+  cut.  A normal coloring is a Petersen-coloring (F. Jaeger, "On
+  five-edge-colorings of cubic graphs and nowhere-zero flow problems", Ars
+  Combin. 20-B, 1985): it sends uv of color c to edge_at[(S(u), c)], the
+  same model edge from both ends (see `petersen`), so the three edges at u
+  go to the three model edges at the model vertex S(u).  Each of the model's
+  six perfect matchings M has exactly one edge at every model vertex, so for
+  every vertex set X, |X| and the number of edges of the boundary of X sent
+  into M have the same parity.  Let mask(S, c) be the 6-bit set of the
+  matchings that hold edge_at[(S, c)]; the XOR of the masks over the
+  boundary of X is then 63 when |X| is odd and 0 when it is even.  At cap 0
+  a full star's palette is final and every classified edge is normal, so an
+  edge from an unfilled vertex to a full vertex y already has its final
+  mask, read at y: a component X of the unfilled vertices whose boundary
+  breaks the parity has no normal completion.  The boundary of the full set
+  obeys the parity as it stands (each full star's masks XOR to 63, and its
+  inner edges, normal, cancel), a cubic component has an even number of
+  vertices, and no edge joins two unfilled components; so when all unfilled
+  components but one pass, the last passes too.  At the root the unfilled
+  vertices are the component minus its start vertex, one component, since a
+  bridgeless cubic multigraph is 2-connected, so it passes.  A child's
+  components are its parent's, except where a star it filled splits one.  So
+  the check runs only at a fill whose unfilled neighbors number at least 2,
+  and only on the parts of such a split, all but one.  It first looks for a
+  path of at most 3 unfilled steps from each neighbor to the first; only
+  when there is none do two breadth-first searches from the pair take turns
+  until they meet or one runs out, and the one that runs out has found a
+  whole component, which is checked.  Only subtrees without a normal
+  coloring go, so again only node counts move.
 
 A piece that no bridge meets, that is a bridgeless component of G, is first
 probed with cap 0: the search looks for a normal coloring.  Only when the
@@ -80,10 +110,12 @@ import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .coloring import EdgeColoring
 from .graphs import CubicGraph, connectivity_report
+from .petersen import canonical_petersen
 
 _POP = tuple(i.bit_count() for i in range(1 << 7))  # palettes within colors 1..7
 
@@ -212,6 +244,116 @@ def _dead_end(
     return dead
 
 
+@lru_cache(maxsize=1)
+def _matching_masks() -> tuple[int, ...]:
+    """mask(S, c) at index S << 3 | c, for S the bitmask of a 3-subset of
+    1..5: bit i is set when the model edge edge_at[(S, c)] lies in the i-th
+    of the model's six perfect matchings, found by matching its lowest
+    unmatched vertex every way there is."""
+    model = canonical_petersen()
+    stars = model.graph._stars
+    matchings = []
+
+    def extend(chosen: int, free: int) -> None:  # free: unmatched vertices, as bits
+        if not free:
+            matchings.append(chosen)
+            return
+        v = (free & -free).bit_length() - 1
+        for eid, w in stars[v]:
+            if free >> w & 1:
+                extend(chosen | 1 << eid, free & ~(1 << v | 1 << w))
+
+    extend(0, (1 << model.graph.n) - 1)
+    table = [0] * (32 << 3)
+    for (palette, c), eid in model.edge_at.items():
+        bits = sum(1 << (x - 1) for x in palette)
+        table[bits << 3 | c] = sum(1 << i for i, mt in enumerate(matchings) if mt >> eid & 1)
+    return tuple(table)
+
+
+def _parity_cut(
+    graph: CubicGraph, color: list[int], pal: list[int]
+) -> Callable[[int, int], bool]:
+    """The parity cut over one solve's color and palette lists, for
+    palettes within colors 1..5: `cut(u, v)` tells whether coloring uv,
+    with every classified edge normal, filled a star whose unfilled
+    neighbors now lie in different components of the unfilled vertices,
+    one of which breaks the matching parity (module docstring)."""
+    star, nbrs, mask, pop = graph._stars, graph.neighbors, _matching_masks(), _POP
+    seen = [0] * graph.n  # stamp-marked, so no call has to clear it
+    stamp = 0
+
+    def apart(x: int, y: int) -> int:
+        """Breadth first from x and from y in turn, one vertex a side per
+        round, until the sides meet (-1) or one runs out: then 0 for x's
+        side or 1 for y's, which found a whole component, or 2 when that
+        component breaks the parity."""
+        nonlocal stamp
+        stamp += 2
+        marks = (stamp - 1, stamp)
+        seen[x], seen[y] = marks
+        queues, acc = ([x], [y]), [0, 0]
+        i = 0
+        while True:
+            for side in (0, 1):
+                q = queues[side]
+                if i == len(q):
+                    return side if acc[side] == (63 if i & 1 else 0) else 2
+                mine, theirs = marks[side], marks[1 - side]
+                for f, w in star[q[i]]:
+                    pw = pal[w]
+                    if pop[pw] == 3:
+                        acc[side] ^= mask[pw << 3 | color[f]]
+                    elif seen[w] != mine:
+                        if seen[w] == theirs:
+                            return -1
+                        seen[w] = mine
+                        q.append(w)
+            i += 1
+
+    def cut(u: int, v: int) -> bool:
+        nonlocal stamp
+        if pop[pal[u]] == 3:
+            ends = nbrs[u] + nbrs[v] if pop[pal[v]] == 3 else nbrs[u]
+        elif pop[pal[v]] == 3:
+            ends = nbrs[v]
+        else:
+            return False
+        first = -1
+        for w in ends:
+            if pop[pal[w]] == 3:
+                continue
+            if first < 0:
+                # near: the first unfilled neighbor and its unfilled neighbors
+                first = w
+                stamp += 1
+                near = stamp
+                seen[w] = near
+                for a in nbrs[w]:
+                    if pop[pal[a]] < 3:
+                        seen[a] = near
+                continue
+            if seen[w] == near:
+                continue
+            # the cheap test: within 3 unfilled steps of first
+            for a in nbrs[w]:
+                if pop[pal[a]] < 3:
+                    b1, b2, b3 = nbrs[a]
+                    if near in (seen[a], seen[b1], seen[b2], seen[b3]):
+                        break
+            else:
+                side = apart(first, w)
+                if side == 2:
+                    return True
+                if side == 0:
+                    # first's component is whole and passed; the rest of the
+                    # split lies with w
+                    first = w
+        return False
+
+    return cut
+
+
 def _search(
     graph: CubicGraph,
     state: tuple,
@@ -223,10 +365,14 @@ def _search(
     """Branch and bound on one piece of G: (status, best count or -1, best
     coloring of `piece.eids` or None, nodes explored), for colorings with at
     most `cap` abnormal edges.  `state` holds the color and palette lists,
-    all zero on entry and left so on return, the palette popcount table and
-    the forward check over those lists."""
+    all zero on entry and left so on return, the palette popcount table,
+    and the forward check and the parity cut (None when k > 5 or every
+    piece has a bridge) over those lists."""
     endpoints, nbrs, eids = graph.edges, graph.neighbors, piece.eids
-    color, pal, pop, dead = state
+    color, pal, pop, dead, cut = state
+    # the parity cut holds only for normal colorings of a whole component
+    if cap != 0 or piece.bridged:
+        cut = None
     m = len(eids)
     # the budget is folded into the incumbent bound
     best = m + 1 if cap is None else min(m, cap) + 1
@@ -277,9 +423,11 @@ def _search(
                         count += 1
             used = c if c > max_used else max_used
             # a child over the bound, or with no slack left and a dead end
-            # the forward check finds, is pruned without a call
+            # the forward check finds or a split the parity cut refutes, is
+            # pruned without a call
             if count < best and not (
-                count == best - 1 and (dead(u, masks[used]) or dead(v, masks[used]))
+                count == best - 1
+                and (dead(u, masks[used]) or dead(v, masks[used]) or (cut and cut(u, v)))
             ):
                 search(count, used)
             # bit is not in forbidden, so XOR restores both palettes
@@ -364,13 +512,17 @@ def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveRes
     """
     cfg = cfg or SearchConfig()
     k = cfg.k
+    pieces = _pieces(graph)
     color, pal, pop = [0] * graph.m, [0] * graph.n, _POP if k <= 7 else _BitCount()
-    # every piece's search reuses these
-    state = (color, pal, pop, _dead_end(graph, color, pal, pop))
+    # every piece's search reuses these; only pieces that no bridge meets
+    # use the parity cut
+    cut = None
+    if k <= 5 and not all(piece.bridged for piece in pieces):
+        cut = _parity_cut(graph, color, pal)
+    state = (color, pal, pop, _dead_end(graph, color, pal, pop), cut)
     colors = [0] * graph.m
     total = nodes = 0
     status = SolveStatus.OPTIMAL
-    pieces = _pieces(graph)
     for i, piece in enumerate(pieces):
         cap = None if cfg.abnormal_budget is None else cfg.abnormal_budget - total
         # probe only the pieces no bridge meets: for k <= 5 a leaf piece has

@@ -396,6 +396,15 @@ def test_construct_k4_gadget_rejects_colors_beyond_five(capsys, tmp_path, old, n
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("t", ["0", "-2"])
+def test_construct_vertex_replacement_rejects_t_below_one(files, capsys, t):
+    code = main(["construct", "--variant", "vertex_replacement",
+                 "--graph", str(files["petersen_el"]), "--t", t])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: t must be at least 1\n"
+
+
 @pytest.mark.parametrize("t", [2, 3])
 @pytest.mark.parametrize("variant", DEMO_VARIANTS)
 @pytest.mark.parametrize("name", ["petersen", "k4"])

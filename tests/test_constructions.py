@@ -643,6 +643,19 @@ def test_replacement_host_shapes():
     assert replacement_host(5).n == 12
 
 
+@pytest.mark.parametrize("t", [0, -1, -7])
+def test_copy_count_below_one_rejected(petersen, t):
+    # every variant refuses too few copies; vertex replacement's host is
+    # K33 for every t up to 3, so replacement_host checks t itself
+    with pytest.raises(ValueError, match="^t must be at least 1$"):
+        replacement_host(t)
+    for variant in ("disjoint", "cyclic1", "vertex_replacement"):
+        with pytest.raises(ValueError, match="^t must be at least 1$"):
+            composite_graph(petersen, variant, t)
+    with pytest.raises(ValueError, match="^t must be at least 2$"):
+        composite_graph(petersen, "cyclic2", t)
+
+
 def test_composite_graph_matches_demo(petersen):
     h = composite_graph(petersen, "cyclic1", 2)
     assert (h.n, h.m) == (20, 30)

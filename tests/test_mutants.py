@@ -45,6 +45,7 @@ _NODE_PINS = ("tests/test_solver.py::test_search_order_pinned",)
 _OUTCOME_PINS = (
     "tests/test_solver.py::test_class_outcomes_pinned",
     "tests/test_solver.py::test_composite_outcomes_pinned",
+    "tests/test_solver.py::test_replacement_family_outcomes_pinned",
     "tests/test_cli.py::test_scan_outcomes_pinned",
 )
 _CONNECTIVITY = ("tests/test_graphs.py::test_connectivity_matches_brute_force",)
@@ -90,6 +91,14 @@ MUTANTS = [
                "tests/test_solver.py::test_normal_chromatic_index",
                "tests/test_solver.py::test_composite_outcomes_pinned",
            )),
+    # the parity cut
+    Mutant("parity-cut-off", "solver.py",
+           "    if cap != 0 or piece.bridged:\n        cut = None\n", "    cut = None\n",
+           "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_composites",),
+           passes=_OUTCOME_PINS),
+    Mutant("parity-cut-size-parity-flipped", "solver.py",
+           "(63 if i & 1 else 0)", "(0 if i & 1 else 63)",
+           "killed", fails=("tests/test_solver.py::test_composite_outcomes_pinned",)),
     # the sparse6 codec
     Mutant("sparse6-padding-stop-on-x-only", "formats.py",
            "if x >= n or v >= n:  # padding", "if x >= n:  # padding",

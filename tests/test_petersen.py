@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
 from normalcol.coloring import EdgeColoring, abnormal_set, is_proper, palette
-from normalcol.constructions import Q3_TWO_ABNORMAL
+from normalcol.constructions import DEMO_VARIANTS, Q3_TWO_ABNORMAL, composite_graph
 from normalcol.errors import ImproperColoringError, VerificationError
 from normalcol.graphs import catalog
 from normalcol.petersen import (
@@ -19,7 +20,7 @@ from normalcol.petersen import (
 )
 from normalcol.generate import enumerate_cubic
 from normalcol.graphs import connectivity_report
-from normalcol.solver import has_normal_k, min_abnormal
+from normalcol.solver import SearchConfig, has_normal_k, min_abnormal
 
 from conftest import random_bridged_multigraph, random_cubic_multigraph
 
@@ -306,3 +307,57 @@ def test_one_rule_matches_two_rule_reference(model):
         abnormal_edges += len(bad)
     assert len(colorings) == 1 + 3 * len(graphs)
     assert witnesses_with_abnormal >= 5 and abnormal_edges >= 500
+
+
+def _model_matchings(model):
+    """The model's perfect matchings: every 5-edge set that covers each of
+    the 10 vertices once, by brute force over all 3,003 of them."""
+    ends = model.graph.edges
+    return [
+        frozenset(chosen)
+        for chosen in combinations(range(model.graph.m), 5)
+        if len({x for e in chosen for x in ends[e]}) == 10
+    ]
+
+
+def test_matching_parity_lemma(model):
+    # the fact behind the solver's parity cut, checked on the model and
+    # through build_p_coloring rather than through the cut: a normal
+    # coloring sends the boundary of any vertex set X into each of the
+    # model's perfect matchings a number of times with the parity of |X|
+    matchings = _model_matchings(model)
+    assert len(matchings) == 6
+    mask = [sum(1 << i for i, mt in enumerate(matchings) if e in mt) for e in range(15)]
+    assert all(bin(bits).count("1") == 2 for bits in mask)  # every edge in exactly two
+    for w in range(10):
+        a, b, c = (mask[e] for e in model.graph.incidence[w])
+        assert a & b == a & c == b & c == 0 and a | b | c == 63
+    # the solver's table, bit i standing for its own i-th matching, names
+    # the same six matchings
+    from normalcol.solver import _matching_masks
+
+    table = _matching_masks()
+    keys = {(sum(1 << (x - 1) for x in pal) << 3 | c): e for (pal, c), e in model.edge_at.items()}
+    by_bit = [frozenset(e for key, e in keys.items() if table[key] >> i & 1) for i in range(6)]
+    assert sorted(map(sorted, by_bit)) == sorted(map(sorted, matchings))
+    assert all(not bits for key, bits in enumerate(table) if key not in keys)
+
+    petersen = catalog("petersen")
+    graphs = [g for n in range(4, 11, 2) for g in enumerate_cubic(n, distinct=True)]
+    graphs += [composite_graph(petersen, v, t) for v in DEMO_VARIANTS for t in (2, 3)]
+    rng = random.Random(19)
+    checked = 0
+    for graph in graphs:
+        witness = min_abnormal(graph, SearchConfig(abnormal_budget=0)).witness
+        if witness is None:  # the bridged class at n = 10 has no normal coloring
+            continue
+        phi = build_p_coloring(graph, witness)
+        for _ in range(40):
+            inside = [rng.random() < 0.5 for _ in range(graph.n)]
+            parity = 0
+            for e, (u, v) in enumerate(graph.edges):
+                if inside[u] != inside[v]:
+                    parity ^= mask[phi[e]]
+            assert parity == (63 if sum(inside) % 2 else 0)
+            checked += 1
+    assert checked == 40 * (26 + 8)

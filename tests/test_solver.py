@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from normalcol.coloring import abnormal_set, is_normal, is_proper
-from normalcol.constructions import composite_graph
+from normalcol.constructions import composite_graph, vertex_replacement
 from normalcol.generate import enumerate_cubic
 from normalcol.graphs import CubicGraph, catalog, connectivity_report, is_connected
 from normalcol.solver import (
@@ -162,12 +162,14 @@ def test_search_order_pinned(petersen):
 def test_search_order_pinned_on_composites(petersen):
     # the budget-0 solves behind the extension-bound demos: the composites
     # of the Petersen graph (each ends in its probe), and Petersen at k = 6
-    # and at k = 8, where palettes outgrow the popcount table
+    # and at k = 8, where palettes outgrow the popcount table.  The parity
+    # cut prunes only in vertex_replacement, behind whose 3-edge cuts the
+    # search re-colors the replaced copies
     for variant, t, nodes in [
         ("disjoint", 3, 438),
         ("cyclic1", 3, 966),
         ("cyclic2", 3, 91),
-        ("vertex_replacement", 2, 120794),
+        ("vertex_replacement", 2, 50958),
     ]:
         result = min_abnormal(composite_graph(petersen, variant, t), SearchConfig(abnormal_budget=0))
         assert (result.best_count, result.nodes_explored) == (0, nodes), variant
@@ -206,6 +208,31 @@ def test_composite_outcomes_pinned(petersen):
     ]
     assert _outcomes_sha256(results) == (
         "81dd4496cf2c47082c32a20870f0001e92826bd58447a75544fceefcb801a975"
+    )
+
+
+def test_replacement_family_outcomes_pinned():
+    # every replaced vertex sits behind a 3-edge cut, where the parity cut
+    # prunes the most: K33 with each vertex replaced by one of the 26
+    # bridgeless classes with n <= 10, less a vertex.  Taken before the
+    # parity cut, when these solves took 4,362,358 nodes.  The solves share
+    # a limit above that, so a solver that prunes normal colorings fails
+    # here in seconds instead of searching for minutes
+    host = catalog("k33")
+    graphs = [
+        g
+        for n in range(4, 11, 2)
+        for g in enumerate_cubic(n, distinct=True)
+        if connectivity_report(g).bridgeless
+    ]
+    assert len(graphs) == 26
+    results, left = [], 5_000_000
+    for g in graphs:
+        cfg = SearchConfig(abnormal_budget=0, node_limit=left)
+        results.append(min_abnormal(vertex_replacement(host, g, 0), cfg))
+        left -= results[-1].nodes_explored
+    assert _outcomes_sha256(results) == (
+        "f516e6a3b3b2a7eb94c12f89d1db3320e6c28225c129456f0808a3a8bcc45545"
     )
 
 
