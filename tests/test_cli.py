@@ -167,6 +167,62 @@ def test_scan_outcomes_pinned(capsys):
     assert hashlib.sha256(blob.encode()).hexdigest() == SCAN_OUTCOMES_SHA256
 
 
+# exit code and full stdout sha256 of every subcommand's report, taken before
+# the handlers shared one report writer; an argv word that names a `files`
+# key stands for that file's path
+REPORT_PINS = {
+    "classify --graph petersen_el --coloring kneser --out tsv":
+        (0, "9f4619cea4b7b70f009a984a875491c6c2ea9d5aafaa8dfb12ed40ba9cb91a5f"),
+    "classify --graph petersen_el --coloring kneser --out json":
+        (0, "ae0cd96a6c82ba12d7bdce6de6fa1db7df39a5261005d1bf063aaec35c5d732a"),
+    "solve --graph petersen_s6 --out tsv":
+        (0, "e967612b70dcf37ae1e892c8bab6c0367a4ba3f8bf2979cc593a3a1f3d2459d4"),
+    "solve --graph petersen_s6 --out json":
+        (0, "ba36625f5aafc26c80a8bd1ad1fb0387a1c9bdba0fa0946965a67e5d1cd0fdd1"),
+    "solve --graph petersen_s6 --node-limit 10 --out tsv":
+        (3, "109d2f9caa55bcaee7b199955ac71b5b78b8d2aa431230e47d983f4370d72d5a"),
+    "solve --graph petersen_s6 --node-limit 10 --out json":
+        (3, "0d2e5515024425d6debe8b54441d88f81cb1d5ede8fbcf80063f06737ec3a46e"),
+    "chi-n --graph petersen_s6 --out tsv":
+        (0, "90eb5dfde54996603d45bb47e48ae90b772adaa898ab5dd3ab6323523dda80f1"),
+    "chi-n --graph petersen_s6 --out json":
+        (0, "3cb387b4ad4bed803acf09347264ec1eb78e4e72616237f2d73e4d65fedcdc4d"),
+    "chi-n --graph bridged --out tsv":
+        (0, "16cd7002be879385f94488813274d0305d975f6b16dc7815e28f64355a29d99a"),
+    "chi-n --graph bridged --out json":
+        (0, "04dc7319233e117997531d4b9053190d9b72c28a9c62a5cd004cebda7386b861"),
+    "jaeger --graph petersen_el --out tsv":
+        (0, "6cdc628369abc11f8791a3db875fda80689fad1de687ea7d7958f1a0b5078513"),
+    "jaeger --graph petersen_el --out json":
+        (0, "6c93a695a9002f839f4db8574b9567f6950f9bcf9e6aa3b5a7a4cf5b8b752fe3"),
+    "question31 --n 8 --out tsv":
+        (0, "d162150b0dcae02ca3a9acf5592333dd250ef3810c3ed13530682623beb259f8"),
+    "question31 --n 8 --out json":
+        (0, "9b4dd15c984aacfd034f11ae605ffb5e099ab4fcc30e50929365ecb0236fe25e"),
+    "demo --variant disjoint --graph petersen_el --t 2":
+        (0, "25d832ea1d5d92b8a06ca86d61576448a1326a3329c029602efc8e4dd9f0d22f"),
+    "demo --variant cyclic1 --graph petersen_el --t 2":
+        (0, "af946af5acb4d47ba6879c53546bb6509959e7cd9c595c1deba5df086413e545"),
+    "demo --variant vertex_replacement --graph petersen_el --t 2":
+        (0, "6de6dbaadb0d39a38ed50e5250594cb589b69895078203a4872adb19e79a937c"),
+    "demo --variant cyclic2 --graph petersen_el --t 2":
+        (0, "81ef566a3170a17d958f9d6e9c7249a3a951ad153d142e504f63d6086e7e0a68"),
+    "construct --variant cyclic2 --graph petersen_el --t 2":
+        (0, "35831f9be90432d4bcfac5f7343f506d24b36a63f7a987560d9f5b711068d051"),
+    # --format names both the input's and the output's format
+    "construct --variant cyclic2 --graph petersen_s6 --t 2 --format sparse6":
+        (0, "ed66afd8cd3ed3ab0c1ea4f992944065046746a7a9212c504d86c15cb97a0bdd"),
+    "plot --graph petersen_el --coloring kneser":
+        (0, "f1034bbac04e551f03e064793cd77979de4967d17c4c680502e5a5220f5d1bae"),
+}
+
+
+@pytest.mark.parametrize("argv", list(REPORT_PINS))
+def test_report_bytes_pinned(files, capsys, argv):
+    code, out = run(capsys, [str(files[a]) if a in files else a for a in argv.split()])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == REPORT_PINS[argv]
+
+
 @pytest.mark.parametrize("out", ["tsv", "json"])
 def test_solve_node_limit_is_incomplete(files, capsys, out):
     code = main(["solve", "--graph", str(files["petersen_s6"]), "--node-limit", "10",
