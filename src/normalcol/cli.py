@@ -2,10 +2,13 @@
 
 Exit codes: 0 success, 1 usage error, 2 verification failure (a claimed
 invariant did not hold on this input), 3 incomplete (a resource limit
-stopped a solve, so some answers are not proofs).  Reports embed the
-SHA-256 of every input file, and identical invocations produce identical
-bytes; the scan timing column only carries real values under --timing,
-since wall time is the one thing that cannot be reproduced.
+stopped a solve, so some answers are not proofs).  Subcommand handlers
+print their reports and raise on failure: ``ValueError``,
+``VerificationError`` or ``_Incomplete``, the last two after the report.
+``main`` alone maps each to one stderr line and its exit code.  Reports
+embed the SHA-256 of every input file, and identical invocations produce
+identical bytes; the scan timing column only carries real values under
+--timing, since wall time is the one thing that cannot be reproduced.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .coloring import (
     is_proper,
     read_coloring,
 )
-from .errors import GraphError, ImproperColoringError, VerificationError
+from .errors import VerificationError
 from .formats import detect_format, parse_graph, write_graph
 from .generate import enumerate_cubic
 from .graphs import CubicGraph, catalog
@@ -39,16 +42,16 @@ from .solver import (
     scan_no_single_abnormal,
 )
 
-_USAGE_EXIT = 1
-_VERIFY_EXIT = 2
-_INCOMPLETE_EXIT = 3
+
+class _Incomplete(Exception):
+    """A resource limit stopped a solve after its report was printed."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse would exit 2
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(_USAGE_EXIT)
+        raise SystemExit(1)
 
 
 def _read(path: str) -> tuple[str, str]:
@@ -72,8 +75,15 @@ def _load_coloring(args, hashes: dict[str, str]) -> EdgeColoring:
     return read_coloring(text)
 
 
-def _emit_json(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+def _report(fmt: str, obj: dict, lines: list[str]) -> None:
+    """Print obj as compact sorted JSON, or the TSV lines, under a
+    ``# inputs`` line when obj carries input hashes."""
+    if fmt == "json":
+        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        return
+    if "inputs" in obj:
+        print(f"# inputs {json.dumps(obj['inputs'], sort_keys=True)}")
+    print("\n".join(lines))
 
 
 def _add_graph_flags(p: _Parser) -> None:
@@ -85,39 +95,30 @@ def _add_graph_flags(p: _Parser) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> None:
     graph, hashes = _load_graph(args)
     coloring = _load_coloring(args, hashes)
-    classes = classify_all(graph, coloring)
-    counts = {"poor": 0, "rich": 0, "abnormal": 0}
-    for cls in classes:
-        counts[cls.value] += 1
-    abnormal = sorted(abnormal_set(graph, coloring))
-    if args.out == "json":
-        _emit_json(
-            {
-                "k": coloring.k,
-                "classes": [cls.value for cls in classes],
-                "counts": counts,
-                "abnormal_edges": abnormal,
-                "normal": not abnormal,
-                "checks": {"proper": True},
-                "inputs": hashes,
-            }
-        )
-    else:
-        print(f"# inputs {json.dumps(hashes, sort_keys=True)}")
-        print("edge_id\tclass")
-        for eid, cls in enumerate(classes):
-            print(f"{eid}\t{cls.value}")
-        print(
-            f"# counts poor={counts['poor']} rich={counts['rich']}"
-            f" abnormal={counts['abnormal']} normal={str(not abnormal).lower()}"
-        )
-    return 0
+    classes = [cls.value for cls in classify_all(graph, coloring)]
+    counts = {name: classes.count(name) for name in ("poor", "rich", "abnormal")}
+    abnormal = [eid for eid, cls in enumerate(classes) if cls == "abnormal"]
+    obj = {
+        "k": coloring.k,
+        "classes": classes,
+        "counts": counts,
+        "abnormal_edges": abnormal,
+        "normal": not abnormal,
+        "checks": {"proper": True},
+        "inputs": hashes,
+    }
+    _report(args.out, obj, [
+        "edge_id\tclass",
+        *(f"{eid}\t{cls}" for eid, cls in enumerate(classes)),
+        f"# counts poor={counts['poor']} rich={counts['rich']}"
+        f" abnormal={counts['abnormal']} normal={str(not abnormal).lower()}",
+    ])
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> None:
     graph, hashes = _load_graph(args)
     cfg = SearchConfig(k=args.k, abnormal_budget=args.budget, node_limit=args.node_limit)
     result = min_abnormal(graph, cfg)
@@ -135,77 +136,54 @@ def _cmd_solve(args) -> int:
         "checks": checks,
         "inputs": hashes,
     }
-    if args.out == "json":
-        _emit_json(obj)
-    else:
-        print(f"# inputs {json.dumps(hashes, sort_keys=True)}")
-        print("status\tmin_abnormal\tnodes")
-        print(f"{result.status.value}\t{result.best_count}\t{result.nodes_explored}")
+    _report(args.out, obj, [
+        "status\tmin_abnormal\tnodes",
+        f"{result.status.value}\t{result.best_count}\t{result.nodes_explored}",
+    ])
     if not all(checks.values()):
-        print("verification failure: witness checks failed", file=sys.stderr)
-        return _VERIFY_EXIT
+        raise VerificationError("witness checks failed")
     if result.status is SolveStatus.LIMIT:
-        print("incomplete: the node limit stopped the solve", file=sys.stderr)
-        return _INCOMPLETE_EXIT
-    return 0
+        raise _Incomplete("the node limit stopped the solve")
 
 
-def _cmd_chi_n(args) -> int:
+def _cmd_chi_n(args) -> None:
     graph, hashes = _load_graph(args)
     witness = _normal_index_witness(graph)
     index = None if witness is None else witness.k
     # no index is a certified answer: k = m admits every coloring there is
     checks = {} if witness is None else {"witness_normal": is_normal(graph, witness)}
-    if args.out == "json":
-        _emit_json(
-            {
-                "normal_chromatic_index": index,
-                "witness": list(witness.colors) if witness else None,
-                "checks": checks,
-                "inputs": hashes,
-            }
-        )
-    else:
-        print(f"# inputs {json.dumps(hashes, sort_keys=True)}")
-        print("normal_chromatic_index")
-        print("none" if index is None else index)
+    obj = {
+        "normal_chromatic_index": index,
+        "witness": list(witness.colors) if witness else None,
+        "checks": checks,
+        "inputs": hashes,
+    }
+    _report(args.out, obj, ["normal_chromatic_index", "none" if index is None else str(index)])
     if not all(checks.values()):
-        print("verification failure: no normal witness at the reported index", file=sys.stderr)
-        return _VERIFY_EXIT
-    return 0
+        raise VerificationError("no normal witness at the reported index")
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> None:
     graphs = enumerate_cubic(args.n, distinct=True)
     report = scan_no_single_abnormal(graphs, SearchConfig(k=args.k, node_limit=args.node_limit))
     unresolved = report.unresolved_ids()
-    if args.out == "json":
-        obj = report.to_json_obj(timing=args.timing)
-        obj["n"] = args.n
-        obj["graphs"] = len(report.rows)
-        _emit_json(obj)
-    else:
-        body = report.to_tsv(timing=args.timing)
-        print(body, end="")
-        dist = ",".join(f"{k}:{v}" for k, v in report.distribution().items())
-        print(
-            f"# graphs={len(report.rows)} minima={{{dist}}}"
-            f" single_abnormal={len(report.single_abnormal_ids())}"
-            + (f" unresolved={len(unresolved)}" if unresolved else "")
-        )
+    obj = report.to_json_obj(timing=args.timing)
+    obj["n"] = args.n
+    obj["graphs"] = len(report.rows)
+    dist = ",".join(f"{k}:{v}" for k, v in report.distribution().items())
+    _report(args.out, obj, [
+        *report.to_tsv(timing=args.timing).splitlines(),
+        f"# graphs={len(report.rows)} minima={{{dist}}}"
+        f" single_abnormal={len(report.single_abnormal_ids())}"
+        + (f" unresolved={len(unresolved)}" if unresolved else ""),
+    ])
     if report.single_abnormal_ids():
-        print(
-            "verification failure: a graph with exactly one abnormal edge appeared",
-            file=sys.stderr,
-        )
-        return _VERIFY_EXIT
+        raise VerificationError("a graph with exactly one abnormal edge appeared")
     if unresolved:
-        print(f"incomplete: the node limit stopped {len(unresolved)} solve(s)", file=sys.stderr)
-        return _INCOMPLETE_EXIT
-    return 0
+        raise _Incomplete(f"the node limit stopped {len(unresolved)} solve(s)")
 
 
-def _cmd_jaeger(args) -> int:
+def _cmd_jaeger(args) -> None:
     graph, hashes = _load_graph(args)
     if args.coloring:
         coloring = _load_coloring(args, hashes)
@@ -214,33 +192,29 @@ def _cmd_jaeger(args) -> int:
         k = min(args.k, 5)
         coloring = has_normal_k(graph, k)
         if coloring is None:
-            print(f"no normal {k}-edge-coloring exists for this graph", file=sys.stderr)
-            return _VERIFY_EXIT
+            raise VerificationError(f"no normal {k}-edge-coloring exists for this graph")
     phi = build_p_coloring(graph, coloring)
     model = canonical_petersen()
     verified = verify_h_coloring(graph, model.graph, phi)
     # compare colors only: the pullback is a 5-coloring whatever k the input declared
     roundtrip = verified and pullback(graph, phi).colors == coloring.colors
-    if args.out == "json":
-        _emit_json(
-            {
-                "phi": list(phi),
-                "checks": {"h_coloring": verified, "roundtrip": roundtrip},
-                "inputs": hashes,
-            }
-        )
-    else:
-        print(f"# inputs {json.dumps(hashes, sort_keys=True)}")
-        print(write_p_coloring(phi), end="")
-        print(f"# h_coloring={str(verified).lower()} roundtrip={str(roundtrip).lower()}")
+    obj = {
+        "phi": list(phi),
+        "checks": {"h_coloring": verified, "roundtrip": roundtrip},
+        "inputs": hashes,
+    }
+    _report(args.out, obj, [
+        *write_p_coloring(phi).splitlines(),
+        f"# h_coloring={str(verified).lower()} roundtrip={str(roundtrip).lower()}",
+    ])
     if not (verified and roundtrip):
-        print("verification failure: Jaeger round-trip did not close", file=sys.stderr)
-        return _VERIFY_EXIT
-    return 0
+        raise VerificationError("Jaeger round-trip did not close")
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> None:
     graph, hashes = _load_graph(args)
+    if args.t < 1:
+        raise ValueError("t must be at least 1")
     variant = args.variant
     if variant == "disjoint":
         out = constructions.disjoint_copies(graph, args.t)
@@ -250,8 +224,7 @@ def _cmd_construct(args) -> int:
         )
     elif variant == "cyclic2":
         if (args.edge is None) != (args.edge2 is None):
-            print("error: cyclic2 takes both --edge and --edge2, or neither", file=sys.stderr)
-            return _USAGE_EXIT
+            raise ValueError("cyclic2 takes both --edge and --edge2, or neither")
         if args.edge is not None:
             e1, e2 = args.edge, args.edge2
         else:
@@ -267,35 +240,28 @@ def _cmd_construct(args) -> int:
         out = constructions.two_cut_connection(graph, e1, other, e2)
     elif variant == "k4_gadget":
         if not args.coloring:
-            print("error: k4_gadget needs --coloring to locate an abnormal edge", file=sys.stderr)
-            return _USAGE_EXIT
+            raise ValueError("k4_gadget needs --coloring to locate an abnormal edge")
         coloring = _load_coloring(args, hashes)
         bad = sorted(abnormal_set(graph, coloring))
         if not bad:
-            print("error: the coloring has no abnormal edge to extend", file=sys.stderr)
-            return _USAGE_EXIT
+            raise ValueError("the coloring has no abnormal edge to extend")
         eid = args.edge if args.edge is not None else bad[0]
         out, _ = constructions.k4_gadget_extend(graph, coloring, eid)
     fmt = args.format if args.format != "auto" else "edge-list"
     print(write_graph(out, fmt), end="")
-    return 0
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args) -> None:
     graph, hashes = _load_graph(args)
     # a coloring file applies to the composite graph, which the demo builds
     coloring = _load_coloring(args, hashes) if args.coloring else None
     report = constructions.pigeonhole_demo(graph, args.variant, args.t, coloring)
-    obj = report.to_json_obj()
-    obj["inputs"] = hashes
-    _emit_json(obj)
+    _report("json", {**report.to_json_obj(), "inputs": hashes}, [])
     if not report.passed:
-        print("verification failure: demo bound not met", file=sys.stderr)
-        return _VERIFY_EXIT
-    return 0
+        raise VerificationError("demo bound not met")
 
 
-def _cmd_question31(args) -> int:
+def _cmd_question31(args) -> None:
     # at budget 2 a minimum above 2 ends INFEASIBLE without an optimality proof
     graphs = enumerate_cubic(args.n, distinct=True)
     report = scan_no_single_abnormal(graphs, SearchConfig(abnormal_budget=2))
@@ -309,21 +275,17 @@ def _cmd_question31(args) -> int:
         if r.bridgeless and r.status is SolveStatus.OPTIMAL
     ]
     violations = [r["graph_id"] for r in rows if not r["has_normal_5"]]
-    obj = {"n": args.n, "rows": rows, "violations": violations}
-    if args.out == "json":
-        _emit_json(obj)
-    else:
-        print("graph_id\tmin_abnormal\thas_normal_5")
-        for r in rows:
-            print(f"{r['graph_id']}\t{r['min_abnormal']}\t{int(r['has_normal_5'])}")
-        print(f"# violations={len(violations)}")
+    _report(args.out, {"n": args.n, "rows": rows, "violations": violations}, [
+        "graph_id\tmin_abnormal\thas_normal_5",
+        *(f"{r['graph_id']}\t{r['min_abnormal']}\t{int(r['has_normal_5'])}" for r in rows),
+        f"# violations={len(violations)}",
+    ])
     if violations:
         print(
             "note: bridgeless graph(s) with min <= 2 but no normal 5-edge-coloring: "
             f"{violations}",
             file=sys.stderr,
         )
-    return 0
 
 
 _PLOT_STYLE = {
@@ -334,7 +296,7 @@ _PLOT_STYLE = {
 }
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args) -> None:
     import math
 
     graph, hashes = _load_graph(args)
@@ -385,7 +347,6 @@ def _cmd_plot(args) -> int:
             lines.append(f'<text x="42" y="{y + 3.5:.2f}" font-size="10">{name}</text>')
     lines.append("</svg>")
     print("\n".join(lines))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +432,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else _USAGE_EXIT
+        return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.func(args)
-    except (GraphError, ImproperColoringError, OSError, ValueError) as exc:
+        args.func(args)
+    except (OSError, ValueError) as exc:  # GraphError and ImproperColoringError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
+        return 1
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
-        return _VERIFY_EXIT
+        return 2
+    except _Incomplete as exc:
+        print(f"incomplete: {exc}", file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

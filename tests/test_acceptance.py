@@ -189,8 +189,8 @@ def test_criterion_8_table_demo_bounds():
         for variant, bound in bounds.items():
             for t in (2, 3):
                 # every composite has a normal coloring, which the demo's
-                # unlimited solve relies on; a node limit 8x the largest
-                # budget-0 count (120,794) makes a wrong prune fail here
+                # unlimited solve relies on; a node limit about 20x the largest
+                # budget-0 count (50,958) makes a wrong prune fail here
                 # in seconds instead of hanging the demo
                 result = min_abnormal(
                     composite_graph(petersen, variant, t),

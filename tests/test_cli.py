@@ -239,7 +239,7 @@ def test_solve_node_limit_is_incomplete(files, capsys, out):
 
 def test_solve_the_vertex_replacement_composite(files, capsys, tmp_path):
     # 54 vertices, minimum 0: the normal-coloring probe finds a witness in
-    # 120,794 nodes; without it the search still held 19 abnormal edges
+    # 50,958 nodes; without it the search still held 19 abnormal edges
     # after 2 M nodes
     code, composite = run(capsys, [
         "construct", "--variant", "vertex_replacement", "--graph", str(files["petersen_el"]),
@@ -461,6 +461,23 @@ def test_construct_vertex_replacement_rejects_t_below_one(files, capsys, t):
     assert captured.err == "error: t must be at least 1\n"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--variant", "vertex_replacement", "--graph2", "k33", "--t", "-3"],
+    ["--variant", "two_cut", "--t", "0"],
+    ["--variant", "cyclic2", "--t", "0"],
+])
+def test_construct_rejects_t_below_one_for_every_variant(files, capsys, tmp_path, flags):
+    # a host from --graph2, and variants that take no copy count, still
+    # reject a t below 1 instead of building a composite
+    k33 = tmp_path / "k33.el"
+    k33.write_text(write_graph(catalog("k33"), "edge-list"))
+    flags = [str(k33) if f == "k33" else f for f in flags]
+    code = main(["construct", "--graph", str(files["petersen_el"]), *flags])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: t must be at least 1\n"
+
+
 @pytest.mark.parametrize("t", [2, 3])
 @pytest.mark.parametrize("variant", DEMO_VARIANTS)
 @pytest.mark.parametrize("name", ["petersen", "k4"])
@@ -631,7 +648,7 @@ def test_jaeger_without_normal_coloring_fails_loudly(files, capsys):
     code = main(["jaeger", "--graph", str(files["bridged"])])
     err = capsys.readouterr().err
     assert code == 2
-    assert "no normal" in err
+    assert err == "verification failure: no normal 5-edge-coloring exists for this graph\n"
 
 
 def test_classify_improper_pairing_rejected(files, capsys, tmp_path):
@@ -781,7 +798,12 @@ def _fuzz_argvs(rng: random.Random, files: dict[str, str]):
     yield ["demo", "--variant", "disjoint", "--graph", files["bridged"], "--t", _HUGE]
 
 
+_EXIT_PREFIXES = {1: "error: ", 2: "verification failure: ", 3: "incomplete: "}
+
+
 def test_cli_fuzz_ends_in_a_documented_exit_code(tmp_path, capsys):
+    # a failing run ends stderr with one line that names its exit code; a
+    # successful run may only leave notes there
     files = _fuzz_files(tmp_path)
     runs = 0
     for argv in _fuzz_argvs(random.Random(20217), files):
@@ -789,5 +811,10 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code in (0, 1, 2, 3), argv
         assert "Traceback" not in err, argv
+        lines = err.splitlines()
+        if code:
+            assert lines and lines[-1].startswith(_EXIT_PREFIXES[code]), argv
+        else:
+            assert all(line.startswith("note: ") for line in lines), argv
         runs += 1
     assert runs > 400
