@@ -212,7 +212,8 @@ def _cmd_jaeger(args) -> None:
 
 
 def _cmd_construct(args) -> None:
-    graph, hashes = _load_graph(args)
+    # --format names the composite's format; the inputs' are detected
+    graph = _read_graph(args.graph)[0]
     if args.t < 1:
         raise ValueError("t must be at least 1")
     variant = args.variant
@@ -241,7 +242,7 @@ def _cmd_construct(args) -> None:
     elif variant == "k4_gadget":
         if not args.coloring:
             raise ValueError("k4_gadget needs --coloring to locate an abnormal edge")
-        coloring = _load_coloring(args, hashes)
+        coloring = read_coloring(_read(args.coloring)[0])
         bad = sorted(abnormal_set(graph, coloring))
         if not bad:
             raise ValueError("the coloring has no abnormal edge to extend")
@@ -393,7 +394,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_jaeger)
 
     p = sub.add_parser("construct", help="build a composite graph")
-    _add_graph_flags(p)
+    p.add_argument("--graph", required=True, help="path to the input graph")
+    p.add_argument("--format", default="auto", choices=("auto", "edge-list", "sparse6"),
+                   help="the composite's format (auto: edge-list); input formats are detected")
     p.add_argument(
         "--variant",
         required=True,

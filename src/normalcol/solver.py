@@ -66,31 +66,28 @@ edges as its palette has colors, so a star is full when its palette holds 3.
   cut.  A normal coloring is a Petersen-coloring (F. Jaeger, "On
   five-edge-colorings of cubic graphs and nowhere-zero flow problems", Ars
   Combin. 20-B, 1985): it sends uv of color c to edge_at[(S(u), c)], the
-  same model edge from both ends (see `petersen`), so the three edges at u
-  go to the three model edges at the model vertex S(u).  Each of the model's
-  six perfect matchings M has exactly one edge at every model vertex, so for
-  every vertex set X, |X| and the number of edges of the boundary of X sent
-  into M have the same parity.  Let mask(S, c) be the 6-bit set of the
-  matchings that hold edge_at[(S, c)]; the XOR of the masks over the
-  boundary of X is then 63 when |X| is odd and 0 when it is even.  At cap 0
-  a full star's palette is final and every classified edge is normal, so an
-  edge from an unfilled vertex to a full vertex y already has its final
-  mask, read at y: a component X of the unfilled vertices whose boundary
-  breaks the parity has no normal completion.  The boundary of the full set
-  obeys the parity as it stands (each full star's masks XOR to 63, and its
-  inner edges, normal, cancel), a cubic component has an even number of
-  vertices, and no edge joins two unfilled components; so when all unfilled
-  components but one pass, the last passes too.  At the root the unfilled
-  vertices are the component minus its start vertex, one component, since a
-  bridgeless cubic multigraph is 2-connected, so it passes.  A child's
-  components are its parent's, except where a star it filled splits one.  So
-  the check runs only at a fill whose unfilled neighbors number at least 2,
-  and only on the parts of such a split, all but one.  It first looks for a
-  path of at most 3 unfilled steps from each neighbor to the first; only
-  when there is none do two breadth-first searches from the pair take turns
-  until they meet or one runs out, and the one that runs out has found a
-  whole component, which is checked.  Only subtrees without a normal
-  coloring go, so again only node counts move.
+  same model edge from both ends (see `petersen`).  Let class(S, c) be the
+  set of the model's fundamental cycles through edge_at[(S, c)]
+  (`CubicGraph._cut_space`); model edges form a cut exactly when their
+  classes XOR to 0.  A model star is a cut, and an inner edge of a vertex
+  set X names one model edge from both ends, so the classes of the boundary
+  of X XOR to 0.  At cap 0 a full star's palette is final and every
+  classified edge is normal, so an edge from an unfilled vertex to a full
+  vertex y already has its final class, read at y: a component of the
+  unfilled vertices whose boundary classes do not XOR to 0 has no normal
+  completion.  The full set's boundary XORs to 0 as it stands, and it is the
+  disjoint union of the unfilled components' boundaries; so when all but one
+  pass, the last passes too.  At the root the unfilled vertices are the
+  component minus its start vertex, one component, since a bridgeless cubic
+  multigraph is 2-connected, so it passes.  A child's components are its
+  parent's, except where a star it filled splits one.  So the check runs
+  only at a fill whose unfilled neighbors number at least 2, and only on the
+  parts of such a split, all but one.  It first looks for a path of at most
+  3 unfilled steps from each neighbor to the first; only when there is none
+  do two breadth-first searches from the pair take turns until they meet or
+  one runs out, and the one that runs out has found a whole component, which
+  is checked.  Only subtrees without a normal coloring go, so again only node
+  counts move.
 
 A piece that no bridge meets, that is a bridgeless component of G, is first
 probed with cap 0: the search looks for a normal coloring.  Only when the
@@ -245,29 +242,11 @@ def _dead_end(
 
 
 @lru_cache(maxsize=1)
-def _matching_masks() -> tuple[int, ...]:
-    """mask(S, c) at index S << 3 | c, for S the bitmask of a 3-subset of
-    1..5: bit i is set when the model edge edge_at[(S, c)] lies in the i-th
-    of the model's six perfect matchings, found by matching its lowest
-    unmatched vertex every way there is."""
-    model = canonical_petersen()
-    stars = model.graph._stars
-    matchings = []
-
-    def extend(chosen: int, free: int) -> None:  # free: unmatched vertices, as bits
-        if not free:
-            matchings.append(chosen)
-            return
-        v = (free & -free).bit_length() - 1
-        for eid, w in stars[v]:
-            if free >> w & 1:
-                extend(chosen | 1 << eid, free & ~(1 << v | 1 << w))
-
-    extend(0, (1 << model.graph.n) - 1)
-    table = [0] * (32 << 3)
+def _classes() -> tuple[int, ...]:
+    """class(S, c) at index S << 3 | c, for S the bitmask of a palette."""
+    model, table = canonical_petersen(), [0] * (32 << 3)
     for (palette, c), eid in model.edge_at.items():
-        bits = sum(1 << (x - 1) for x in palette)
-        table[bits << 3 | c] = sum(1 << i for i, mt in enumerate(matchings) if mt >> eid & 1)
+        table[sum(1 << (x - 1) for x in palette) << 3 | c] = model.graph._cut_space[1][eid]
     return tuple(table)
 
 
@@ -278,8 +257,8 @@ def _parity_cut(
     palettes within colors 1..5: `cut(u, v)` tells whether coloring uv,
     with every classified edge normal, filled a star whose unfilled
     neighbors now lie in different components of the unfilled vertices,
-    one of which breaks the matching parity (module docstring)."""
-    star, nbrs, mask, pop = graph._stars, graph.neighbors, _matching_masks(), _POP
+    one of which fails the parity (module docstring)."""
+    star, nbrs, classes, pop = graph._stars, graph.neighbors, _classes(), _POP
     seen = [0] * graph.n  # stamp-marked, so no call has to clear it
     stamp = 0
 
@@ -287,7 +266,7 @@ def _parity_cut(
         """Breadth first from x and from y in turn, one vertex a side per
         round, until the sides meet (-1) or one runs out: then 0 for x's
         side or 1 for y's, which found a whole component, or 2 when that
-        component breaks the parity."""
+        component's boundary classes do not XOR to 0."""
         nonlocal stamp
         stamp += 2
         marks = (stamp - 1, stamp)
@@ -298,12 +277,12 @@ def _parity_cut(
             for side in (0, 1):
                 q = queues[side]
                 if i == len(q):
-                    return side if acc[side] == (63 if i & 1 else 0) else 2
+                    return 2 if acc[side] else side
                 mine, theirs = marks[side], marks[1 - side]
                 for f, w in star[q[i]]:
                     pw = pal[w]
                     if pop[pw] == 3:
-                        acc[side] ^= mask[pw << 3 | color[f]]
+                        acc[side] ^= classes[pw << 3 | color[f]]
                     elif seen[w] != mine:
                         if seen[w] == theirs:
                             return -1

@@ -157,6 +157,44 @@ def random_bridge_tree(
     return CubicGraph(len(label), tuple((label[u], label[v]) for u, v in edges))
 
 
+def three_edge_colorable(graph: CubicGraph) -> bool:
+    """Whether the edges take 3 colors with no two alike at a vertex: plain
+    backtracking over the edges in breadth-first order from each
+    component's lowest vertex, so each edge meets one colored before it.
+    Shares no code with the solver; the independent oracle for
+    `has_normal_k(graph, 4)`."""
+    order, placed, seen = [], set(), set()
+    for root in range(graph.n):
+        queue = [] if root in seen else [root]
+        seen.add(root)
+        for v in queue:
+            for eid in graph.incidence[v]:
+                w = sum(graph.edges[eid]) - v
+                if eid not in placed:
+                    placed.add(eid)
+                    order.append(graph.edges[eid])
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    used = [0] * graph.n  # each vertex's colors, as bits
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        u, v = order[i]
+        for bit in (1, 2, 4):
+            if not (used[u] | used[v]) & bit:
+                used[u] ^= bit
+                used[v] ^= bit
+                if extend(i + 1):
+                    return True
+                used[u] ^= bit
+                used[v] ^= bit
+        return False
+
+    return extend(0)
+
+
 def exhaustive_oracle(graph: CubicGraph, k: int = 5, max_edges: int = 18) -> SolveResult:
     """Brute-force minimum over all proper k-edge-colorings, no pruning.
 

@@ -190,7 +190,7 @@ def test_criterion_8_table_demo_bounds():
             for t in (2, 3):
                 # every composite has a normal coloring, which the demo's
                 # unlimited solve relies on; a node limit about 20x the largest
-                # budget-0 count (50,958) makes a wrong prune fail here
+                # budget-0 count (47,606) makes a wrong prune fail here
                 # in seconds instead of hanging the demo
                 result = min_abnormal(
                     composite_graph(petersen, variant, t),

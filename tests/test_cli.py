@@ -209,7 +209,7 @@ REPORT_PINS = {
         (0, "81ef566a3170a17d958f9d6e9c7249a3a951ad153d142e504f63d6086e7e0a68"),
     "construct --variant cyclic2 --graph petersen_el --t 2":
         (0, "35831f9be90432d4bcfac5f7343f506d24b36a63f7a987560d9f5b711068d051"),
-    # --format names both the input's and the output's format
+    # --format names the output's format; the sparse6 input is detected
     "construct --variant cyclic2 --graph petersen_s6 --t 2 --format sparse6":
         (0, "ed66afd8cd3ed3ab0c1ea4f992944065046746a7a9212c504d86c15cb97a0bdd"),
     "plot --graph petersen_el --coloring kneser":
@@ -239,7 +239,7 @@ def test_solve_node_limit_is_incomplete(files, capsys, out):
 
 def test_solve_the_vertex_replacement_composite(files, capsys, tmp_path):
     # 54 vertices, minimum 0: the normal-coloring probe finds a witness in
-    # 50,958 nodes; without it the search still held 19 abnormal edges
+    # 47,606 nodes; without it the search still held 19 abnormal edges
     # after 2 M nodes
     code, composite = run(capsys, [
         "construct", "--variant", "vertex_replacement", "--graph", str(files["petersen_el"]),
@@ -396,6 +396,17 @@ def test_construct_sparse6_output(files, capsys):
     ])
     assert code == 0
     assert parse_graph(out, "edge-list").n == 8
+
+
+def test_construct_format_names_only_the_output(files, capsys):
+    # the edge-list input is detected, and the composite written as sparse6
+    code, out = run(capsys, [
+        "construct", "--variant", "cyclic2", "--graph", str(files["petersen_el"]),
+        "--format", "sparse6",
+    ])
+    assert code == 0 and out.startswith(":")
+    composite = composite_graph(catalog("petersen"), "cyclic2", 2)
+    assert sorted(parse_graph(out, "sparse6").edges) == sorted(composite.edges)
 
 
 @pytest.mark.parametrize("variant", ["vertex_replacement", "two_cut"])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import time
 
 import pytest
@@ -168,6 +169,40 @@ def test_coloring_file_errors():
     for check in (is_proper, classify_all, abnormal_set):
         with pytest.raises(ValueError, match="covers 3 edges, graph has 6"):
             check(catalog("k4"), short)
+
+
+def _malformed_coloring(rng: random.Random) -> str:
+    """A coloring text that is malformed by construction."""
+    m = rng.randrange(2, 40)
+    lines = write_coloring(EdgeColoring(5, [rng.randint(1, 5) for _ in range(m)])).splitlines()
+    i = rng.randrange(1, len(lines))
+    kind = rng.randrange(5)
+    if kind == 0:  # a broken header
+        lines[0] = rng.choice(["x", "5 5", "1.5", "-", "0x5"])
+    elif kind == 1:  # an edge line with a token too few or too many
+        lines[i] = rng.choice([lines[i].split()[0], lines[i] + " 1", lines[i] + " 1 2"])
+    elif kind == 2:  # a token that is not an integer
+        parts = lines[i].split()
+        parts[rng.randrange(2)] = rng.choice(["x", "1.5", "--", "0x3", "1e2"])
+        lines[i] = " ".join(parts)
+    elif kind == 3:  # an edge id repeated
+        lines.append(f"{rng.randrange(m)} {rng.randint(1, 5)}")
+    elif rng.random() < 0.5:  # an edge id missing: a line before the last dropped
+        del lines[rng.randrange(1, len(lines) - 1)]
+    else:  # ... or the last id moved out of range
+        lines[-1] = f"{m + rng.randrange(5)} 1"
+    return "\n".join(lines) + "\n"
+
+
+def test_fuzz_malformed_coloring_raises_parse_error():
+    rng = random.Random(20210421)
+    messages = set()
+    for _ in range(2000):
+        with pytest.raises(ParseError) as info:
+            read_coloring(_malformed_coloring(rng))
+        # the cause tells the two "bad coloring line" raises apart
+        messages.add((str(info.value).startswith("bad coloring line"), type(info.value.__cause__)))
+    assert {(True, type(None)), (True, ValueError)} <= messages
 
 
 def test_classification_cost_ignores_color_values(petersen):

@@ -298,7 +298,7 @@ def test_composite_layouts_and_demos_pinned(name, variant, t):
     g = catalog(name)
     composite = composite_graph(g, variant, t)
     # every composite has a normal coloring, which the demo's unlimited solve
-    # relies on; under a node limit (the largest takes 50,958 nodes) a wrong
+    # relies on; under a node limit (the largest takes 47,606 nodes) a wrong
     # prune fails here in seconds instead of hanging the demo
     result = min_abnormal(composite, SearchConfig(k=5, abnormal_budget=0, node_limit=1_000_000))
     assert result.status is SolveStatus.OPTIMAL and result.best_count == 0

@@ -96,9 +96,15 @@ MUTANTS = [
            "    if cap != 0 or piece.bridged:\n        cut = None\n", "    cut = None\n",
            "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_composites",),
            passes=_OUTCOME_PINS),
-    Mutant("parity-cut-size-parity-flipped", "solver.py",
-           "(63 if i & 1 else 0)", "(0 if i & 1 else 63)",
+    Mutant("parity-cut-class-test-inverted", "solver.py",
+           "return 2 if acc[side] else side", "return side if acc[side] else 2",
            "killed", fails=("tests/test_solver.py::test_composite_outcomes_pinned",)),
+    # two of the model's six fundamental cycles (edge ids 3 and 4): a part
+    # that passes on all six passes on two, so the cut only prunes less
+    Mutant("parity-cut-fewer-cycles", "solver.py",
+           "^= classes[pw << 3 | color[f]]", "^= classes[pw << 3 | color[f]] & 0x18",
+           "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_composites",),
+           passes=_OUTCOME_PINS),
     # the sparse6 codec
     Mutant("sparse6-padding-stop-on-x-only", "formats.py",
            "if x >= n or v >= n:  # padding", "if x >= n:  # padding",

@@ -320,27 +320,40 @@ def _model_matchings(model):
     ]
 
 
-def test_matching_parity_lemma(model):
+def test_cut_space_parity_lemma(model):
     # the fact behind the solver's parity cut, checked on the model and
-    # through build_p_coloring rather than through the cut: a normal
-    # coloring sends the boundary of any vertex set X into each of the
-    # model's perfect matchings a number of times with the parity of |X|
+    # through build_p_coloring rather than through the cut: a model star is
+    # a cut, so a normal coloring sends the boundary of any vertex set X to
+    # model edges whose classes (sets of fundamental cycles) XOR to 0
+    from normalcol.solver import _classes
+
+    cycles = model.graph._cut_space[1]
+    table = _classes()
+    keys = {(sum(1 << (x - 1) for x in pal) << 3 | c): e for (pal, c), e in model.edge_at.items()}
+    assert all(table[key] == cycles[e] for key, e in keys.items())
+    assert all(not bits for key, bits in enumerate(table) if key not in keys)
+    assert len(set(cycles)) == 15 and 0 not in cycles
+    for w in range(10):
+        a, b, c = (cycles[e] for e in model.graph.incidence[w])
+        assert a ^ b ^ c == 0
+
+    # the old matching parity follows: over every model edge set F whose
+    # classes XOR to 0 (a cut), the masks of the six perfect matchings XOR
+    # to 63 when |F| is odd, so the cut prunes wherever the matchings did
     matchings = _model_matchings(model)
     assert len(matchings) == 6
     mask = [sum(1 << i for i, mt in enumerate(matchings) if e in mt) for e in range(15)]
-    assert all(bin(bits).count("1") == 2 for bits in mask)  # every edge in exactly two
-    for w in range(10):
-        a, b, c = (mask[e] for e in model.graph.incidence[w])
-        assert a & b == a & c == b & c == 0 and a | b | c == 63
-    # the solver's table, bit i standing for its own i-th matching, names
-    # the same six matchings
-    from normalcol.solver import _matching_masks
-
-    table = _matching_masks()
-    keys = {(sum(1 << (x - 1) for x in pal) << 3 | c): e for (pal, c), e in model.edge_at.items()}
-    by_bit = [frozenset(e for key, e in keys.items() if table[key] >> i & 1) for i in range(6)]
-    assert sorted(map(sorted, by_bit)) == sorted(map(sorted, matchings))
-    assert all(not bits for key, bits in enumerate(table) if key not in keys)
+    by_classes, by_masks = [0] * (1 << 15), [0] * (1 << 15)
+    cuts = 1
+    for edges in range(1, 1 << 15):
+        low = edges & -edges
+        e = low.bit_length() - 1
+        by_classes[edges] = by_classes[edges ^ low] ^ cycles[e]
+        by_masks[edges] = by_masks[edges ^ low] ^ mask[e]
+        if not by_classes[edges]:
+            cuts += 1
+            assert by_masks[edges] == (63 if edges.bit_count() & 1 else 0)
+    assert cuts == 1 << 9  # one cut per vertex set, up to complement
 
     petersen = catalog("petersen")
     graphs = [g for n in range(4, 11, 2) for g in enumerate_cubic(n, distinct=True)]
@@ -354,10 +367,10 @@ def test_matching_parity_lemma(model):
         phi = build_p_coloring(graph, witness)
         for _ in range(40):
             inside = [rng.random() < 0.5 for _ in range(graph.n)]
-            parity = 0
+            boundary = 0
             for e, (u, v) in enumerate(graph.edges):
                 if inside[u] != inside[v]:
-                    parity ^= mask[phi[e]]
-            assert parity == (63 if sum(inside) % 2 else 0)
+                    boundary ^= cycles[phi[e]]
+            assert boundary == 0
             checked += 1
     assert checked == 40 * (26 + 8)

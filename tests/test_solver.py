@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from normalcol.coloring import abnormal_set, is_normal, is_proper
-from normalcol.constructions import composite_graph, vertex_replacement
+from normalcol.constructions import DEMO_VARIANTS, composite_graph, vertex_replacement
 from normalcol.generate import enumerate_cubic
 from normalcol.graphs import CubicGraph, catalog, connectivity_report, is_connected
 from normalcol.solver import (
@@ -31,6 +31,7 @@ from conftest import (
     random_bridge_tree,
     random_bridged_multigraph,
     random_cubic_multigraph,
+    three_edge_colorable,
     triple_edge,
 )
 
@@ -169,7 +170,7 @@ def test_search_order_pinned_on_composites(petersen):
         ("disjoint", 3, 438),
         ("cyclic1", 3, 966),
         ("cyclic2", 3, 91),
-        ("vertex_replacement", 2, 50958),
+        ("vertex_replacement", 2, 47606),
     ]:
         result = min_abnormal(composite_graph(petersen, variant, t), SearchConfig(abnormal_budget=0))
         assert (result.best_count, result.nodes_explored) == (0, nodes), variant
@@ -369,6 +370,27 @@ def test_three_edge_colorable_catalog_bridgeless():
         g = catalog(name, *params)
         if has_normal_k(g, 3) is not None:
             assert connectivity_report(g).bridgeless
+
+
+def test_normal_4_coloring_iff_3_edge_colorable(petersen):
+    # with 4 colors two palettes share at least 2 colors, so no edge is rich:
+    # a normal 4-coloring is one with every edge poor, one palette on each
+    # component, that is a 3-edge-coloring.  These searches run the forward
+    # check and the parity cut on graphs far beyond the exhaustive oracle
+    graphs = [g for n in range(4, 15, 2) for g in enumerate_cubic(n, distinct=True)]
+    assert len(graphs) == 621
+    graphs += [composite_graph(petersen, v, t) for v in DEMO_VARIANTS for t in (2, 3)]
+    rng = random.Random(21)
+    graphs += [random_cubic_multigraph(rng, n) for n in range(2, 23, 2) for _ in range(8)]
+    graphs += [random_bridged_multigraph(rng, 4, 6) for _ in range(4)]
+    colorable = [three_edge_colorable(g) for g in graphs]
+    assert colorable[:621].count(True) == 580
+    assert True in colorable[621:] and False in colorable[621:]
+    for graph, expected in zip(graphs, colorable):
+        witness = has_normal_k(graph, 4)
+        assert (witness is not None) == expected
+        if witness is not None:
+            assert is_normal(graph, witness) and is_proper(graph, witness, 4)
 
 
 # colors checked per vertex count: the oracle has no symmetry reduction, so
