@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import constructions
@@ -165,19 +166,45 @@ def _cmd_chi_n(args) -> None:
 
 def _cmd_scan(args) -> None:
     graphs = enumerate_cubic(args.n, distinct=True)
-    report = scan_no_single_abnormal(graphs, SearchConfig(k=args.k, node_limit=args.node_limit))
-    unresolved = report.unresolved_ids()
-    obj = report.to_json_obj(timing=args.timing)
-    obj["n"] = args.n
-    obj["graphs"] = len(report.rows)
-    dist = ",".join(f"{k}:{v}" for k, v in report.distribution().items())
+    rows = scan_no_single_abnormal(graphs, SearchConfig(k=args.k, node_limit=args.node_limit))
+    # a row the node limit stopped proves no minimum, so it counts only as unresolved
+    unresolved = [r.graph_id for r in rows if r.status is SolveStatus.LIMIT]
+    minima = sorted(Counter(r.min_abnormal for r in rows if r.status is not SolveStatus.LIMIT).items())
+    single = [r.graph_id for r in rows if r.status is SolveStatus.OPTIMAL and r.min_abnormal == 1]
+    obj = {
+        "n": args.n,
+        "graphs": len(rows),
+        "rows": [
+            {
+                "graph_id": r.graph_id,
+                "n": r.n,
+                "m": r.m,
+                "bridgeless": r.bridgeless,
+                "cyc4": r.cyc4,
+                "min_abnormal": r.min_abnormal,
+                "nodes": r.nodes,
+                "millis": r.millis if args.timing else None,
+                "status": r.status.value,
+                "witness": list(r.witness.colors) if r.witness else None,
+            }
+            for r in rows
+        ],
+        "distribution": {str(k): v for k, v in minima},
+        "single_abnormal": single,
+    }
+    dist = ",".join(f"{k}:{v}" for k, v in minima)
     _report(args.out, obj, [
-        *report.to_tsv(timing=args.timing).splitlines(),
-        f"# graphs={len(report.rows)} minima={{{dist}}}"
-        f" single_abnormal={len(report.single_abnormal_ids())}"
+        "graph_id\tn\tm\tbridgeless\tcyc4\tmin_abnormal\tnodes\tmillis",
+        *(
+            f"{r.graph_id}\t{r.n}\t{r.m}\t{int(r.bridgeless)}\t{int(r.cyc4)}"
+            f"\t{'limit' if r.status is SolveStatus.LIMIT else r.min_abnormal}"
+            f"\t{r.nodes}\t{r.millis if args.timing else '-'}"
+            for r in rows
+        ),
+        f"# graphs={len(rows)} minima={{{dist}}} single_abnormal={len(single)}"
         + (f" unresolved={len(unresolved)}" if unresolved else ""),
     ])
-    if report.single_abnormal_ids():
+    if single:
         raise VerificationError("a graph with exactly one abnormal edge appeared")
     if unresolved:
         raise _Incomplete(f"the node limit stopped {len(unresolved)} solve(s)")
@@ -265,14 +292,13 @@ def _cmd_demo(args) -> None:
 def _cmd_question31(args) -> None:
     # at budget 2 a minimum above 2 ends INFEASIBLE without an optimality proof
     graphs = enumerate_cubic(args.n, distinct=True)
-    report = scan_no_single_abnormal(graphs, SearchConfig(abnormal_budget=2))
     rows = [
         {
             "graph_id": r.graph_id,
             "min_abnormal": r.min_abnormal,
             "has_normal_5": r.min_abnormal == 0,
         }
-        for r in report.rows
+        for r in scan_no_single_abnormal(graphs, SearchConfig(abnormal_budget=2))
         if r.bridgeless and r.status is SolveStatus.OPTIMAL
     ]
     violations = [r["graph_id"] for r in rows if not r["has_normal_5"]]

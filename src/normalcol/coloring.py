@@ -129,8 +129,9 @@ def write_coloring(coloring: EdgeColoring) -> str:
 
 
 def read_coloring(text: str) -> EdgeColoring:
-    """Parse a coloring file whose edge ids run 0..len-1, each once.  The
-    length is checked against a graph where the two meet (`_check_total`)."""
+    """Parse a coloring file: a positive color count k, then edge ids
+    0..len-1, each once, with a color in 1..k.  The length is checked
+    against a graph where the two meet (`_check_total`)."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ParseError("empty coloring input")
@@ -138,6 +139,8 @@ def read_coloring(text: str) -> EdgeColoring:
         k = int(lines[0])
     except ValueError as exc:
         raise ParseError(f"bad coloring header {lines[0]!r}") from exc
+    if k < 1:
+        raise ParseError(f"coloring header {k} is not a positive color count")
     assignment: dict[int, int] = {}
     for ln in lines[1:]:
         parts = ln.split()
@@ -149,6 +152,8 @@ def read_coloring(text: str) -> EdgeColoring:
             raise ParseError(f"bad coloring line {ln!r}") from exc
         if eid in assignment:
             raise ParseError(f"edge {eid} colored twice")
+        if not 1 <= c <= k:
+            raise ParseError(f"edge {eid}: color {c} outside 1..{k}")
         assignment[eid] = c
     ids = range(len(assignment))
     if set(assignment) != set(ids):

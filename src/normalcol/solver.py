@@ -105,7 +105,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
@@ -570,94 +570,32 @@ class ScanRow:
     witness: Optional[EdgeColoring] = None
 
 
-@dataclass
-class ScanReport:
-    rows: list[ScanRow] = field(default_factory=list)
-
-    def distribution(self) -> dict[int, int]:
-        """Count of graphs per proven minimum (-1: no proper coloring).
-        Rows stopped by the node limit prove nothing and are left out."""
-        dist: dict[int, int] = {}
-        for row in self.rows:
-            if row.status is not SolveStatus.LIMIT:
-                dist[row.min_abnormal] = dist.get(row.min_abnormal, 0) + 1
-        return dict(sorted(dist.items()))
-
-    def unresolved_ids(self) -> list[int]:
-        """Graphs whose solve the node limit stopped before a proof."""
-        return [r.graph_id for r in self.rows if r.status is SolveStatus.LIMIT]
-
-    def single_abnormal_ids(self) -> list[int]:
-        """Graphs whose exact minimum is 1; expected empty on every stream."""
-        return [
-            r.graph_id
-            for r in self.rows
-            if r.status is SolveStatus.OPTIMAL and r.min_abnormal == 1
-        ]
-
-    def to_tsv(self, timing: bool = False) -> str:
-        lines = ["graph_id\tn\tm\tbridgeless\tcyc4\tmin_abnormal\tnodes\tmillis"]
-        for r in sorted(self.rows, key=lambda r: r.graph_id):
-            millis = str(r.millis) if timing else "-"
-            minimum = "limit" if r.status is SolveStatus.LIMIT else str(r.min_abnormal)
-            lines.append(
-                f"{r.graph_id}\t{r.n}\t{r.m}\t{int(r.bridgeless)}\t{int(r.cyc4)}"
-                f"\t{minimum}\t{r.nodes}\t{millis}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json_obj(self, timing: bool = False) -> dict:
-        rows = []
-        for r in sorted(self.rows, key=lambda r: r.graph_id):
-            rows.append(
-                {
-                    "graph_id": r.graph_id,
-                    "n": r.n,
-                    "m": r.m,
-                    "bridgeless": r.bridgeless,
-                    "cyc4": r.cyc4,
-                    "min_abnormal": r.min_abnormal,
-                    "nodes": r.nodes,
-                    "millis": r.millis if timing else None,
-                    "status": r.status.value,
-                    "witness": list(r.witness.colors) if r.witness else None,
-                }
-            )
-        return {
-            "rows": rows,
-            "distribution": {str(k): v for k, v in self.distribution().items()},
-            "single_abnormal": self.single_abnormal_ids(),
-        }
-
-
-def _scan_one(graph_id: int, graph: CubicGraph, cfg: SearchConfig) -> ScanRow:
-    t0 = time.perf_counter()
-    report = connectivity_report(graph)
-    result = min_abnormal(graph, cfg)
-    millis = int((time.perf_counter() - t0) * 1000)
-    return ScanRow(
-        graph_id=graph_id,
-        n=graph.n,
-        m=graph.m,
-        bridgeless=report.bridgeless,
-        cyc4=report.cyclically_4_edge_connected,
-        min_abnormal=result.best_count,
-        nodes=result.nodes_explored,
-        millis=millis,
-        status=result.status,
-        witness=result.witness,
-    )
-
-
 def scan_no_single_abnormal(
     graphs: Iterable[CubicGraph], cfg: SearchConfig | None = None
-) -> ScanReport:
-    """Solve min_abnormal for each graph in the stream and aggregate minima.
+) -> list[ScanRow]:
+    """Solve min_abnormal for each graph in the stream, one row per graph.
 
     The graphs are solved one at a time as the stream yields them, and row
-    i belongs to the i-th graph.  Any graph with exact minimum 1 is flagged;
-    no proper 5-edge-coloring of a cubic graph has exactly one abnormal
-    edge, so a flag would mean a solver bug (or a remarkable counterexample).
+    i belongs to the i-th graph.  No proper 5-edge-coloring of a cubic
+    graph has exactly one abnormal edge, so an OPTIMAL row with minimum 1
+    would mean a solver bug (or a remarkable counterexample).
     """
     cfg = cfg or SearchConfig()
-    return ScanReport([_scan_one(i, g, cfg) for i, g in enumerate(graphs)])
+    rows = []
+    for graph_id, graph in enumerate(graphs):
+        t0 = time.perf_counter()
+        report = connectivity_report(graph)
+        result = min_abnormal(graph, cfg)
+        rows.append(ScanRow(
+            graph_id=graph_id,
+            n=graph.n,
+            m=graph.m,
+            bridgeless=report.bridgeless,
+            cyc4=report.cyclically_4_edge_connected,
+            min_abnormal=result.best_count,
+            nodes=result.nodes_explored,
+            millis=int((time.perf_counter() - t0) * 1000),
+            status=result.status,
+            witness=result.witness,
+        ))
+    return rows

@@ -195,6 +195,11 @@ def three_edge_colorable(graph: CubicGraph) -> bool:
     return extend(0)
 
 
+def single_abnormal_ids(rows) -> list[int]:
+    """Graph ids of the scan rows whose exact minimum is 1; expected empty."""
+    return [r.graph_id for r in rows if r.status is SolveStatus.OPTIMAL and r.min_abnormal == 1]
+
+
 def exhaustive_oracle(graph: CubicGraph, k: int = 5, max_edges: int = 18) -> SolveResult:
     """Brute-force minimum over all proper k-edge-colorings, no pruning.
 

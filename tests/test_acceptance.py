@@ -39,7 +39,13 @@ from normalcol.solver import (
     scan_no_single_abnormal,
 )
 
-from conftest import bridged_multigraph, domino_multigraph, exhaustive_oracle, triple_edge
+from conftest import (
+    bridged_multigraph,
+    domino_multigraph,
+    exhaustive_oracle,
+    single_abnormal_ids,
+    triple_edge,
+)
 
 EXPECTED_CLASSES = {4: 1, 6: 2, 8: 5, 10: 19}
 
@@ -69,8 +75,8 @@ def class_scans():
 def normal_witnesses(class_scans):
     """(graph, witness) for every bridgeless class plus the Petersen graph."""
     pairs = []
-    for n, (graphs, report) in class_scans.items():
-        for graph, row in zip(graphs, report.rows):
+    for n, (graphs, rows) in class_scans.items():
+        for graph, row in zip(graphs, rows):
             if row.bridgeless and row.min_abnormal == 0:
                 pairs.append((graph, row.witness))
     petersen = catalog("petersen")
@@ -82,12 +88,12 @@ def normal_witnesses(class_scans):
 
 def test_criterion_1_no_single_abnormal(class_scans):
     with criterion(1, "no cubic graph with n <= 10 has exact minimum 1"):
-        for n, (graphs, report) in class_scans.items():
-            assert len(report.rows) == EXPECTED_CLASSES[n]
-            for row in report.rows:
+        for n, (graphs, rows) in class_scans.items():
+            assert len(rows) == EXPECTED_CLASSES[n]
+            for row in rows:
                 assert row.status is SolveStatus.OPTIMAL
                 assert row.min_abnormal != 1
-            assert report.single_abnormal_ids() == []
+            assert single_abnormal_ids(rows) == []
 
 
 # n -> (classes (OEIS A002851), bridgeless classes, minima), each measured
@@ -110,20 +116,20 @@ def _opt_in(n: int, seconds: str):
 def test_criteria_1_and_2_opt_in(n):
     classes, bridgeless, minima = _OPT_IN_SCANS[n]
     with criterion(1, f"no cubic graph with n = {n} has exact minimum 1; minimum 0 iff bridgeless"):
-        report = scan_no_single_abnormal(enumerate_cubic(n, distinct=True))
-        assert len(report.rows) == classes
-        assert sum(row.bridgeless for row in report.rows) == bridgeless
-        for row in report.rows:
+        rows = scan_no_single_abnormal(enumerate_cubic(n, distinct=True))
+        assert len(rows) == classes
+        assert sum(row.bridgeless for row in rows) == bridgeless
+        for row in rows:
             assert row.status is SolveStatus.OPTIMAL
             assert (row.min_abnormal == 0) == row.bridgeless
-        assert Counter(row.min_abnormal for row in report.rows) == minima
-        assert report.single_abnormal_ids() == []
+        assert Counter(row.min_abnormal for row in rows) == minima
+        assert single_abnormal_ids(rows) == []
 
 
 def test_criterion_2_bridgeless_admit_normal(class_scans):
     with criterion(2, "every bridgeless class with n <= 10, plus Petersen, has minimum 0"):
-        for n, (graphs, report) in class_scans.items():
-            for row in report.rows:
+        for n, (graphs, rows) in class_scans.items():
+            for row in rows:
                 if row.bridgeless:
                     assert row.min_abnormal == 0
                     assert is_normal(graphs[row.graph_id], row.witness)
@@ -208,8 +214,8 @@ def test_criterion_9_question_31_evidence(class_scans):
     with criterion(9, "bridgeless classes with n <= 8 and minimum <= 2 admit normal colorings"):
         violations = []
         for n in (4, 6, 8):
-            graphs, report = class_scans[n]
-            for graph, row in zip(graphs, report.rows):
+            graphs, rows = class_scans[n]
+            for graph, row in zip(graphs, rows):
                 if row.bridgeless and row.min_abnormal <= 2:
                     if has_normal_k(graph, 5) is None:
                         violations.append((n, row.graph_id))

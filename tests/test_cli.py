@@ -20,7 +20,7 @@ from normalcol.graphs import catalog
 from normalcol.petersen import canonical_petersen
 from normalcol.solver import SearchConfig, min_abnormal
 
-from conftest import bridged_multigraph, bridged_simple_10
+from conftest import bridged_multigraph, bridged_simple_10, triple_edge
 
 
 @pytest.fixture
@@ -102,6 +102,23 @@ def test_scan_tsv_summary(files, capsys):
     code, out = run(capsys, ["scan", "--n", "6"])
     assert code == 0
     assert "# graphs=2 minima={0:2} single_abnormal=0" in out
+
+
+def test_scan_tsv_shape(capsys):
+    # K4 is the only class at n = 4
+    code, out = run(capsys, ["scan", "--n", "4"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].split("\t") == [
+        "graph_id", "n", "m", "bridgeless", "cyc4", "min_abnormal", "nodes", "millis",
+    ]
+    assert lines[1].split("\t")[-1] == "-"  # timing suppressed by default
+    _, out = run(capsys, ["scan", "--n", "4", "--timing"])
+    assert out.splitlines()[1].split("\t")[-1].isdigit()
+    _, out = run(capsys, ["scan", "--n", "4", "--out", "json"])
+    obj = json.loads(out)
+    assert obj["rows"][0]["witness"] is not None
+    assert obj["single_abnormal"] == []
 
 
 def test_scan_node_limit_is_not_a_minimum(capsys):
@@ -543,10 +560,9 @@ def test_question31_matches_the_unbudgeted_filter(capsys):
 
     code, out = run(capsys, ["question31", "--n", "10", "--out", "json"])
     assert code == 0
-    report = scan_no_single_abnormal(enumerate_cubic(10, distinct=True))
     expected = [
         {"graph_id": r.graph_id, "min_abnormal": r.min_abnormal, "has_normal_5": r.min_abnormal == 0}
-        for r in report.rows
+        for r in scan_no_single_abnormal(enumerate_cubic(10, distinct=True))
         if r.bridgeless and r.min_abnormal <= 2
     ]
     assert expected  # the n = 10 classes do reach the filter
@@ -693,6 +709,33 @@ def test_short_coloring_is_a_usage_error(files, capsys, tmp_path, command):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and "covers 2 edges" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--graph", "{petersen}", "--budget", "-1"],
+     "abnormal_budget must be non-negative"),
+    (["construct", "--variant", "cyclic2", "--graph", "{triple}"],
+     "no path of length three found"),
+    (["demo", "--variant", "cyclic2", "--t", "2", "--graph", "{triple}"],
+     "no path of length three found"),
+    (["construct", "--variant", "k4_gadget", "--graph", "{petersen}", "--coloring", "{kneser}"],
+     "the coloring has no abnormal edge to extend"),
+    (["demo", "--variant", "disjoint", "--t", "2", "--graph", "{petersen}",
+      "--coloring", "{improper}"],
+     "supplied composite coloring is not proper"),
+], ids=["negative-budget", "construct-no-3-path", "demo-no-3-path", "gadget-normal",
+        "demo-improper"])
+def test_input_error_is_a_usage_error(files, capsys, tmp_path, argv, message):
+    triple = tmp_path / "triple.el"
+    triple.write_text(write_graph(triple_edge(), "edge-list"))
+    # the disjoint demo at t = 2 colors two Petersen copies, 30 edges
+    improper = tmp_path / "improper.col"
+    improper.write_text(write_coloring(EdgeColoring(5, (1,) * 30)))
+    code = main([a.format(petersen=files["petersen_el"], kneser=files["kneser"],
+                          triple=triple, improper=improper) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,11 @@ def test_coloring_file_errors():
         read_coloring("5\n0 1\n2 2\n")  # a gap: no edge 1
     with pytest.raises(ParseError):
         read_coloring("x\n")
+    for header in ("0", "-2"):  # the color count must be positive
+        with pytest.raises(ParseError, match="not a positive color count"):
+            read_coloring(f"{header}\n")
+    with pytest.raises(ParseError, match="color 5 outside 1..3"):
+        read_coloring("3\n0 5\n")
     # a file's length is checked where it meets a graph
     short = read_coloring("3\n0 1\n1 2\n2 3\n")
     for check in (is_proper, classify_all, abnormal_set):
@@ -176,7 +181,7 @@ def _malformed_coloring(rng: random.Random) -> str:
     m = rng.randrange(2, 40)
     lines = write_coloring(EdgeColoring(5, [rng.randint(1, 5) for _ in range(m)])).splitlines()
     i = rng.randrange(1, len(lines))
-    kind = rng.randrange(5)
+    kind = rng.randrange(7)
     if kind == 0:  # a broken header
         lines[0] = rng.choice(["x", "5 5", "1.5", "-", "0x5"])
     elif kind == 1:  # an edge line with a token too few or too many
@@ -187,6 +192,12 @@ def _malformed_coloring(rng: random.Random) -> str:
         lines[i] = " ".join(parts)
     elif kind == 3:  # an edge id repeated
         lines.append(f"{rng.randrange(m)} {rng.randint(1, 5)}")
+    elif kind == 4:  # a color count below 1, with or without edge lines
+        lines[0] = rng.choice(["0", "-2", "-5"])
+        if rng.random() < 0.5:
+            del lines[1:]
+    elif kind == 5:  # a color outside 1..k
+        lines[i] = f"{i - 1} {rng.choice([0, -1, 6, 99])}"
     elif rng.random() < 0.5:  # an edge id missing: a line before the last dropped
         del lines[rng.randrange(1, len(lines) - 1)]
     else:  # ... or the last id moved out of range
@@ -197,12 +208,15 @@ def _malformed_coloring(rng: random.Random) -> str:
 def test_fuzz_malformed_coloring_raises_parse_error():
     rng = random.Random(20210421)
     messages = set()
+    ranges = set()
     for _ in range(2000):
         with pytest.raises(ParseError) as info:
             read_coloring(_malformed_coloring(rng))
         # the cause tells the two "bad coloring line" raises apart
         messages.add((str(info.value).startswith("bad coloring line"), type(info.value.__cause__)))
+        ranges.update(w for w in ("positive color count", "outside 1..") if w in str(info.value))
     assert {(True, type(None)), (True, ValueError)} <= messages
+    assert ranges == {"positive color count", "outside 1.."}
 
 
 def test_classification_cost_ignores_color_values(petersen):

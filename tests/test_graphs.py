@@ -50,6 +50,11 @@ def test_degree_error():
         CubicGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
 
 
+def test_endpoint_out_of_range():
+    with pytest.raises(ValueError, match="endpoint out of range"):
+        CubicGraph(2, ((0, 1), (0, 1), (0, 2)))
+
+
 def test_parallel_edges_allowed():
     g = bridged_multigraph()
     assert len(set(g.edges)) < g.m
@@ -86,6 +91,10 @@ def test_catalog_rejects():
         catalog("nosuch")
     with pytest.raises(ValueError):
         catalog("prism", 5)
+    with pytest.raises(ValueError, match="takes one parameter"):
+        catalog("prism")
+    with pytest.raises(ValueError, match="at least 3"):
+        catalog("prism", 2)
 
 
 def test_connectivity_petersen(petersen):

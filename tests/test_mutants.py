@@ -47,6 +47,7 @@ _OUTCOME_PINS = (
     "tests/test_solver.py::test_composite_outcomes_pinned",
     "tests/test_solver.py::test_replacement_family_outcomes_pinned",
     "tests/test_cli.py::test_scan_outcomes_pinned",
+    "tests/test_solver.py::test_n16_outcomes_pinned",
 )
 _CONNECTIVITY = ("tests/test_graphs.py::test_connectivity_matches_brute_force",)
 

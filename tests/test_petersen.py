@@ -193,6 +193,8 @@ def test_partial_map_rejected(model, q3):
     phi = build_p_coloring(q3, c, allow_abnormal=True)
     with pytest.raises(ValueError):
         verify_h_coloring(q3, model.graph, phi)
+    with pytest.raises(ValueError, match="map size does not match"):
+        verify_h_coloring(q3, model.graph, phi[:-1])
 
 
 def test_model_cycles_census(model):

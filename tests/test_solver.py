@@ -5,6 +5,7 @@ import json
 import os
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -31,6 +32,7 @@ from conftest import (
     random_bridge_tree,
     random_bridged_multigraph,
     random_cubic_multigraph,
+    single_abnormal_ids,
     three_edge_colorable,
     triple_edge,
 )
@@ -237,6 +239,19 @@ def test_replacement_family_outcomes_pinned():
     )
 
 
+# the 4,060 classes at n = 16, k = 5, where leaf pieces reach 17 edges: the
+# minima and the sha256 of repr((status, minimum, witness colors)) per solve
+# in stream order.  Node counts are not pinned here
+@pytest.mark.skipif(not os.environ.get("NORMALCOL_SLOW"), reason="about 7 s; set NORMALCOL_SLOW=1")
+def test_n16_outcomes_pinned():
+    results = [min_abnormal(g) for g in enumerate_cubic(16, distinct=True)]
+    assert Counter(r.best_count for r in results) == {0: 3874, 4: 185, 6: 1}
+    blob = "".join(repr((r.status.value, r.best_count, r.witness.colors)) for r in results)
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "16a7f904ecabe94d8685fa7393e3f2240c1a4c6a692dce632b3384de76e0d718"
+    )
+
+
 def test_search_deeper_than_the_recursion_limit():
     # one bridgeless piece of 1,050 edges, more than the default limit of
     # 1,000 frames; the search must neither crash nor leave the limit raised
@@ -316,33 +331,20 @@ def test_budget_result_still_exact(q3):
 
 
 def test_scan_small_graphs():
-    report = scan_no_single_abnormal(enumerate_cubic(6, distinct=True))
-    assert len(report.rows) == 2
-    assert report.distribution() == {0: 2}
-    assert report.single_abnormal_ids() == []
-    for row in report.rows:
+    rows = scan_no_single_abnormal(enumerate_cubic(6, distinct=True))
+    assert len(rows) == 2
+    assert Counter(row.min_abnormal for row in rows) == {0: 2}
+    assert single_abnormal_ids(rows) == []
+    for row in rows:
         assert row.status is SolveStatus.OPTIMAL
         assert row.bridgeless
 
 
 def test_scan_includes_multigraph_stream():
-    report = scan_no_single_abnormal([catalog("k4"), bridged_multigraph()])
-    assert report.rows[1].min_abnormal == BRIDGED_MIN
-    assert report.rows[1].min_abnormal >= 2
-    assert report.single_abnormal_ids() == []
-
-
-def test_scan_tsv_shape():
-    report = scan_no_single_abnormal([catalog("k4")])
-    lines = report.to_tsv().splitlines()
-    assert lines[0].split("\t") == [
-        "graph_id", "n", "m", "bridgeless", "cyc4", "min_abnormal", "nodes", "millis",
-    ]
-    assert lines[1].split("\t")[-1] == "-"  # timing suppressed by default
-    assert report.to_tsv(timing=True).splitlines()[1].split("\t")[-1].isdigit()
-    obj = report.to_json_obj()
-    assert obj["rows"][0]["witness"] is not None
-    assert obj["single_abnormal"] == []
+    rows = scan_no_single_abnormal([catalog("k4"), bridged_multigraph()])
+    assert rows[1].min_abnormal == BRIDGED_MIN
+    assert rows[1].min_abnormal >= 2
+    assert single_abnormal_ids(rows) == []
 
 
 def test_witness_soundness_over_stream():
@@ -403,8 +405,11 @@ def _check_against_oracle(graph, k):
     and 2, and at the tight budgets the oracle's minimum (OPTIMAL) and one
     below it (INFEASIBLE), where a branch that reaches the budget has no
     slack left and the forward check runs; every witness is proper with
-    best_count abnormal edges."""
+    best_count abnormal edges.  A graph with a bridge has at least 4
+    abnormal edges in every proper coloring with at most 5 colors."""
     oracle = exhaustive_oracle(graph, k=k)
+    if k <= 5 and 0 in graph._cut_space[1] and oracle.status is SolveStatus.OPTIMAL:
+        assert oracle.best_count >= 4
     tight = [b for b in (oracle.best_count, oracle.best_count - 1) if b >= 0]
     for budget in (None, 0, 2, *tight):
         result = min_abnormal(graph, SearchConfig(k=k, abnormal_budget=budget))
