@@ -11,7 +11,6 @@ from .coloring import (
     EdgeColoring,
     abnormal_set,
     classify_all,
-    classify_edge,
     is_normal,
     is_proper,
     palette,

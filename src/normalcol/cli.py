@@ -61,13 +61,13 @@ def _read(path: str) -> tuple[str, str]:
     return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
 
 
-def _read_graph(path: str, fmt: str = "auto") -> tuple[CubicGraph, str]:
+def _read_graph(path: str) -> tuple[CubicGraph, str]:
     text, digest = _read(path)
-    return parse_graph(text, detect_format(text) if fmt == "auto" else fmt), digest
+    return parse_graph(text, detect_format(text)), digest
 
 
 def _load_graph(args) -> tuple[CubicGraph, dict[str, str]]:
-    graph, digest = _read_graph(args.graph, args.format)
+    graph, digest = _read_graph(args.graph)
     return graph, {"graph": digest}
 
 
@@ -87,9 +87,8 @@ def _report(fmt: str, obj: dict, lines: list[str]) -> None:
     print("\n".join(lines))
 
 
-def _add_graph_flags(p: _Parser) -> None:
+def _add_graph_flag(p: _Parser) -> None:
     p.add_argument("--graph", required=True, help="path to the input graph")
-    p.add_argument("--format", default="auto", choices=("auto", "edge-list", "sparse6"))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +238,6 @@ def _cmd_jaeger(args) -> None:
 
 
 def _cmd_construct(args) -> None:
-    # --format names the composite's format; the inputs' are detected
     graph = _read_graph(args.graph)[0]
     if args.t < 1:
         raise ValueError("t must be at least 1")
@@ -275,8 +273,7 @@ def _cmd_construct(args) -> None:
             raise ValueError("the coloring has no abnormal edge to extend")
         eid = args.edge if args.edge is not None else bad[0]
         out, _ = constructions.k4_gadget_extend(graph, coloring, eid)
-    fmt = args.format if args.format != "auto" else "edge-list"
-    print(write_graph(out, fmt), end="")
+    print(write_graph(out, args.format), end="")
 
 
 def _cmd_demo(args) -> None:
@@ -385,13 +382,13 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="per-edge poor/rich/abnormal classes")
-    _add_graph_flags(p)
+    _add_graph_flag(p)
     p.add_argument("--coloring", required=True)
     p.add_argument("--out", default="tsv", choices=("tsv", "json"))
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("solve", help="exact minimum number of abnormal edges")
-    _add_graph_flags(p)
+    _add_graph_flag(p)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--node-limit", type=int, default=None)
@@ -399,7 +396,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("chi-n", help="normal chromatic index")
-    _add_graph_flags(p)
+    _add_graph_flag(p)
     p.add_argument("--out", default="tsv", choices=("tsv", "json"))
     p.set_defaults(func=_cmd_chi_n)
 
@@ -412,7 +409,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("jaeger", help="build, verify, and round-trip a Petersen-coloring")
-    _add_graph_flags(p)
+    _add_graph_flag(p)
     p.add_argument("--coloring", default=None)
     p.add_argument("--k", type=int, default=5,
                    help="colors of the solver's normal coloring; k above 5 is solved at 5")
@@ -420,9 +417,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_jaeger)
 
     p = sub.add_parser("construct", help="build a composite graph")
-    p.add_argument("--graph", required=True, help="path to the input graph")
-    p.add_argument("--format", default="auto", choices=("auto", "edge-list", "sparse6"),
-                   help="the composite's format (auto: edge-list); input formats are detected")
+    _add_graph_flag(p)
+    p.add_argument("--format", default="edge-list", choices=("edge-list", "sparse6"),
+                   help="the composite's format; input formats are detected")
     p.add_argument(
         "--variant",
         required=True,
@@ -437,7 +434,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("demo", help="pigeonhole demonstration with extension bounds")
-    _add_graph_flags(p)
+    _add_graph_flag(p)
     p.add_argument("--variant", required=True, choices=constructions.DEMO_VARIANTS)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--coloring", default=None)
@@ -449,7 +446,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_question31)
 
     p = sub.add_parser("plot", help="static SVG with poor/rich/abnormal styling")
-    _add_graph_flags(p)
+    _add_graph_flag(p)
     p.add_argument("--coloring", default=None)
     p.set_defaults(func=_cmd_plot)
 

@@ -89,16 +89,6 @@ def _classify(size: int) -> EdgeClass:
     return EdgeClass.ABNORMAL
 
 
-def classify_edge(graph: CubicGraph, coloring: EdgeColoring, eid: int) -> EdgeClass:
-    """Classify one edge by its endpoint palette union.  Only the two
-    endpoint stars are checked for properness, so this is O(1)."""
-    u, v = graph.edges[eid]
-    pal_u, pal_v = palette(graph, coloring, u), palette(graph, coloring, v)
-    if len(pal_u) != 3 or len(pal_v) != 3:
-        raise ImproperColoringError("classification requires a proper coloring at both ends")
-    return _classify(len(pal_u | pal_v))
-
-
 def classify_all(graph: CubicGraph, coloring: EdgeColoring) -> tuple[EdgeClass, ...]:
     _check_total(graph, coloring)
     masks = _palette_masks(graph, coloring)

@@ -286,7 +286,7 @@ def k4_gadget_extend(
     classes = classify_all(graph, coloring)
     if classes[eid] is not EdgeClass.ABNORMAL:
         raise ValueError(f"edge {eid} must be abnormal")
-    before = len(abnormal_set(graph, coloring))
+    before = classes.count(EdgeClass.ABNORMAL)
     perm = _normalizing_permutation(graph, coloring, eid)
     normalized = coloring.permuted(perm)
 

@@ -3,9 +3,9 @@
 The generator completes the smallest unsaturated vertex with partners in
 increasing order, which produces every labeled graph exactly once, and in
 lexicographic order of the sorted edge lists.  The distinct mode restricts
-the stream to BFS labelings: N(0) = {1, 2, 3}, every later vertex has a
-smaller neighbor, and a vertex touched for the first time takes the smallest
-untouched label.  Every connected cubic graph has such labelings (one per
+the stream to BFS labelings: every vertex after 0 has a smaller neighbor,
+and a vertex touched for the first time takes the smallest untouched label,
+so N(0) = {1, 2, 3}.  Every connected cubic graph has such labelings (one per
 root and order of each vertex's new children), so each isomorphism class
 appears in the stream at least once.
 
@@ -135,19 +135,13 @@ def _labeled_stream(n: int, constrained: bool) -> Iterator[tuple[tuple[int, int]
         if v == n:
             yield tuple(edges)
             return
-        if constrained and v == 0:
-            # force N(0) = {1, 2, 3}
-            u = deg[0] + 1
-            candidates = range(u, u + 1)
-        else:
-            candidates = range(min_partner, n)
         fresh = -1
         if constrained:
             for w in range(v + 1, n):
                 if deg[w] == 0:
                     fresh = w
                     break
-        for u in candidates:
+        for u in range(min_partner, n):
             if deg[u] >= 3 or u in nbrs[v]:
                 continue
             if constrained and deg[u] == 0 and u != fresh:

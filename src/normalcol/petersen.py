@@ -32,7 +32,7 @@ H-coloring, and composing back with the model coloring recovers c.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .coloring import (
     EdgeClass,
@@ -172,42 +172,30 @@ def preimage_degrees(
 
 @lru_cache(maxsize=1)
 def model_cycles() -> tuple[frozenset[int], ...]:
-    """Every simple cycle of the model, as a frozenset of edge ids.
+    """Every simple cycle of the model, as a frozenset of edge ids, in the
+    order of their edge bitmasks.
 
-    All 2^15 edge subsets are scanned for connected 2-regular subgraphs;
-    small enough to stay exact and obviously correct.
+    Read off the model's cut space (`CubicGraph._cut_space`): sets[e] has
+    one bit per fundamental cycle through edge e, that is per non-tree edge
+    (chord) on it, so the OR of all sets is the 6 chord bits.  Each
+    non-empty set T of chords gives the sum of its fundamental cycles, the
+    edges e with |sets[e] & T| odd.  Every degree in a sum is even, so 0 or
+    2 in a cubic graph: a sum is a disjoint union of cycles, and every cycle
+    is the sum of its own chords.  A sum is one cycle, that is connected,
+    exactly when no other non-empty sum lies inside it.  So the cycles are
+    the 57 minimal sums of the 63; the other 6 are pairs of disjoint
+    5-cycles.
     """
-    model = canonical_petersen()
-    graph = model.graph
-    cycles = []
-    for mask in range(1, 1 << graph.m):
-        edges = [e for e in range(graph.m) if (mask >> e) & 1]
-        deg: dict[int, int] = {}
-        for e in edges:
-            u, v = graph.edges[e]
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        if any(d != 2 for d in deg.values()):
-            continue
-        # connected check over touched vertices
-        verts = set(deg)
-        start = next(iter(verts))
-        seen = {start}
-        stack = [start]
-        adj: dict[int, list[int]] = {v: [] for v in verts}
-        for e in edges:
-            u, v = graph.edges[e]
-            adj[u].append(v)
-            adj[v].append(u)
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen == verts:
-            cycles.append(frozenset(edges))
-    return tuple(cycles)
+    graph = canonical_petersen().graph
+    sets = graph._cut_space[1]
+    chords = reduce(int.__or__, sets)
+    sums = []
+    t = chords
+    while t:  # every non-empty submask of the chords
+        sums.append(sum(1 << e for e in range(graph.m) if (sets[e] & t).bit_count() & 1))
+        t = (t - 1) & chords
+    masks = sorted(s for s in sums if not any(r != s and r & s == r for r in sums))
+    return tuple(frozenset(e for e in range(graph.m) if mask >> e & 1) for mask in masks)
 
 
 # ---------------------------------------------------------------------------

@@ -545,7 +545,7 @@ def normal_chromatic_index(graph: CubicGraph) -> Optional[int]:
 def _normal_index_witness(graph: CubicGraph) -> Optional[EdgeColoring]:
     """The witness of the solve that settled normal_chromatic_index: its k
     is the index.  None when no k admits a normal coloring."""
-    for k in range(3, graph.m + 1):
+    for k in range(3, max(graph.m, 3) + 1):
         witness = has_normal_k(graph, k)
         if witness is not None:
             return witness

@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import normalcol
-from normalcol.cli import main
+from normalcol.cli import build_parser, main
 from normalcol.coloring import EdgeColoring, write_coloring
-from normalcol.constructions import DEMO_VARIANTS, Q3_TWO_ABNORMAL, composite_graph
+from normalcol.constructions import DEMO_VARIANTS, Q3_TWO_ABNORMAL, composite_graph, disjoint_copies
 from normalcol.formats import parse_graph, write_graph
 from normalcol.graphs import catalog
 from normalcol.petersen import canonical_petersen
@@ -74,10 +74,14 @@ def test_solve_petersen(files, capsys):
     assert obj["checks"]["witness_count_matches"] is True
 
 
-def test_chi_n(files, capsys):
-    code, out = run(capsys, ["chi-n", "--graph", str(files["k4"])])
-    assert code == 0
-    assert out.strip().splitlines()[-1] == "3"
+def test_chi_n(files, capsys, tmp_path):
+    # the empty graph's empty coloring is normal at the first k tried
+    empty = tmp_path / "empty.el"
+    empty.write_text("0 0\n")
+    for graph in (files["k4"], empty):
+        code, out = run(capsys, ["chi-n", "--graph", str(graph)])
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "3"
 
 
 def test_chi_n_solves_once_per_k(files, capsys, monkeypatch):
@@ -409,10 +413,25 @@ def test_construct_roundtrips(files, capsys):
 def test_construct_sparse6_output(files, capsys):
     code, out = run(capsys, [
         "construct", "--variant", "disjoint", "--graph", str(files["k4"]),
-        "--t", "2", "--format", "edge-list",
+        "--t", "2", "--format", "sparse6",
     ])
-    assert code == 0
-    assert parse_graph(out, "edge-list").n == 8
+    assert code == 0 and out.startswith(":")
+    g = parse_graph(out, "sparse6")
+    assert (g.n, g.m) == (8, 12)
+    assert sorted(g.edges) == sorted(disjoint_copies(catalog("k4"), 2).edges)
+
+
+def test_only_construct_takes_a_format():
+    # graph inputs are always detected; --format names construct's output
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    formats = {
+        name: action.choices
+        for name, sub in subcommands.items()
+        for action in sub._actions
+        if "--format" in action.option_strings
+    }
+    assert formats == {"construct": ("edge-list", "sparse6")}
+    assert subcommands["construct"].get_default("format") == "edge-list"
 
 
 def test_construct_format_names_only_the_output(files, capsys):
@@ -818,7 +837,6 @@ def _fuzz_argvs(rng: random.Random, files: dict[str, str]):
         for command in ("classify", "jaeger", "plot"):
             argv = [command, "--graph", pick(small + graphs)]
             maybe(argv, "--coloring", colorings)
-            maybe(argv, "--format", ["auto", "edge-list", "sparse6", "dot"])
             yield argv
         argv = ["scan", "--n", pick(_NS)]
         maybe(argv, "--k", _INTS + ["8", "12"])

@@ -11,7 +11,6 @@ from normalcol.coloring import (
     EdgeColoring,
     abnormal_set,
     classify_all,
-    classify_edge,
     is_normal,
     is_proper,
     palette,
@@ -89,30 +88,14 @@ def test_canonical_abnormal_instance(q3):
     assert normalized.colors[eid] == 1
     assert palette(q3, normalized, u) == frozenset({1, 2, 3})
     assert palette(q3, normalized, v) == frozenset({1, 2, 4})
-    assert classify_edge(q3, normalized, eid) is EdgeClass.ABNORMAL
+    assert classify_all(q3, normalized)[eid] is EdgeClass.ABNORMAL
 
 
 def test_classify_rejects_improper(k4):
     with pytest.raises(ImproperColoringError):
-        classify_edge(k4, EdgeColoring(3, (1, 1, 2, 3, 2, 3)), 0)
+        classify_all(k4, EdgeColoring(3, (1, 1, 2, 3, 2, 3)))[0]
     with pytest.raises(ImproperColoringError):
         abnormal_set(k4, EdgeColoring(3, (1, 1, 2, 3, 2, 3)))
-
-
-def test_classify_edge_checks_only_its_two_stars(petersen):
-    # recolor edge 0 of the Kneser coloring to clash at its end u: the
-    # edges at u are refused, the edges away from edge 0 still classify
-    kneser = canonical_petersen().ctilde
-    u, v = petersen.edges[0]
-    clash = kneser.colors[petersen.incidence[u][1]]
-    broken = EdgeColoring(5, (clash,) + kneser.colors[1:])
-    assert not is_proper(petersen, broken)
-    for eid in petersen.incidence[u]:
-        with pytest.raises(ImproperColoringError):
-            classify_edge(petersen, broken, eid)
-    for eid, ends in enumerate(petersen.edges):
-        if not set(ends) & {u, v}:
-            assert classify_edge(petersen, broken, eid) is EdgeClass.RICH
 
 
 def test_union_sizes_in_345(q3, petersen):
@@ -230,5 +213,5 @@ def test_classification_cost_ignores_color_values(petersen):
     assert is_proper(petersen, shifted)
     assert not is_proper(petersen, shifted, 5)
     assert classify_all(petersen, shifted) == classify_all(petersen, kneser)
-    assert classify_edge(petersen, shifted, 0) is EdgeClass.RICH
+    assert classify_all(petersen, shifted)[0] is EdgeClass.RICH
     assert time.perf_counter() - start < 0.5

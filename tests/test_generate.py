@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import networkx as nx
 import pytest
 
 import normalcol
-from normalcol.generate import enumerate_cubic
+from normalcol.generate import _labeled_stream, enumerate_cubic
 from normalcol.graphs import is_connected
 
 # labeled connected cubic graph counts, cross-checked against the standard
@@ -37,6 +38,27 @@ def test_distinct_count_n14():
 @pytest.mark.skipif(not os.environ.get("NORMALCOL_SLOW"), reason="about 5 s; set NORMALCOL_SLOW=1")
 def test_distinct_count_n16():
     assert sum(1 for _ in enumerate_cubic(16, distinct=True)) == CLASSES[16]
+
+
+# sha256 of repr(list(_labeled_stream(n, True))): the orderly stream's graphs,
+# their labels and their order, taken before vertex 0's partners came from
+# the first-touch rule alone
+STREAM_SHA256 = {
+    12: "8ab9d519d5773cfd36599530611678970cf5cf328ba75df6fd704540d8d4d1a9",
+    14: "cf4d9ef4039a4c1412dbbb88df38111d7df9d01270649bf75e1391eac2cff978",
+    16: "90a74db1d4e3486b2be46ae268dd4ec3d667dcb3796c4b6389865f73ebc2d0d5",
+}
+
+
+@pytest.mark.parametrize("n", [
+    12,
+    14,
+    pytest.param(16, marks=pytest.mark.skipif(
+        not os.environ.get("NORMALCOL_SLOW"), reason="about 5 s; set NORMALCOL_SLOW=1")),
+])
+def test_stream_pinned(n):
+    blob = repr(list(_labeled_stream(n, True)))
+    assert hashlib.sha256(blob.encode()).hexdigest() == STREAM_SHA256[n]
 
 
 def _bfs_candidates(n: int):

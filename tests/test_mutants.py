@@ -106,6 +106,11 @@ MUTANTS = [
            "^= classes[pw << 3 | color[f]]", "^= classes[pw << 3 | color[f]] & 0x18",
            "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_composites",),
            passes=_OUTCOME_PINS),
+    # the model's cycles as the minimal sums of its fundamental cycles
+    Mutant("model-cycles-keep-every-sum", "petersen.py",
+           "masks = sorted(s for s in sums if not any(r != s and r & s == r for r in sums))",
+           "masks = sorted(sums)",
+           "killed", fails=("tests/test_petersen.py::test_model_cycles_census",)),
     # the sparse6 codec
     Mutant("sparse6-padding-stop-on-x-only", "formats.py",
            "if x >= n or v >= n:  # padding", "if x >= n:  # padding",

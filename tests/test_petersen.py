@@ -197,9 +197,46 @@ def test_partial_map_rejected(model, q3):
         verify_h_coloring(q3, model.graph, phi[:-1])
 
 
+def _brute_force_cycles(model):
+    """Every simple cycle of the model, in the order of their edge bitmasks:
+    all 2^15 edge subsets are scanned for connected 2-regular subgraphs."""
+    graph = model.graph
+    cycles = []
+    for mask in range(1, 1 << graph.m):
+        edges = [e for e in range(graph.m) if (mask >> e) & 1]
+        deg: dict[int, int] = {}
+        for e in edges:
+            u, v = graph.edges[e]
+            deg[u] = deg.get(u, 0) + 1
+            deg[v] = deg.get(v, 0) + 1
+        if any(d != 2 for d in deg.values()):
+            continue
+        # connected check over touched vertices
+        verts = set(deg)
+        start = next(iter(verts))
+        seen = {start}
+        stack = [start]
+        adj: dict[int, list[int]] = {v: [] for v in verts}
+        for e in edges:
+            u, v = graph.edges[e]
+            adj[u].append(v)
+            adj[v].append(u)
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if seen == verts:
+            cycles.append(frozenset(edges))
+    return tuple(cycles)
+
+
 def test_model_cycles_census(model):
     cycles = model_cycles()
+    assert cycles == _brute_force_cycles(model)
     assert len(cycles) == 57  # 12 C5 + 10 C6 + 15 C8 + 20 C9
+    assert len(set(cycles)) == 57
     by_len = {}
     for cyc in cycles:
         by_len[len(cyc)] = by_len.get(len(cyc), 0) + 1

@@ -116,6 +116,8 @@ def test_normal_chromatic_index(petersen, k4, k33):
     assert normal_chromatic_index(k4) == 3
     assert normal_chromatic_index(k33) == 3
     assert normal_chromatic_index(petersen) == 5
+    # the empty graph's empty coloring is normal at the first k tried
+    assert normal_chromatic_index(CubicGraph(0, ())) == 3
 
 
 def test_normal_chromatic_index_multigraph_rejected():
