@@ -66,14 +66,16 @@ def _read_graph(path: str) -> tuple[CubicGraph, str]:
     return parse_graph(text, detect_format(text)), digest
 
 
-def _load_graph(args) -> tuple[CubicGraph, dict[str, str]]:
+def _inputs(args) -> tuple[CubicGraph, EdgeColoring | None, dict[str, str]]:
+    """The --graph, the --coloring when the subcommand has one and it is
+    given, and the SHA-256 of each file read, graph first."""
     graph, digest = _read_graph(args.graph)
-    return graph, {"graph": digest}
-
-
-def _load_coloring(args, hashes: dict[str, str]) -> EdgeColoring:
-    text, hashes["coloring"] = _read(args.coloring)
-    return read_coloring(text)
+    hashes = {"graph": digest}
+    coloring = None
+    if getattr(args, "coloring", None):
+        text, hashes["coloring"] = _read(args.coloring)
+        coloring = read_coloring(text)
+    return graph, coloring, hashes
 
 
 def _report(fmt: str, obj: dict, lines: list[str]) -> None:
@@ -96,8 +98,7 @@ def _add_graph_flag(p: _Parser) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_classify(args) -> None:
-    graph, hashes = _load_graph(args)
-    coloring = _load_coloring(args, hashes)
+    graph, coloring, hashes = _inputs(args)  # --coloring is required here
     classes = [cls.value for cls in classify_all(graph, coloring)]
     counts = {name: classes.count(name) for name in ("poor", "rich", "abnormal")}
     abnormal = [eid for eid, cls in enumerate(classes) if cls == "abnormal"]
@@ -119,7 +120,7 @@ def _cmd_classify(args) -> None:
 
 
 def _cmd_solve(args) -> None:
-    graph, hashes = _load_graph(args)
+    graph, _, hashes = _inputs(args)
     cfg = SearchConfig(k=args.k, abnormal_budget=args.budget, node_limit=args.node_limit)
     result = min_abnormal(graph, cfg)
     checks = {}
@@ -147,7 +148,7 @@ def _cmd_solve(args) -> None:
 
 
 def _cmd_chi_n(args) -> None:
-    graph, hashes = _load_graph(args)
+    graph, _, hashes = _inputs(args)
     witness = _normal_index_witness(graph)
     index = None if witness is None else witness.k
     # no index is a certified answer: k = m admits every coloring there is
@@ -210,10 +211,8 @@ def _cmd_scan(args) -> None:
 
 
 def _cmd_jaeger(args) -> None:
-    graph, hashes = _load_graph(args)
-    if args.coloring:
-        coloring = _load_coloring(args, hashes)
-    else:
+    graph, coloring, hashes = _inputs(args)
+    if coloring is None:
         # a Petersen-coloring needs a normal coloring in at most 5 colors
         k = min(args.k, 5)
         coloring = has_normal_k(graph, k)
@@ -277,9 +276,8 @@ def _cmd_construct(args) -> None:
 
 
 def _cmd_demo(args) -> None:
-    graph, hashes = _load_graph(args)
     # a coloring file applies to the composite graph, which the demo builds
-    coloring = _load_coloring(args, hashes) if args.coloring else None
+    graph, coloring, hashes = _inputs(args)
     report = constructions.pigeonhole_demo(graph, args.variant, args.t, coloring)
     _report("json", {**report.to_json_obj(), "inputs": hashes}, [])
     if not report.passed:
@@ -323,11 +321,8 @@ _PLOT_STYLE = {
 def _cmd_plot(args) -> None:
     import math
 
-    graph, hashes = _load_graph(args)
-    classes = None
-    if args.coloring:
-        coloring = _load_coloring(args, hashes)
-        classes = classify_all(graph, coloring)
+    graph, coloring, hashes = _inputs(args)
+    classes = None if coloring is None else classify_all(graph, coloring)
     size = 420.0
     cx = cy = size / 2
     radius = size / 2 - 40

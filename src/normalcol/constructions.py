@@ -261,8 +261,6 @@ def _normalizing_permutation(
     s_v = palette(graph, coloring, v)
     shared = s_u & s_v
     ce = coloring.colors[eid]
-    if len(shared) != 2 or ce not in shared:
-        raise ValueError("edge palettes do not have the abnormal shape")
     (other_shared,) = shared - {ce}
     (third_u,) = s_u - shared
     (third_v,) = s_v - shared
@@ -327,13 +325,14 @@ def k_abnormal_example(k: int) -> tuple[CubicGraph, EdgeColoring]:
 # Pigeonhole demonstrations
 # ---------------------------------------------------------------------------
 
-# variant -> (abnormal edges the extension may leave, fewest copies, the
-# connectivity G needs); the nonzero bounds are 2k+1 for k = 2, 3, 4.
+# variant -> (abnormal edges the extension may leave, the connectivity G
+# needs); the nonzero bounds are 2k+1 for k = 2, 3, 4.  The builders check
+# the copy count.
 _VARIANTS = {
-    "disjoint": (0, 1, lambda r: r.bridgeless),
-    "cyclic1": (5, 1, lambda r: r.edge_connectivity >= 2),
-    "vertex_replacement": (7, 1, lambda r: r.edge_connectivity >= 3),
-    "cyclic2": (9, 2, lambda r: r.cyclically_4_edge_connected),
+    "disjoint": (0, lambda r: r.bridgeless),
+    "cyclic1": (5, lambda r: r.edge_connectivity >= 2),
+    "vertex_replacement": (7, lambda r: r.edge_connectivity >= 3),
+    "cyclic2": (9, lambda r: r.cyclically_4_edge_connected),
 }
 DEMO_VARIANTS = tuple(_VARIANTS)
 
@@ -429,9 +428,7 @@ def pigeonhole_demo(
     edges than copies; if not, the report carries clean_copy_index None and
     pass False instead of failing hard.
     """
-    bound, min_t, needs = _variant(variant)
-    if t < min_t:
-        raise ValueError("copy count too small for this variant")
+    bound, needs = _variant(variant)
     if not needs(connectivity_report(graph)):
         raise ValueError(f"input graph fails the connectivity required by {variant!r}")
 

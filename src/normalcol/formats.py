@@ -92,18 +92,9 @@ def _write_edge_list(graph: CubicGraph) -> str:
 def _n_to_data(n: int) -> list[int]:
     if n <= 62:
         return [n]
-    if n <= 258047:
-        return [63, (n >> 12) & 0x3F, (n >> 6) & 0x3F, n & 0x3F]
-    return [
-        63,
-        63,
-        (n >> 30) & 0x3F,
-        (n >> 24) & 0x3F,
-        (n >> 18) & 0x3F,
-        (n >> 12) & 0x3F,
-        (n >> 6) & 0x3F,
-        n & 0x3F,
-    ]
+    # 63 then 18 bits in 3 characters, or 63 63 then 36 bits in 6 characters
+    head, chars = ([63], 3) if n <= 258047 else ([63, 63], 6)
+    return head + [(n >> 6 * i) & 0x3F for i in reversed(range(chars))]
 
 
 def _data_to_n(data: list[int]) -> tuple[int, list[int]]:

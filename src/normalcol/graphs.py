@@ -31,44 +31,33 @@ class CubicGraph:
                 raise LoopError(f"edge {eid} is a loop at vertex {u}")
             norm.append((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", tuple(norm))
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        for v, d in enumerate(deg):
-            if d != 3:
-                raise DegreeError(f"vertex {v} has degree {d}, expected 3")
+        for v, star in enumerate(self._stars):
+            if len(star) != 3:
+                raise DegreeError(f"vertex {v} has degree {len(star)}, expected 3")
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     @cached_property
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex ordered list of incident edge ids."""
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for eid, (u, v) in enumerate(self.edges):
-            inc[u].append(eid)
-            inc[v].append(eid)
-        return tuple(map(tuple, inc))
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex far ends of the incident edges, in incidence order."""
-        ends: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            ends[u].append(v)
-            ends[v].append(u)
-        return tuple(map(tuple, ends))
-
-    @cached_property
     def _stars(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-vertex (edge id, far end) pairs, in incidence order."""
+        """Per-vertex (edge id, far end) pairs, in edge id order: the one edge
+        pass that every per-vertex table reads."""
         stars: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for eid, (u, v) in enumerate(self.edges):
             stars[u].append((eid, v))
             stars[v].append((eid, u))
         return tuple(map(tuple, stars))
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """Per-vertex ordered list of incident edge ids."""
+        return tuple(tuple([eid for eid, _ in star]) for star in self._stars)
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per-vertex far ends of the incident edges, in incidence order."""
+        return tuple(tuple([w for _, w in star]) for star in self._stars)
 
     @cached_property
     def _cut_space(self) -> tuple[int, tuple[int, ...]]:
@@ -160,17 +149,16 @@ def _prism(m: int) -> CubicGraph:
     return CubicGraph(2 * m, tuple(edges))
 
 
+_FIXED = {"petersen": _petersen, "k4": _k4, "q3": _q3, "k33": _k33}
+
+
 def catalog(name: str, *params: int) -> CubicGraph:
     """Return a named graph: petersen, k4, q3, k33, or prism(m) with m even."""
     name = name.lower()
-    if name == "petersen":
-        return _petersen()
-    if name == "k4":
-        return _k4()
-    if name == "q3":
-        return _q3()
-    if name == "k33":
-        return _k33()
+    if name in _FIXED:
+        if params:
+            raise ValueError(f"{name} takes no parameters")
+        return _FIXED[name]()
     if name == "prism":
         if len(params) != 1:
             raise ValueError("prism takes one parameter, the cycle length")

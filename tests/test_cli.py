@@ -525,6 +525,20 @@ def test_construct_rejects_t_below_one_for_every_variant(files, capsys, tmp_path
     assert captured.err == "error: t must be at least 1\n"
 
 
+@pytest.mark.parametrize("variant, t, message", [
+    ("cyclic2", "1", "t must be at least 2"),
+    ("disjoint", "0", "t must be at least 1"),
+])
+def test_demo_and_construct_share_the_copy_count_message(files, capsys, variant, t, message):
+    # the builders alone check the copy count, so both commands say the same
+    for command in ("demo", "construct"):
+        code = main([command, "--variant", variant, "--graph", str(files["petersen_el"]),
+                     "--t", t])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("t", [2, 3])
 @pytest.mark.parametrize("variant", DEMO_VARIANTS)
 @pytest.mark.parametrize("name", ["petersen", "k4"])
@@ -742,8 +756,15 @@ def test_short_coloring_is_a_usage_error(files, capsys, tmp_path, command):
     (["demo", "--variant", "disjoint", "--t", "2", "--graph", "{petersen}",
       "--coloring", "{improper}"],
      "supplied composite coloring is not proper"),
+    (["construct", "--variant", "k4_gadget", "--graph", "{petersen}"],
+     "k4_gadget needs --coloring to locate an abnormal edge"),
+    (["solve", "--graph", "{petersen}", "--node-limit", "-1"],
+     "node_limit must be non-negative"),
+    (["scan", "--n", "4", "--node-limit", "-1"],
+     "node_limit must be non-negative"),
 ], ids=["negative-budget", "construct-no-3-path", "demo-no-3-path", "gadget-normal",
-        "demo-improper"])
+        "demo-improper", "gadget-no-coloring", "solve-negative-node-limit",
+        "scan-negative-node-limit"])
 def test_input_error_is_a_usage_error(files, capsys, tmp_path, argv, message):
     triple = tmp_path / "triple.el"
     triple.write_text(write_graph(triple_edge(), "edge-list"))

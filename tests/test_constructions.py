@@ -656,6 +656,13 @@ def test_copy_count_below_one_rejected(petersen, t):
         composite_graph(petersen, "cyclic2", t)
 
 
+def test_demo_copy_count_message_is_the_builders(petersen):
+    with pytest.raises(ValueError, match="^t must be at least 2$"):
+        pigeonhole_demo(petersen, "cyclic2", 1)
+    with pytest.raises(ValueError, match="^t must be at least 1$"):
+        pigeonhole_demo(petersen, "disjoint", 0)
+
+
 def test_composite_graph_matches_demo(petersen):
     h = composite_graph(petersen, "cyclic1", 2)
     assert (h.n, h.m) == (20, 30)

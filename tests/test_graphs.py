@@ -95,6 +95,10 @@ def test_catalog_rejects():
         catalog("prism")
     with pytest.raises(ValueError, match="at least 3"):
         catalog("prism", 2)
+    # the fixed graphs take no parameter, as prism needs its one
+    for name, params in [("k4", (5,)), ("petersen", (3, 4)), ("q3", (8,)), ("k33", (0,))]:
+        with pytest.raises(ValueError, match=f"^{name} takes no parameters$"):
+            catalog(name, *params)
 
 
 def test_connectivity_petersen(petersen):

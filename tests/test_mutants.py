@@ -60,6 +60,10 @@ MUTANTS = [
     Mutant("tree-edge-own-bit", "graphs.py",
            "sets[up[v]] = below[v]\n", "sets[up[v]] = below[v] ^ (1 << up[v])\n",
            "killed", fails=_CONNECTIVITY),
+    # the one star table: the degree check reads it
+    Mutant("degree-check-only-above-three", "graphs.py",
+           "if len(star) != 3:", "if len(star) > 3:",
+           "killed", fails=("tests/test_graphs.py::test_degree_error",)),
     # the branch-edge scan
     Mutant("branch-edge-back-at-end", "solver.py",
            "uncolored.insert(i, eid)", "uncolored.append(eid)",
@@ -121,6 +125,9 @@ MUTANTS = [
     Mutant("sparse6-zero-padding", "formats.py",
            'bits += "1" * (-len(bits) % 6)', 'bits += "0" * (-len(bits) % 6)',
            "killed", fails=("tests/test_formats.py::test_sparse6_roundtrip_and_reference",)),
+    Mutant("size-field-chunks-reversed", "formats.py",
+           "for i in reversed(range(chars))]", "for i in range(chars)]",
+           "killed", fails=("tests/test_formats.py::test_size_field_matches_reference",)),
 ]
 
 
