@@ -23,41 +23,32 @@ class CubicGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        norm = []
+        """The one edge pass: normalize each edge to (min, max) and file it in
+        the star table `_stars`, each vertex's (edge id, far end) pairs in edge
+        id order; the degree check reads it, `incidence` and `neighbors` are
+        its two columns."""
+        if self.n < 0:
+            raise ValueError(f"vertex count must be at least 0, got {self.n}")
+        norm, stars = [], [[] for _ in range(self.n)]
         for eid, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge {eid} endpoint out of range: ({u}, {v})")
             if u == v:
                 raise LoopError(f"edge {eid} is a loop at vertex {u}")
             norm.append((u, v) if u < v else (v, u))
-        object.__setattr__(self, "edges", tuple(norm))
-        for v, star in enumerate(self._stars):
+            stars[u].append((eid, v))
+            stars[v].append((eid, u))
+        for v, star in enumerate(stars):
             if len(star) != 3:
                 raise DegreeError(f"vertex {v} has degree {len(star)}, expected 3")
+        object.__setattr__(self, "edges", tuple(norm))
+        object.__setattr__(self, "_stars", tuple(map(tuple, stars)))
+        object.__setattr__(self, "incidence", tuple(tuple([e for e, _ in s]) for s in stars))
+        object.__setattr__(self, "neighbors", tuple(tuple([w for _, w in s]) for s in stars))
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def _stars(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-vertex (edge id, far end) pairs, in edge id order: the one edge
-        pass that every per-vertex table reads."""
-        stars: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for eid, (u, v) in enumerate(self.edges):
-            stars[u].append((eid, v))
-            stars[v].append((eid, u))
-        return tuple(map(tuple, stars))
-
-    @cached_property
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex ordered list of incident edge ids."""
-        return tuple(tuple([eid for eid, _ in star]) for star in self._stars)
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex far ends of the incident edges, in incidence order."""
-        return tuple(tuple([w for _, w in star]) for star in self._stars)
 
     @cached_property
     def _cut_space(self) -> tuple[int, tuple[int, ...]]:

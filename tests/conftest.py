@@ -3,6 +3,7 @@ from __future__ import annotations
 import faulthandler
 import os
 import random
+from collections import Counter
 from typing import Optional
 
 import pytest
@@ -193,6 +194,32 @@ def three_edge_colorable(graph: CubicGraph) -> bool:
         return False
 
     return extend(0)
+
+
+def leaf_pieces(graph: CubicGraph) -> int:
+    """L, the number of pieces (components of G minus its bridges) that
+    exactly one bridge meets.  Edge e is a bridge when a plain search of
+    G - e from one end misses the other end.  Shares no code with the
+    solver's bridge split or `CubicGraph._cut_space`."""
+
+    def reach(start: int, skip: set[int]) -> set[int]:
+        seen, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            for eid in graph.incidence[v]:
+                w = sum(graph.edges[eid]) - v
+                if eid not in skip and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    bridges = {eid for eid, (u, v) in enumerate(graph.edges) if v not in reach(u, {eid})}
+    piece: dict[int, int] = {}
+    for v in range(graph.n):
+        if v not in piece:
+            piece.update((w, v) for w in reach(v, bridges))
+    met = Counter(piece[end] for eid in bridges for end in graph.edges[eid])
+    return sum(1 for count in met.values() if count == 1)
 
 
 def single_abnormal_ids(rows) -> list[int]:

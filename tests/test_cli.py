@@ -7,18 +7,26 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import normalcol
+from normalcol import cli, constructions
 from normalcol.cli import build_parser, main
 from normalcol.coloring import EdgeColoring, write_coloring
-from normalcol.constructions import DEMO_VARIANTS, Q3_TWO_ABNORMAL, composite_graph, disjoint_copies
+from normalcol.constructions import (
+    DEMO_VARIANTS,
+    Q3_TWO_ABNORMAL,
+    DemoReport,
+    composite_graph,
+    disjoint_copies,
+)
 from normalcol.formats import parse_graph, write_graph
 from normalcol.graphs import catalog
-from normalcol.petersen import canonical_petersen
-from normalcol.solver import SearchConfig, min_abnormal
+from normalcol.petersen import canonical_petersen, pullback
+from normalcol.solver import ScanRow, SearchConfig, SolveStatus, min_abnormal
 
 from conftest import bridged_multigraph, bridged_simple_10, triple_edge
 
@@ -776,6 +784,63 @@ def test_input_error_is_a_usage_error(files, capsys, tmp_path, argv, message):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def _row(minimum: int) -> ScanRow:
+    return ScanRow(0, 4, 6, True, True, minimum, 0, 0, SolveStatus.OPTIMAL)
+
+
+# (argv, module and name of the call the handler makes, its stand-in, a
+# line of the report, the stderr, the exit code)
+_FAILED_CHECKS = {
+    "solve": (
+        ["solve", "--graph", "{petersen}"], cli, "min_abnormal",
+        lambda graph, cfg: replace(min_abnormal(graph, cfg), best_count=1),
+        '"witness_count_matches":false',
+        "verification failure: witness checks failed\n", 2),
+    "chi-n": (
+        ["chi-n", "--graph", "{q3}"], cli, "_normal_index_witness",
+        lambda graph: EdgeColoring(5, Q3_TWO_ABNORMAL),
+        "normal_chromatic_index\n5\n",
+        "verification failure: no normal witness at the reported index\n", 2),
+    "scan": (
+        ["scan", "--n", "4"], cli, "scan_no_single_abnormal",
+        lambda graphs, cfg: [_row(1)],
+        "# graphs=1 minima={1:1} single_abnormal=1\n",
+        "verification failure: a graph with exactly one abnormal edge appeared\n", 2),
+    "jaeger": (
+        ["jaeger", "--graph", "{petersen}", "--coloring", "{kneser}"], cli, "pullback",
+        lambda graph, phi: EdgeColoring(5, tuple(c % 5 + 1 for c in pullback(graph, phi).colors)),
+        '"checks":{"h_coloring":true,"roundtrip":false}',
+        "verification failure: Jaeger round-trip did not close\n", 2),
+    "demo": (
+        ["demo", "--variant", "disjoint", "--t", "2", "--graph", "{petersen}"],
+        constructions, "pigeonhole_demo",
+        lambda graph, variant, t, coloring: DemoReport(variant, t, 20, 8, None, None, 7, False),
+        '"pass":false',
+        "verification failure: demo bound not met\n", 2),
+    "question31": (
+        ["question31", "--n", "4"], cli, "scan_no_single_abnormal",
+        lambda graphs, cfg: [_row(2)],
+        "0\t2\t0\n# violations=1\n",
+        "note: bridgeless graph(s) with min <= 2 but no normal 5-edge-coloring: [0]\n", 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILED_CHECKS))
+def test_failed_check_reports_then_exits(files, capsys, tmp_path, monkeypatch, case):
+    # each handler prints its report before main turns a failed check into
+    # one stderr line; question31 only notes its violations
+    argv, module, name, fake, line, err, exit_code = _FAILED_CHECKS[case]
+    q3 = tmp_path / "q3.el"
+    q3.write_text(write_graph(catalog("q3"), "edge-list"))
+    monkeypatch.setattr(module, name, fake)
+    code = main([a.format(petersen=files["petersen_el"], kneser=files["kneser"], q3=q3)
+                 for a in argv])
+    captured = capsys.readouterr()
+    assert line in captured.out
+    assert captured.err == err
+    assert code == exit_code
 
 
 # ---------------------------------------------------------------------------

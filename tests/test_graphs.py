@@ -74,6 +74,25 @@ def test_neighbors_follow_incidence():
 def test_endpoints_normalized():
     g = CubicGraph(2, ((1, 0), (0, 1), (1, 0)))
     assert g.edges == ((0, 1), (0, 1), (0, 1))
+    # equality, hash and repr read n and the normalized edges, not the tables
+    assert g == triple_edge() and hash(g) == hash(triple_edge())
+    assert repr(g) == "CubicGraph(n=2, edges=((0, 1), (0, 1), (0, 1)))"
+    assert g.incidence == ((0, 1, 2), (0, 1, 2)) and g.neighbors == ((1, 1, 1), (0, 0, 0))
+
+
+def test_edge_errors_come_before_degree_errors():
+    # vertex 3 is left bare, yet the loop at edge 1 is what is reported
+    with pytest.raises(LoopError, match="edge 1 is a loop at vertex 2"):
+        CubicGraph(4, ((0, 1), (2, 2), (0, 5)))
+    with pytest.raises(ValueError, match=r"edge 1 endpoint out of range: \(0, 5\)"):
+        CubicGraph(4, ((0, 1), (0, 5), (2, 2)))
+
+
+def test_negative_vertex_count_rejected():
+    # -3 vertices would be written as "-3 0" or ":<", which no parser reads
+    with pytest.raises(ValueError, match="vertex count must be at least 0, got -3"):
+        CubicGraph(-3, ())
+    assert CubicGraph(0, ()).m == 0
 
 
 def test_catalog_entries():

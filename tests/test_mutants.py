@@ -110,6 +110,10 @@ MUTANTS = [
            "^= classes[pw << 3 | color[f]]", "^= classes[pw << 3 | color[f]] & 0x18",
            "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_composites",),
            passes=_OUTCOME_PINS),
+    # the bridge split: the minimum is the sum of the pieces' minima
+    Mutant("piece-minima-not-summed", "solver.py",
+           "total += best", "total = best",
+           "killed", fails=("tests/test_solver.py::test_minimum_is_twice_the_leaf_count",)),
     # the model's cycles as the minimal sums of its fundamental cycles
     Mutant("model-cycles-keep-every-sum", "petersen.py",
            "masks = sorted(s for s in sums if not any(r != s and r & s == r for r in sums))",
