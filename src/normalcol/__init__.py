@@ -55,7 +55,6 @@ from .solver import (
     has_normal_k,
     min_abnormal,
     normal_chromatic_index,
-    scan_no_single_abnormal,
 )
 
 __version__ = "0.1.0"

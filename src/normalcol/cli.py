@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .coloring import (
 from .errors import VerificationError
 from .formats import detect_format, parse_graph, write_graph
 from .generate import enumerate_cubic
-from .graphs import CubicGraph, catalog
+from .graphs import CubicGraph, catalog, connectivity_report
 from .petersen import build_p_coloring, canonical_petersen, pullback, verify_h_coloring, write_p_coloring
 from .solver import (
     SearchConfig,
@@ -40,7 +41,6 @@ from .solver import (
     _normal_index_witness,
     has_normal_k,
     min_abnormal,
-    scan_no_single_abnormal,
 )
 
 
@@ -165,30 +165,33 @@ def _cmd_chi_n(args) -> None:
 
 
 def _cmd_scan(args) -> None:
-    graphs = enumerate_cubic(args.n, distinct=True)
-    rows = scan_no_single_abnormal(graphs, SearchConfig(k=args.k, node_limit=args.node_limit))
+    # no proper 5-edge-coloring has exactly one abnormal edge: an OPTIMAL 1 is a solver bug
+    cfg = SearchConfig(k=args.k, node_limit=args.node_limit)
+    rows = []
+    for graph_id, graph in enumerate(enumerate_cubic(args.n, distinct=True)):
+        t0 = time.perf_counter()
+        report, result = connectivity_report(graph), min_abnormal(graph, cfg)
+        rows.append({
+            "graph_id": graph_id,
+            "n": graph.n,
+            "m": graph.m,
+            "bridgeless": report.bridgeless,
+            "cyc4": report.cyclically_4_edge_connected,
+            "min_abnormal": result.best_count,
+            "nodes": result.nodes_explored,
+            "millis": int((time.perf_counter() - t0) * 1000) if args.timing else None,
+            "status": result.status.value,
+            "witness": list(result.witness.colors) if result.witness else None,
+        })
     # a row the node limit stopped proves no minimum, so it counts only as unresolved
-    unresolved = [r.graph_id for r in rows if r.status is SolveStatus.LIMIT]
-    minima = sorted(Counter(r.min_abnormal for r in rows if r.status is not SolveStatus.LIMIT).items())
-    single = [r.graph_id for r in rows if r.status is SolveStatus.OPTIMAL and r.min_abnormal == 1]
+    limit, optimal = SolveStatus.LIMIT.value, SolveStatus.OPTIMAL.value
+    unresolved = [r["graph_id"] for r in rows if r["status"] == limit]
+    minima = sorted(Counter(r["min_abnormal"] for r in rows if r["status"] != limit).items())
+    single = [r["graph_id"] for r in rows if r["status"] == optimal and r["min_abnormal"] == 1]
     obj = {
         "n": args.n,
         "graphs": len(rows),
-        "rows": [
-            {
-                "graph_id": r.graph_id,
-                "n": r.n,
-                "m": r.m,
-                "bridgeless": r.bridgeless,
-                "cyc4": r.cyc4,
-                "min_abnormal": r.min_abnormal,
-                "nodes": r.nodes,
-                "millis": r.millis if args.timing else None,
-                "status": r.status.value,
-                "witness": list(r.witness.colors) if r.witness else None,
-            }
-            for r in rows
-        ],
+        "rows": rows,
         "distribution": {str(k): v for k, v in minima},
         "single_abnormal": single,
     }
@@ -196,9 +199,9 @@ def _cmd_scan(args) -> None:
     _report(args.out, obj, [
         "graph_id\tn\tm\tbridgeless\tcyc4\tmin_abnormal\tnodes\tmillis",
         *(
-            f"{r.graph_id}\t{r.n}\t{r.m}\t{int(r.bridgeless)}\t{int(r.cyc4)}"
-            f"\t{'limit' if r.status is SolveStatus.LIMIT else r.min_abnormal}"
-            f"\t{r.nodes}\t{r.millis if args.timing else '-'}"
+            f"{r['graph_id']}\t{r['n']}\t{r['m']}\t{int(r['bridgeless'])}\t{int(r['cyc4'])}"
+            f"\t{'limit' if r['status'] == limit else r['min_abnormal']}"
+            f"\t{r['nodes']}\t{'-' if r['millis'] is None else r['millis']}"
             for r in rows
         ),
         f"# graphs={len(rows)} minima={{{dist}}} single_abnormal={len(single)}"
@@ -285,17 +288,16 @@ def _cmd_demo(args) -> None:
 
 
 def _cmd_question31(args) -> None:
-    # at budget 2 a minimum above 2 ends INFEASIBLE without an optimality proof
-    graphs = enumerate_cubic(args.n, distinct=True)
-    rows = [
-        {
-            "graph_id": r.graph_id,
-            "min_abnormal": r.min_abnormal,
-            "has_normal_5": r.min_abnormal == 0,
-        }
-        for r in scan_no_single_abnormal(graphs, SearchConfig(abnormal_budget=2))
-        if r.bridgeless and r.status is SolveStatus.OPTIMAL
-    ]
+    # only bridgeless classes are asked about, so only they are solved; at
+    # budget 2 a minimum above 2 ends INFEASIBLE without an optimality proof
+    cfg = SearchConfig(abnormal_budget=2)
+    rows = []
+    for graph_id, graph in enumerate(enumerate_cubic(args.n, distinct=True)):
+        if connectivity_report(graph).bridgeless:
+            result = min_abnormal(graph, cfg)
+            if result.status is SolveStatus.OPTIMAL:
+                best = result.best_count
+                rows.append({"graph_id": graph_id, "min_abnormal": best, "has_normal_5": best == 0})
     violations = [r["graph_id"] for r in rows if not r["has_normal_5"]]
     _report(args.out, {"n": args.n, "rows": rows, "violations": violations}, [
         "graph_id\tmin_abnormal\thas_normal_5",

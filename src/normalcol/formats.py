@@ -60,6 +60,8 @@ def _parse_edge_list(text: str) -> CubicGraph:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise ParseError(f"bad header {lines[0]!r}") from exc
+    if n < 0:
+        raise ParseError(f"vertex count must be at least 0, got {n}")
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

@@ -104,14 +104,13 @@ inside a probe ends in LIMIT with no witness.
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .coloring import EdgeColoring
-from .graphs import CubicGraph, connectivity_report
+from .graphs import CubicGraph
 from .petersen import canonical_petersen
 
 _POP = tuple(i.bit_count() for i in range(1 << 7))  # palettes within colors 1..7
@@ -551,51 +550,3 @@ def _normal_index_witness(graph: CubicGraph) -> Optional[EdgeColoring]:
             return witness
     return None
 
-
-# ---------------------------------------------------------------------------
-# Batch scans
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ScanRow:
-    graph_id: int
-    n: int
-    m: int
-    bridgeless: bool
-    cyc4: bool
-    min_abnormal: int
-    nodes: int
-    millis: int
-    status: SolveStatus
-    witness: Optional[EdgeColoring] = None
-
-
-def scan_no_single_abnormal(
-    graphs: Iterable[CubicGraph], cfg: SearchConfig | None = None
-) -> list[ScanRow]:
-    """Solve min_abnormal for each graph in the stream, one row per graph.
-
-    The graphs are solved one at a time as the stream yields them, and row
-    i belongs to the i-th graph.  No proper 5-edge-coloring of a cubic
-    graph has exactly one abnormal edge, so an OPTIMAL row with minimum 1
-    would mean a solver bug (or a remarkable counterexample).
-    """
-    cfg = cfg or SearchConfig()
-    rows = []
-    for graph_id, graph in enumerate(graphs):
-        t0 = time.perf_counter()
-        report = connectivity_report(graph)
-        result = min_abnormal(graph, cfg)
-        rows.append(ScanRow(
-            graph_id=graph_id,
-            n=graph.n,
-            m=graph.m,
-            bridgeless=report.bridgeless,
-            cyc4=report.cyclically_4_edge_connected,
-            min_abnormal=result.best_count,
-            nodes=result.nodes_explored,
-            millis=int((time.perf_counter() - t0) * 1000),
-            status=result.status,
-            witness=result.witness,
-        ))
-    return rows

@@ -222,9 +222,11 @@ def leaf_pieces(graph: CubicGraph) -> int:
     return sum(1 for count in met.values() if count == 1)
 
 
-def single_abnormal_ids(rows) -> list[int]:
-    """Graph ids of the scan rows whose exact minimum is 1; expected empty."""
-    return [r.graph_id for r in rows if r.status is SolveStatus.OPTIMAL and r.min_abnormal == 1]
+def single_abnormal_ids(results: list[SolveResult]) -> list[int]:
+    """Stream indices of the solve results whose exact minimum is 1; expected empty."""
+    return [
+        i for i, r in enumerate(results) if r.status is SolveStatus.OPTIMAL and r.best_count == 1
+    ]
 
 
 def exhaustive_oracle(graph: CubicGraph, k: int = 5, max_edges: int = 18) -> SolveResult:

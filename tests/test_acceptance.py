@@ -36,7 +36,6 @@ from normalcol.solver import (
     SolveStatus,
     has_normal_k,
     min_abnormal,
-    scan_no_single_abnormal,
 )
 
 from conftest import (
@@ -62,12 +61,13 @@ def criterion(num: int, text: str):
 
 @pytest.fixture(scope="session")
 def class_scans():
-    """Exact minima for every isomorphism class with n in {4, 6, 8, 10}."""
+    """The connectivity report and exact solve of every isomorphism class
+    with n in {4, 6, 8, 10}, one (report, result) pair per graph."""
     out = {}
     for n in (4, 6, 8, 10):
         graphs = list(enumerate_cubic(n, distinct=True))
         assert len(graphs) == EXPECTED_CLASSES[n], f"class count changed at n={n}"
-        out[n] = (graphs, scan_no_single_abnormal(graphs))
+        out[n] = (graphs, [(connectivity_report(g), min_abnormal(g)) for g in graphs])
     return out
 
 
@@ -75,10 +75,10 @@ def class_scans():
 def normal_witnesses(class_scans):
     """(graph, witness) for every bridgeless class plus the Petersen graph."""
     pairs = []
-    for n, (graphs, rows) in class_scans.items():
-        for graph, row in zip(graphs, rows):
-            if row.bridgeless and row.min_abnormal == 0:
-                pairs.append((graph, row.witness))
+    for n, (graphs, scans) in class_scans.items():
+        for graph, (report, result) in zip(graphs, scans):
+            if report.bridgeless and result.best_count == 0:
+                pairs.append((graph, result.witness))
     petersen = catalog("petersen")
     witness = has_normal_k(petersen, 5)
     assert witness is not None
@@ -88,12 +88,13 @@ def normal_witnesses(class_scans):
 
 def test_criterion_1_no_single_abnormal(class_scans):
     with criterion(1, "no cubic graph with n <= 10 has exact minimum 1"):
-        for n, (graphs, rows) in class_scans.items():
-            assert len(rows) == EXPECTED_CLASSES[n]
-            for row in rows:
-                assert row.status is SolveStatus.OPTIMAL
-                assert row.min_abnormal != 1
-            assert single_abnormal_ids(rows) == []
+        for n, (graphs, scans) in class_scans.items():
+            assert len(scans) == EXPECTED_CLASSES[n]
+            results = [result for _, result in scans]
+            for result in results:
+                assert result.status is SolveStatus.OPTIMAL
+                assert result.best_count != 1
+            assert single_abnormal_ids(results) == []
 
 
 # n -> (classes (OEIS A002851), bridgeless classes, minima), each measured
@@ -116,23 +117,25 @@ def _opt_in(n: int, seconds: str):
 def test_criteria_1_and_2_opt_in(n):
     classes, bridgeless, minima = _OPT_IN_SCANS[n]
     with criterion(1, f"no cubic graph with n = {n} has exact minimum 1; minimum 0 iff bridgeless"):
-        rows = scan_no_single_abnormal(enumerate_cubic(n, distinct=True))
-        assert len(rows) == classes
-        assert sum(row.bridgeless for row in rows) == bridgeless
-        for row in rows:
-            assert row.status is SolveStatus.OPTIMAL
-            assert (row.min_abnormal == 0) == row.bridgeless
-        assert Counter(row.min_abnormal for row in rows) == minima
-        assert single_abnormal_ids(rows) == []
+        graphs = enumerate_cubic(n, distinct=True)
+        scans = [(connectivity_report(g), min_abnormal(g)) for g in graphs]
+        results = [result for _, result in scans]
+        assert len(scans) == classes
+        assert sum(report.bridgeless for report, _ in scans) == bridgeless
+        for report, result in scans:
+            assert result.status is SolveStatus.OPTIMAL
+            assert (result.best_count == 0) == report.bridgeless
+        assert Counter(result.best_count for result in results) == minima
+        assert single_abnormal_ids(results) == []
 
 
 def test_criterion_2_bridgeless_admit_normal(class_scans):
     with criterion(2, "every bridgeless class with n <= 10, plus Petersen, has minimum 0"):
-        for n, (graphs, rows) in class_scans.items():
-            for row in rows:
-                if row.bridgeless:
-                    assert row.min_abnormal == 0
-                    assert is_normal(graphs[row.graph_id], row.witness)
+        for n, (graphs, scans) in class_scans.items():
+            for graph, (report, result) in zip(graphs, scans):
+                if report.bridgeless:
+                    assert result.best_count == 0
+                    assert is_normal(graph, result.witness)
         petersen = catalog("petersen")
         assert min_abnormal(petersen).best_count == 0
 
@@ -214,9 +217,9 @@ def test_criterion_9_question_31_evidence(class_scans):
     with criterion(9, "bridgeless classes with n <= 8 and minimum <= 2 admit normal colorings"):
         violations = []
         for n in (4, 6, 8):
-            graphs, rows = class_scans[n]
-            for graph, row in zip(graphs, rows):
-                if row.bridgeless and row.min_abnormal <= 2:
+            graphs, scans = class_scans[n]
+            for graph_id, (graph, (report, result)) in enumerate(zip(graphs, scans)):
+                if report.bridgeless and result.best_count <= 2:
                     if has_normal_k(graph, 5) is None:
-                        violations.append((n, row.graph_id))
+                        violations.append((n, graph_id))
         assert violations == []

@@ -26,7 +26,7 @@ from normalcol.constructions import (
 from normalcol.formats import parse_graph, write_graph
 from normalcol.graphs import catalog
 from normalcol.petersen import canonical_petersen, pullback
-from normalcol.solver import ScanRow, SearchConfig, SolveStatus, min_abnormal
+from normalcol.solver import SearchConfig, SolveResult, SolveStatus, min_abnormal
 
 from conftest import bridged_multigraph, bridged_simple_10, triple_edge
 
@@ -114,6 +114,28 @@ def test_scan_tsv_summary(files, capsys):
     code, out = run(capsys, ["scan", "--n", "6"])
     assert code == 0
     assert "# graphs=2 minima={0:2} single_abnormal=0" in out
+
+
+def test_scan_rows_are_the_library_calls(capsys):
+    # row i is the connectivity report and exact solve of the i-th class
+    from normalcol.generate import enumerate_cubic
+    from normalcol.graphs import connectivity_report
+
+    code, out = run(capsys, ["scan", "--n", "10", "--out", "json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    graphs = list(enumerate_cubic(10, distinct=True))
+    assert len(rows) == len(graphs) == 19
+    assert [row["bridgeless"] for row in rows].count(False) == 1
+    for gid, (row, g) in enumerate(zip(rows, graphs)):
+        report, result = connectivity_report(g), min_abnormal(g)
+        assert result.status is SolveStatus.OPTIMAL
+        assert row == {
+            "graph_id": gid, "n": 10, "m": 15,
+            "bridgeless": report.bridgeless, "cyc4": report.cyclically_4_edge_connected,
+            "min_abnormal": result.best_count, "nodes": result.nodes_explored,
+            "millis": None, "status": "optimal", "witness": list(result.witness.colors),
+        }
 
 
 def test_scan_tsv_shape(capsys):
@@ -597,17 +619,40 @@ def test_question31_matches_the_unbudgeted_filter(capsys):
     # question31 solves at budget 2; the reference proves every minimum and
     # keeps the bridgeless rows at most 2
     from normalcol.generate import enumerate_cubic
-    from normalcol.solver import scan_no_single_abnormal
+    from normalcol.graphs import connectivity_report
 
     code, out = run(capsys, ["question31", "--n", "10", "--out", "json"])
     assert code == 0
-    expected = [
-        {"graph_id": r.graph_id, "min_abnormal": r.min_abnormal, "has_normal_5": r.min_abnormal == 0}
-        for r in scan_no_single_abnormal(enumerate_cubic(10, distinct=True))
-        if r.bridgeless and r.min_abnormal <= 2
-    ]
+    expected = []
+    for gid, g in enumerate(enumerate_cubic(10, distinct=True)):
+        best = min_abnormal(g).best_count
+        if connectivity_report(g).bridgeless and best <= 2:
+            expected.append({"graph_id": gid, "min_abnormal": best, "has_normal_5": best == 0})
     assert expected  # the n = 10 classes do reach the filter
     assert json.loads(out) == {"n": 10, "rows": expected, "violations": []}
+
+
+def test_question31_solves_only_bridgeless_classes(capsys, monkeypatch):
+    # the bridged class never reaches the report, so it is not solved
+    from normalcol.generate import enumerate_cubic
+    from normalcol.graphs import connectivity_report
+
+    solved = []
+
+    def recorder(graph, cfg):
+        solved.append(graph)
+        return min_abnormal(graph, cfg)
+
+    monkeypatch.setattr(cli, "min_abnormal", recorder)
+    code, out = run(capsys, ["question31", "--n", "10"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "27d784d18b3399dc28a61ffbe369c65d7fb0315f3d3eae7ae955d783be64a048")
+    classes = list(enumerate_cubic(10, distinct=True))
+    assert len(classes) == 19
+    assert solved == [g for g in classes if connectivity_report(g).bridgeless]
+    assert len(solved) == 18
+    assert all(connectivity_report(g).bridgeless for g in solved)
 
 
 def test_plot_svg(files, capsys):
@@ -786,8 +831,8 @@ def test_input_error_is_a_usage_error(files, capsys, tmp_path, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
-def _row(minimum: int) -> ScanRow:
-    return ScanRow(0, 4, 6, True, True, minimum, 0, 0, SolveStatus.OPTIMAL)
+def _solved(minimum: int) -> SolveResult:
+    return SolveResult(SolveStatus.OPTIMAL, minimum, None, 0)
 
 
 # (argv, module and name of the call the handler makes, its stand-in, a
@@ -804,8 +849,8 @@ _FAILED_CHECKS = {
         "normal_chromatic_index\n5\n",
         "verification failure: no normal witness at the reported index\n", 2),
     "scan": (
-        ["scan", "--n", "4"], cli, "scan_no_single_abnormal",
-        lambda graphs, cfg: [_row(1)],
+        ["scan", "--n", "4"], cli, "min_abnormal",
+        lambda graph, cfg: _solved(1),
         "# graphs=1 minima={1:1} single_abnormal=1\n",
         "verification failure: a graph with exactly one abnormal edge appeared\n", 2),
     "jaeger": (
@@ -820,8 +865,8 @@ _FAILED_CHECKS = {
         '"pass":false',
         "verification failure: demo bound not met\n", 2),
     "question31": (
-        ["question31", "--n", "4"], cli, "scan_no_single_abnormal",
-        lambda graphs, cfg: [_row(2)],
+        ["question31", "--n", "4"], cli, "min_abnormal",
+        lambda graph, cfg: _solved(2),
         "0\t2\t0\n# violations=1\n",
         "note: bridgeless graph(s) with min <= 2 but no normal 5-edge-coloring: [0]\n", 0),
 }

@@ -48,6 +48,8 @@ def test_edge_list_parse_errors():
         parse_graph("4 1\n0 9\n", "edge-list")
     with pytest.raises(ParseError):
         parse_graph("4 1\nx y\n", "edge-list")
+    with pytest.raises(ParseError, match="^vertex count must be at least 0, got -3$"):
+        parse_graph("-3 0\n", "edge-list")
 
 
 def _nx_multigraph(g: CubicGraph) -> nx.MultiGraph:

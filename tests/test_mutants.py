@@ -132,6 +132,10 @@ MUTANTS = [
     Mutant("size-field-chunks-reversed", "formats.py",
            "for i in reversed(range(chars))]", "for i in range(chars)]",
            "killed", fails=("tests/test_formats.py::test_size_field_matches_reference",)),
+    # question31 solves only the bridgeless classes it reports on
+    Mutant("question31-solves-bridged", "cli.py",
+           "if connectivity_report(graph).bridgeless:", "if True:",
+           "killed", fails=("tests/test_cli.py::test_question31_solves_only_bridgeless_classes",)),
 ]
 
 

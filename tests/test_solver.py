@@ -20,7 +20,6 @@ from normalcol.solver import (
     has_normal_k,
     min_abnormal,
     normal_chromatic_index,
-    scan_no_single_abnormal,
 )
 
 from conftest import (
@@ -33,7 +32,6 @@ from conftest import (
     random_bridge_tree,
     random_bridged_multigraph,
     random_cubic_multigraph,
-    single_abnormal_ids,
     three_edge_colorable,
     triple_edge,
 )
@@ -331,23 +329,6 @@ def test_budget_result_still_exact(q3):
     # with a budget the reported optimum is still exact when attained
     result = min_abnormal(q3, SearchConfig(abnormal_budget=0))
     assert result.best_count == 0
-
-
-def test_scan_small_graphs():
-    rows = scan_no_single_abnormal(enumerate_cubic(6, distinct=True))
-    assert len(rows) == 2
-    assert Counter(row.min_abnormal for row in rows) == {0: 2}
-    assert single_abnormal_ids(rows) == []
-    for row in rows:
-        assert row.status is SolveStatus.OPTIMAL
-        assert row.bridgeless
-
-
-def test_scan_includes_multigraph_stream():
-    rows = scan_no_single_abnormal([catalog("k4"), bridged_multigraph()])
-    assert rows[1].min_abnormal == BRIDGED_MIN
-    assert rows[1].min_abnormal >= 2
-    assert single_abnormal_ids(rows) == []
 
 
 def test_witness_soundness_over_stream():
