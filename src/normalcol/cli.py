@@ -241,8 +241,9 @@ def _cmd_jaeger(args) -> None:
 
 def _cmd_construct(args) -> None:
     graph = _read_graph(args.graph)[0]
-    if args.t < 1:
-        raise ValueError("t must be at least 1")
+    # two_cut, k4_gadget and a --graph2 host never read t, and cyclic2
+    # says "at least 1" below 1 before cyclic_join_two_edges asks for 2
+    constructions.check_copies(args.t)
     variant = args.variant
     if variant == "disjoint":
         out = constructions.disjoint_copies(graph, args.t)

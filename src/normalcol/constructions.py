@@ -79,6 +79,14 @@ def _kept_edges(graph: CubicGraph, removed: Sequence[int]) -> list[int]:
     return [e for e in range(graph.m) if e not in removed]
 
 
+def check_copies(t: int, least: int = 1) -> None:
+    """The one copy-count check, and its message: every construction that
+    takes a copy count t calls it, and so does `construct` for the variants
+    that never read t."""
+    if t < least:
+        raise ValueError(f"t must be at least {least}")
+
+
 def _copies(edges: Sequence[tuple[int, int]], t: int, n: int) -> list[tuple[int, int]]:
     """t copies of an edge list, copy i shifted onto vertices [i*n, (i+1)*n)."""
     return [(i * n + u, i * n + v) for i in range(t) for u, v in edges]
@@ -86,8 +94,7 @@ def _copies(edges: Sequence[tuple[int, int]], t: int, n: int) -> list[tuple[int,
 
 def disjoint_copies(graph: CubicGraph, t: int) -> CubicGraph:
     """t disjoint labeled copies; copy i lives on vertices [i*n, (i+1)*n)."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
+    check_copies(t)
     return CubicGraph(t * graph.n, tuple(_copies(graph.edges, t, graph.n)))
 
 
@@ -97,8 +104,7 @@ def cyclic_join_one_edge(graph: CubicGraph, eid: int, t: int) -> CubicGraph:
     e = xy with x < y.  The pairing is one fixed choice among the consistent
     ones; any of them yields a cubic graph.
     """
-    if t < 1:
-        raise ValueError("t must be at least 1")
+    check_copies(t)
     kept = _kept_edges(graph, (eid,))
     x, y = graph.edges[eid]
     n = graph.n
@@ -112,8 +118,7 @@ def cyclic_join_two_edges(graph: CubicGraph, e1: int, e2: int, t: int) -> CubicG
 
     e1 = ab and e2 = cd must be independent; t >= 2.
     """
-    if t < 2:
-        raise ValueError("t must be at least 2")
+    check_copies(t, 2)
     kept = _kept_edges(graph, (e1, e2))
     a, b = graph.edges[e1]
     c, d = graph.edges[e2]
@@ -376,8 +381,7 @@ def default_three_path(graph: CubicGraph) -> tuple[int, int]:
 
 def replacement_host(t: int) -> CubicGraph:
     """Smallest catalog 3-connected bipartite cubic host on >= 2t vertices."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
+    check_copies(t)
     if 2 * t <= 6:
         return catalog("k33")
     return catalog("prism", t if t % 2 == 0 else t + 1)

@@ -89,6 +89,55 @@ class CubicGraph:
                 below[parent[v]] ^= below[v]
         return components, tuple(sets)
 
+    @cached_property
+    def _three_cuts(self) -> tuple[tuple[int, int, int], ...]:
+        """The 3-edge cuts (e, f, g), e < f < g, of three pairwise
+        vertex-disjoint edges, none a bridge: sets[e] ^ sets[f] == sets[g].
+
+        A non-bridge edge's set holds only fundamental cycles of its piece,
+        the component of G minus its bridges that holds it, so such a cut
+        lies in one piece, and each piece is searched on its own, never all
+        of G at once.  Every cut of a connected piece holds an edge of the
+        spanning forest.  A non-tree edge's set is its own bit alone, so
+        three non-tree edges never XOR to 0, and a cut with one tree edge t
+        holds the two non-tree edges whose bits make up sets[t].  So only
+        the pairs of tree edges are searched, with a lookup for the third.
+        """
+        (components, sets), stars, ends = self._cut_space, self._stars, self.edges
+        piece = [0] * self.n  # per vertex, where its piece's flood fill started
+        if components > 1 or 0 in sets:  # more than one piece
+            piece = [-1] * self.n
+            for root in range(self.n):
+                if piece[root] < 0:
+                    piece[root] = root
+                    members = [root]
+                    for v in members:
+                        for eid, w in stars[v]:
+                            if sets[eid] and piece[w] < 0:
+                                piece[w] = root
+                                members.append(w)
+        trees: dict[int, list[int]] = {}  # each piece's tree edges
+        by_set: dict[int, list[int]] = {}
+        for eid, (u, _) in enumerate(ends):
+            if sets[eid]:  # not a bridge
+                by_set.setdefault(sets[eid], []).append(eid)
+                if sets[eid] != 1 << eid:
+                    trees.setdefault(piece[u], []).append(eid)
+        found = []
+        for tree in trees.values():
+            for i, t in enumerate(tree):
+                st = sets[t]
+                if st.bit_count() == 2:
+                    high = st.bit_length() - 1
+                    found.append((t, (st ^ 1 << high).bit_length() - 1, high))
+                for b in tree[i + 1:]:
+                    for g in by_set.get(st ^ sets[b], ()):
+                        # three tree edges are met from each of their pairs
+                        if g > b or sets[g] == 1 << g:
+                            found.append((t, b, g))
+        cuts = [tuple(sorted(c)) for c in found if len({*ends[c[0]], *ends[c[1]], *ends[c[2]]}) == 6]
+        return tuple(sorted(cuts))
+
 
 # ---------------------------------------------------------------------------
 # Named graphs
@@ -180,24 +229,19 @@ def connectivity_report(graph: CubicGraph) -> ConnectivityReport:
     A 3-cut then leaves two sides of odd size, and both hold a cycle unless
     the cut is a vertex star.  Two edges of a 3-cut that share a vertex v on
     side X make it v's star, or else X - v would be a side of a 2-cut.  So
-    the graph is cyclically 4-edge-connected iff no edges e, f sharing no
-    endpoint have sets[e] ^ sets[f] equal to the set of a third edge.
+    the graph is cyclically 4-edge-connected iff it has no 3-cut of three
+    pairwise vertex-disjoint edges: `CubicGraph._three_cuts`, the list the
+    solver's normal-coloring search checks, is empty.  The list is read only
+    here, past the bridge and 2-cut returns.
     """
     components, sets = graph._cut_space
     if components != 1:  # the empty graph has no cut at all
         return ConnectivityReport(0 not in sets, 0, components == 0)
     if 0 in sets:
         return ConnectivityReport(False, 1, False)
-    distinct = set(sets)
-    if len(distinct) < graph.m:
+    if len(set(sets)) < graph.m:
         return ConnectivityReport(True, 2, False)
-    ends = [set(uv) for uv in graph.edges]
-    cyc4 = not any(
-        sets[e] ^ sets[f] in distinct
-        for e, f in combinations(range(graph.m), 2)
-        if ends[e].isdisjoint(ends[f])
-    )
-    return ConnectivityReport(True, 3, cyc4)
+    return ConnectivityReport(True, 3, not graph._three_cuts)
 
 
 def is_connected(graph: CubicGraph) -> bool:

@@ -87,7 +87,30 @@ edges as its palette has colors, so a star is full when its palette holds 3.
   do two breadth-first searches from the pair take turns until they meet or
   one runs out, and the one that runs out has found a whole component, which
   is checked.  Only subtrees without a normal coloring go, so again only node
-  counts move.
+  counts move;
+* the same searches check G's own 3-edge cuts.  An edge is known once one
+  of its ends is full: its model edge is then fixed, read at that end.  The
+  lemma above holds for every edge cut of the component, so the classes of
+  a 3-edge cut's model edges XOR to 0.  No two of them are equal, as that
+  would leave the third a class of 0, which no model edge has; so they
+  form a 3-edge cut of the model, and the model's only 3-edge cuts are its
+  10 stars.  So once two edges of a cut are known, their classes XOR to the
+  class of a model edge M, the third edge of their common model star, or
+  the child is pruned.  The third edge must then be able to name M: its
+  color is M's, or M's color is free at both its ends, and each end's
+  palette fits inside one of M's two end palettes.  Once all three are
+  known, their classes XOR to 0.  The check runs at each fill, on the cuts
+  through the edges that the fill has just made known
+  (`CubicGraph._three_cuts`: the cuts of three pairwise vertex-disjoint
+  edges, so no star, which the search keeps proper anyway).  A listed cut
+  holds no bridge: a bridge's set is empty, so the other two would form a
+  2-cut, whose model edges are equal, and the bridge lies in no piece that
+  this search colors.  Nor does a cut span two components, whose colorings
+  the lemma does not link; and since an edge's set holds only cycles of its
+  own piece, three non-bridge edges whose sets XOR to 0 lie in one piece.
+  Only subtrees without a normal coloring go, so the probe meets the same
+  first normal coloring, the witness cannot move, and only node counts
+  move.
 
 A piece that no bridge meets, that is a bridgeless component of G, is first
 probed with cap 0: the search looks for a normal coloring.  Only when the
@@ -249,17 +272,72 @@ def _classes() -> tuple[int, ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=1)
+def _model_edges() -> dict[int, tuple[int, int]]:
+    """Per model edge class: the bit of the edge's color c, and a 32-bit
+    mask of the palettes without c that fit inside one of its end palettes.
+    A set of fundamental cycles that no model edge has reads as (0, 0),
+    which no edge fits."""
+    table: dict[int, tuple[int, int]] = {}
+    for key, cls in enumerate(_classes()):
+        if cls:  # one key per end of the edge
+            end, bit = key >> 3, 1 << (key & 7) >> 1
+            fits = sum(1 << p for p in range(32) if p | end == end and not p & bit)
+            table[cls] = (bit, table.get(cls, (0, 0))[1] | fits)
+    return table
+
+
 def _parity_cut(
     graph: CubicGraph, color: list[int], pal: list[int]
 ) -> Callable[[int, int], bool]:
     """The parity cut over one solve's color and palette lists, for
     palettes within colors 1..5: `cut(u, v)` tells whether coloring uv,
-    with every classified edge normal, filled a star whose unfilled
+    with every classified edge normal, filled a star through one of whose
+    edges a 3-edge cut of G has no normal completion, or whose unfilled
     neighbors now lie in different components of the unfilled vertices,
     one of which fails the parity (module docstring)."""
     star, nbrs, classes, pop = graph._stars, graph.neighbors, _classes(), _POP
+    ends, model = graph.edges, _model_edges()
+    # per vertex x: (edge e at x, e's other end, the cut's other two edges)
+    cuts = [()] * graph.n
+    for e, f, g in graph._three_cuts:
+        for a, b, c in ((e, f, g), (f, e, g), (g, e, f)):
+            x, y = ends[a]
+            cuts[x] += ((a, y, b, c),)
+            cuts[y] += ((a, x, b, c),)
     seen = [0] * graph.n  # stamp-marked, so no call has to clear it
     stamp = 0
+
+    def known(f: int) -> int:
+        """f's class once an end of f is full, else 0, which no class is."""
+        a, b = ends[f]
+        p = pal[a] if pop[pal[a]] == 3 else pal[b]
+        return classes[p << 3 | color[f]] if pop[p] == 3 else 0
+
+    def broken(x: int, other: int) -> bool:
+        """Whether a 3-edge cut through an edge that filling x's star has
+        just made known (its far end is `other`, the other end of the edge
+        just colored, or not full) has two known edges whose model star's
+        third edge the third cannot become, or three known ones whose
+        classes do not XOR to 0."""
+        px = pal[x] << 3
+        for e, y, f, g in cuts[x]:
+            if y != other and pop[pal[y]] == 3:
+                continue
+            cf, cg = known(f), known(g)
+            rest = classes[px | color[e]] ^ cf ^ cg
+            if cf and cg:
+                if rest:
+                    return True
+            elif cf or cg:
+                # the third edge h must become the model edge of class rest
+                h = g if cf else f
+                a, b = ends[h]
+                bit, fits = model.get(rest, (0, 0))
+                q = 1 << color[h] >> 1  # 0 while h is uncolored
+                if q | bit != bit or not (fits >> (pal[a] ^ q) & fits >> (pal[b] ^ q) & 1):
+                    return True
+        return False
 
     def apart(x: int, y: int) -> int:
         """Breadth first from x and from y in turn, one vertex a side per
@@ -292,13 +370,21 @@ def _parity_cut(
     def cut(u: int, v: int) -> bool:
         nonlocal stamp
         if pop[pal[u]] == 3:
-            ends = nbrs[u] + nbrs[v] if pop[pal[v]] == 3 else nbrs[u]
+            if cuts[u] and broken(u, v):
+                return True
+            nearby = nbrs[u]
+            if pop[pal[v]] == 3:
+                if cuts[v] and broken(v, u):
+                    return True
+                nearby = nearby + nbrs[v]
         elif pop[pal[v]] == 3:
-            ends = nbrs[v]
+            if cuts[v] and broken(v, u):
+                return True
+            nearby = nbrs[v]
         else:
             return False
         first = -1
-        for w in ends:
+        for w in nearby:
             if pop[pal[w]] == 3:
                 continue
             if first < 0:

@@ -222,6 +222,26 @@ def leaf_pieces(graph: CubicGraph) -> int:
     return sum(1 for count in met.values() if count == 1)
 
 
+def three_cut_corpus() -> list[CubicGraph]:
+    """The graphs `CubicGraph._three_cuts` is checked on: every class with
+    n <= 12, the 8 Petersen composites of the demos, and seeded multigraph,
+    bridged and bridge-tree draws (disconnected ones and bridgeless
+    components beside bridged ones among them)."""
+    from normalcol.constructions import DEMO_VARIANTS, composite_graph
+    from normalcol.generate import enumerate_cubic
+
+    petersen = catalog("petersen")
+    graphs = [g for n in range(4, 13, 2) for g in enumerate_cubic(n, distinct=True)]
+    graphs += [composite_graph(petersen, v, t) for v in DEMO_VARIANTS for t in (2, 3)]
+    rng = random.Random(28)
+    graphs += [random_cubic_multigraph(rng, n) for n in range(2, 17, 2) for _ in range(12)]
+    graphs += [random_bridged_multigraph(rng, a, b) for a in (2, 4, 6) for b in (4, 8) for _ in range(4)]
+    for sizes in ([5, 7], [7, 4, 7], [5, 8, 5], [3, 6, 6, 3]):
+        chain = [(i, i + 1) for i in range(len(sizes) - 1)]
+        graphs += [random_bridge_tree(rng, sizes, chain) for _ in range(6)]
+    return graphs
+
+
 def single_abnormal_ids(results: list[SolveResult]) -> list[int]:
     """Stream indices of the solve results whose exact minimum is 1; expected empty."""
     return [

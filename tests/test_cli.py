@@ -189,9 +189,9 @@ def test_scan_deterministic_bytes(files, capsys):
 # minima, statuses, node counts or witnesses moved
 SCAN_SHA256 = {
     ("--n", "10"): "6682d229f0959c407c0b0d96997fc7a76d687d4d9906dcaec937109cc2f47765",
-    ("--n", "12"): "a98b69ca93d18b606e0957b3ef9be3849ba9e6cd559e9535934594a43a628a02",
+    ("--n", "12"): "e6f7650c3abce3bff36fcc5ebc7a96c90d3b0251fc6870897e390fb3d77e5059",
     ("--n", "12", "--out", "json"):
-        "782f05e3088fb668c4aaffd6c67cd5a7d5194875d8a7336379b2476e1e6d7e0b",
+        "b3782af28871a23ff7b219a6898bd311e32fa4c4fa0160cd5ad43e7e4fdbc1ec",
 }
 
 

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 
 import pytest
@@ -29,6 +29,7 @@ from conftest import (
     random_bridge_tree,
     random_bridged_multigraph,
     random_cubic_multigraph,
+    three_cut_corpus,
     triple_edge,
 )
 
@@ -268,6 +269,84 @@ def test_connectivity_matches_brute_force():
         (True, 3, False), (True, 3, True),
     }
     assert sum(1 for rep, parallel in outcomes if parallel and rep[0]) >= 10
+
+
+def _cycle_masks(graph: CubicGraph) -> list[int]:
+    """Per edge, the bitmask of the fundamental cycles through it, for a
+    spanning forest grown from a stack; each cycle is walked edge by edge up
+    the forest from both ends of its non-tree edge until they meet.  Shares
+    no code with `CubicGraph._cut_space`."""
+    parent, up, depth = [-1] * graph.n, [-1] * graph.n, [-1] * graph.n
+    for root in range(graph.n):
+        if depth[root] < 0:
+            depth[root], stack = 0, [root]
+            while stack:
+                v = stack.pop()
+                for eid in graph.incidence[v]:
+                    w = sum(graph.edges[eid]) - v
+                    if depth[w] < 0:
+                        depth[w], parent[w], up[w] = depth[v] + 1, v, eid
+                        stack.append(w)
+    masks = [0] * graph.m
+    tree = set(up)
+    for i, eid in enumerate(e for e in range(graph.m) if e not in tree):
+        masks[eid] |= 1 << i
+        u, v = graph.edges[eid]
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            masks[up[u]] |= 1 << i
+            u = parent[u]
+    return masks
+
+
+def brute_force_three_cuts(graph: CubicGraph) -> list[tuple[int, int, int]]:
+    """Every edge triple e < f < g, pairwise vertex-disjoint and with no
+    bridge (a plain search per removed edge), that meets every cycle of a
+    cycle basis an even number of times, that is, an edge cut."""
+    base = len(_components(graph, frozenset()))
+    bridges = {e for e in range(graph.m) if len(_components(graph, frozenset((e,)))) > base}
+    masks, ends = _cycle_masks(graph), graph.edges
+    return [
+        (e, f, g)
+        for e, f, g in combinations(range(graph.m), 3)
+        if not masks[e] ^ masks[f] ^ masks[g]
+        and not {e, f, g} & bridges
+        and len({*ends[e], *ends[f], *ends[g]}) == 6
+    ]
+
+
+def test_three_cuts_match_brute_force():
+    kinds = Counter()
+    for graph in three_cut_corpus():
+        cuts = graph._three_cuts
+        assert list(cuts) == brute_force_three_cuts(graph), graph.edges
+        # no listed cut holds a bridge or spans two components
+        base = len(_components(graph, frozenset()))
+        component = {}
+        for v in range(graph.n):
+            if v not in component:
+                component.update((w, v) for w in _reach(graph, v))
+        for cut in cuts:
+            assert all(len(_components(graph, frozenset((e,)))) == base for e in cut)
+            assert len({component[graph.edges[e][0]] for e in cut}) == 1
+        if cuts:
+            kinds[(base, any(s == 0 for s in graph._cut_space[1]))] += 1
+    # cuts in connected graphs, beside bridges, and in graphs of several
+    # components, with and without bridges
+    assert {(1, False), (1, True), (2, False)} <= set(kinds), kinds
+    assert any(base > 1 and bridged for base, bridged in kinds), kinds
+
+
+def _reach(graph: CubicGraph, start: int) -> set[int]:
+    seen, queue = {start}, deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in graph.neighbors[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
 
 
 # the Petersen composites, with the reports the benchmark expects of them

@@ -54,9 +54,14 @@ _CONNECTIVITY = ("tests/test_graphs.py::test_connectivity_matches_brute_force",)
 MUTANTS = [
     # the cut space read by connectivity_report and the solver's bridge split
     Mutant("shared-endpoint-exclusion-dropped", "graphs.py",
-           "for e, f in combinations(range(graph.m), 2)\n        if ends[e].isdisjoint(ends[f])\n",
-           "for e, f in combinations(range(graph.m), 2)\n",
+           "if len({*ends[c[0]], *ends[c[1]], *ends[c[2]]}) == 6]",
+           "if len({*ends[c[0]], *ends[c[1]], *ends[c[2]]}) >= 4]",
            "killed", fails=_CONNECTIVITY),
+    # the 3-edge cuts: a 2-cut plus a bridge, anywhere in G, is no cut of
+    # the component the search colors
+    Mutant("three-cuts-through-bridges", "graphs.py",
+           "if sets[eid]:  # not a bridge", "if True:  # not a bridge",
+           "killed", fails=("tests/test_solver.py::test_long_bridge_chain_pinned",)),
     Mutant("tree-edge-own-bit", "graphs.py",
            "sets[up[v]] = below[v]\n", "sets[up[v]] = below[v] ^ (1 << up[v])\n",
            "killed", fails=_CONNECTIVITY),
@@ -105,11 +110,25 @@ MUTANTS = [
            "return 2 if acc[side] else side", "return side if acc[side] else 2",
            "killed", fails=("tests/test_solver.py::test_composite_outcomes_pinned",)),
     # two of the model's six fundamental cycles (edge ids 3 and 4): a part
-    # that passes on all six passes on two, so the cut only prunes less
+    # that passes on all six passes on two, so the cut only prunes less.  On
+    # the composites the 3-edge-cut check makes up for it; the family shows it
     Mutant("parity-cut-fewer-cycles", "solver.py",
            "^= classes[pw << 3 | color[f]]", "^= classes[pw << 3 | color[f]] & 0x18",
+           "weakening",
+           fails=("tests/test_solver.py::test_search_order_pinned_on_replacement_family",),
+           passes=_OUTCOME_PINS),
+    # the 3-edge-cut check
+    Mutant("three-cut-check-off", "solver.py",
+           "for e, f, g in graph._three_cuts:", "for e, f, g in ():",
            "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_composites",),
            passes=_OUTCOME_PINS),
+    Mutant("three-cut-fit-inverted", "solver.py",
+           "if q | bit != bit or not (fits >> (pal[a] ^ q) & fits >> (pal[b] ^ q) & 1):",
+           "if not (q | bit != bit or not (fits >> (pal[a] ^ q) & fits >> (pal[b] ^ q) & 1)):",
+           "killed", fails=(
+               "tests/test_solver.py::test_composite_outcomes_pinned",
+               "tests/test_solver.py::test_replacement_family_outcomes_pinned",
+           )),
     # the bridge split: the minimum is the sum of the pieces' minima
     Mutant("piece-minima-not-summed", "solver.py",
            "total += best", "total = best",

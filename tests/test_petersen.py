@@ -22,7 +22,7 @@ from normalcol.generate import enumerate_cubic
 from normalcol.graphs import connectivity_report
 from normalcol.solver import SearchConfig, has_normal_k, min_abnormal
 
-from conftest import random_bridged_multigraph, random_cubic_multigraph
+from conftest import random_bridged_multigraph, random_cubic_multigraph, three_cut_corpus
 
 K4_PROPER = EdgeColoring(3, (1, 2, 3, 3, 2, 1))
 FULL = frozenset(range(1, 6))
@@ -413,3 +413,23 @@ def test_cut_space_parity_lemma(model):
             assert boundary == 0
             checked += 1
     assert checked == 40 * (26 + 8)
+
+
+def test_three_cut_lemma(model):
+    # the fact behind the solver's 3-edge-cut check, checked through
+    # build_p_coloring rather than through the check: a normal coloring
+    # sends the three edges of every listed 3-edge cut onto one model star
+    ends = model.graph.edges
+    checked = 0
+    for graph in three_cut_corpus():
+        witness = min_abnormal(graph, SearchConfig(abnormal_budget=0)).witness
+        if witness is None or not graph._three_cuts:
+            continue
+        phi = build_p_coloring(graph, witness)
+        for cut in graph._three_cuts:
+            images = {phi[e] for e in cut}
+            assert len(images) == 3, cut
+            (centre,) = set.intersection(*(set(ends[x]) for x in images))
+            assert images == set(model.graph.incidence[centre])
+            checked += 1
+    assert checked == 266

@@ -167,18 +167,37 @@ def test_search_order_pinned_on_composites(petersen):
     # the budget-0 solves behind the extension-bound demos: the composites
     # of the Petersen graph (each ends in its probe), and Petersen at k = 6
     # and at k = 8, where palettes outgrow the popcount table.  The parity
-    # cut prunes only in vertex_replacement, behind whose 3-edge cuts the
-    # search re-colors the replaced copies
+    # cut and the 3-edge-cut check prune only in vertex_replacement, behind
+    # whose 3-edge cuts the search re-colored the replaced copies (47,606
+    # nodes before the 3-edge-cut check)
     for variant, t, nodes in [
         ("disjoint", 3, 438),
         ("cyclic1", 3, 966),
         ("cyclic2", 3, 91),
-        ("vertex_replacement", 2, 47606),
+        ("vertex_replacement", 2, 7898),
     ]:
         result = min_abnormal(composite_graph(petersen, variant, t), SearchConfig(abnormal_budget=0))
         assert (result.best_count, result.nodes_explored) == (0, nodes), variant
     assert min_abnormal(petersen, SearchConfig(k=6)).nodes_explored == 786
     assert min_abnormal(petersen, SearchConfig(k=8)).nodes_explored == 35
+
+
+def test_search_order_pinned_on_replacement_family():
+    # the node total of the replacement family's budget-0 solves (outcomes
+    # pinned below), where every replaced vertex sits behind a 3-edge cut:
+    # both the parity cut and the 3-edge-cut check prune here, and the
+    # family moves where the composites above may not.  136,326 nodes before
+    # the 3-edge-cut check
+    host = catalog("k33")
+    graphs = [
+        vertex_replacement(host, g, 0)
+        for n in range(4, 11, 2)
+        for g in enumerate_cubic(n, distinct=True)
+        if connectivity_report(g).bridgeless
+    ]
+    assert len(graphs) == 26
+    cfg = SearchConfig(abnormal_budget=0)
+    assert sum(min_abnormal(h, cfg).nodes_explored for h in graphs) == 8058
 
 
 def _outcomes_sha256(results):
