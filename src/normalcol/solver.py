@@ -62,8 +62,8 @@ edges as its palette has colors, so a star is full when its palette holds 3.
   all of them.  The search therefore meets the same incumbents in the same
   order, and only node counts move;
 * a search for a normal coloring (cap 0, k <= 5, a piece that no bridge
-  meets, which is a whole component of G) also prunes a child by the parity
-  cut.  A normal coloring is a Petersen-coloring (F. Jaeger, "On
+  meets, which is a whole component of G) also checks G's own 3-edge cuts.
+  A normal coloring is a Petersen-coloring (F. Jaeger, "On
   five-edge-colorings of cubic graphs and nowhere-zero flow problems", Ars
   Combin. 20-B, 1985): it sends uv of color c to edge_at[(S(u), c)], the
   same model edge from both ends (see `petersen`).  Let class(S, c) be the
@@ -71,36 +71,19 @@ edges as its palette has colors, so a star is full when its palette holds 3.
   (`CubicGraph._cut_space`); model edges form a cut exactly when their
   classes XOR to 0.  A model star is a cut, and an inner edge of a vertex
   set X names one model edge from both ends, so the classes of the boundary
-  of X XOR to 0.  At cap 0 a full star's palette is final and every
-  classified edge is normal, so an edge from an unfilled vertex to a full
-  vertex y already has its final class, read at y: a component of the
-  unfilled vertices whose boundary classes do not XOR to 0 has no normal
-  completion.  The full set's boundary XORs to 0 as it stands, and it is the
-  disjoint union of the unfilled components' boundaries; so when all but one
-  pass, the last passes too.  At the root the unfilled vertices are the
-  component minus its start vertex, one component, since a bridgeless cubic
-  multigraph is 2-connected, so it passes.  A child's components are its
-  parent's, except where a star it filled splits one.  So the check runs
-  only at a fill whose unfilled neighbors number at least 2, and only on the
-  parts of such a split, all but one.  It first looks for a path of at most
-  3 unfilled steps from each neighbor to the first; only when there is none
-  do two breadth-first searches from the pair take turns until they meet or
-  one runs out, and the one that runs out has found a whole component, which
-  is checked.  Only subtrees without a normal coloring go, so again only node
-  counts move;
-* the same searches check G's own 3-edge cuts.  An edge is known once one
-  of its ends is full: its model edge is then fixed, read at that end.  The
-  lemma above holds for every edge cut of the component, so the classes of
-  a 3-edge cut's model edges XOR to 0.  No two of them are equal, as that
-  would leave the third a class of 0, which no model edge has; so they
-  form a 3-edge cut of the model, and the model's only 3-edge cuts are its
-  10 stars.  So once two edges of a cut are known, their classes XOR to the
-  class of a model edge M, the third edge of their common model star, or
-  the child is pruned.  The third edge must then be able to name M: its
-  color is M's, or M's color is free at both its ends, and each end's
-  palette fits inside one of M's two end palettes.  Once all three are
-  known, their classes XOR to 0.  The check runs at each fill, on the cuts
-  through the edges that the fill has just made known
+  of X XOR to 0, for every edge cut of the component.  At cap 0 a full
+  star's palette is final and every classified edge is normal, so an edge
+  is known once one of its ends is full: its model edge is then fixed, read
+  at that end.  The classes of a 3-edge cut's model edges XOR to 0.  No two
+  of them are equal, as that would leave the third a class of 0, which no
+  model edge has; so they form a 3-edge cut of the model, and the model's
+  only 3-edge cuts are its 10 stars.  So once two edges of a cut are known,
+  their classes XOR to the class of a model edge M, the third edge of their
+  common model star, or the child is pruned.  The third edge must then be
+  able to name M: its color is M's, or M's color is free at both its ends,
+  and each end's palette fits inside one of M's two end palettes.  Once all
+  three are known, their classes XOR to 0.  The check runs at each fill, on
+  the cuts through the edges that the fill has just made known
   (`CubicGraph._three_cuts`: the cuts of three pairwise vertex-disjoint
   edges, so no star, which the search keeps proper anyway).  A listed cut
   holds no bridge: a bridge's set is empty, so the other two would form a
@@ -287,16 +270,14 @@ def _model_edges() -> dict[int, tuple[int, int]]:
     return table
 
 
-def _parity_cut(
+def _cut_check(
     graph: CubicGraph, color: list[int], pal: list[int]
 ) -> Callable[[int, int], bool]:
-    """The parity cut over one solve's color and palette lists, for
+    """The 3-edge-cut check over one solve's color and palette lists, for
     palettes within colors 1..5: `cut(u, v)` tells whether coloring uv,
     with every classified edge normal, filled a star through one of whose
-    edges a 3-edge cut of G has no normal completion, or whose unfilled
-    neighbors now lie in different components of the unfilled vertices,
-    one of which fails the parity (module docstring)."""
-    star, nbrs, classes, pop = graph._stars, graph.neighbors, _classes(), _POP
+    edges a 3-edge cut of G has no normal completion (module docstring)."""
+    classes, pop = _classes(), _POP
     ends, model = graph.edges, _model_edges()
     # per vertex x: (edge e at x, e's other end, the cut's other two edges)
     cuts = [()] * graph.n
@@ -305,8 +286,6 @@ def _parity_cut(
             x, y = ends[a]
             cuts[x] += ((a, y, b, c),)
             cuts[y] += ((a, x, b, c),)
-    seen = [0] * graph.n  # stamp-marked, so no call has to clear it
-    stamp = 0
 
     def known(f: int) -> int:
         """f's class once an end of f is full, else 0, which no class is."""
@@ -339,81 +318,10 @@ def _parity_cut(
                     return True
         return False
 
-    def apart(x: int, y: int) -> int:
-        """Breadth first from x and from y in turn, one vertex a side per
-        round, until the sides meet (-1) or one runs out: then 0 for x's
-        side or 1 for y's, which found a whole component, or 2 when that
-        component's boundary classes do not XOR to 0."""
-        nonlocal stamp
-        stamp += 2
-        marks = (stamp - 1, stamp)
-        seen[x], seen[y] = marks
-        queues, acc = ([x], [y]), [0, 0]
-        i = 0
-        while True:
-            for side in (0, 1):
-                q = queues[side]
-                if i == len(q):
-                    return 2 if acc[side] else side
-                mine, theirs = marks[side], marks[1 - side]
-                for f, w in star[q[i]]:
-                    pw = pal[w]
-                    if pop[pw] == 3:
-                        acc[side] ^= classes[pw << 3 | color[f]]
-                    elif seen[w] != mine:
-                        if seen[w] == theirs:
-                            return -1
-                        seen[w] = mine
-                        q.append(w)
-            i += 1
-
     def cut(u: int, v: int) -> bool:
-        nonlocal stamp
-        if pop[pal[u]] == 3:
-            if cuts[u] and broken(u, v):
-                return True
-            nearby = nbrs[u]
-            if pop[pal[v]] == 3:
-                if cuts[v] and broken(v, u):
-                    return True
-                nearby = nearby + nbrs[v]
-        elif pop[pal[v]] == 3:
-            if cuts[v] and broken(v, u):
-                return True
-            nearby = nbrs[v]
-        else:
-            return False
-        first = -1
-        for w in nearby:
-            if pop[pal[w]] == 3:
-                continue
-            if first < 0:
-                # near: the first unfilled neighbor and its unfilled neighbors
-                first = w
-                stamp += 1
-                near = stamp
-                seen[w] = near
-                for a in nbrs[w]:
-                    if pop[pal[a]] < 3:
-                        seen[a] = near
-                continue
-            if seen[w] == near:
-                continue
-            # the cheap test: within 3 unfilled steps of first
-            for a in nbrs[w]:
-                if pop[pal[a]] < 3:
-                    b1, b2, b3 = nbrs[a]
-                    if near in (seen[a], seen[b1], seen[b2], seen[b3]):
-                        break
-            else:
-                side = apart(first, w)
-                if side == 2:
-                    return True
-                if side == 0:
-                    # first's component is whole and passed; the rest of the
-                    # split lies with w
-                    first = w
-        return False
+        if pop[pal[u]] == 3 and cuts[u] and broken(u, v):
+            return True
+        return pop[pal[v]] == 3 and bool(cuts[v]) and broken(v, u)
 
     return cut
 
@@ -430,11 +338,11 @@ def _search(
     coloring of `piece.eids` or None, nodes explored), for colorings with at
     most `cap` abnormal edges.  `state` holds the color and palette lists,
     all zero on entry and left so on return, the palette popcount table,
-    and the forward check and the parity cut (None when k > 5 or every
-    piece has a bridge) over those lists."""
+    and the forward check and the 3-edge-cut check (None when k > 5 or
+    every piece has a bridge) over those lists."""
     endpoints, nbrs, eids = graph.edges, graph.neighbors, piece.eids
     color, pal, pop, dead, cut = state
-    # the parity cut holds only for normal colorings of a whole component
+    # the 3-edge-cut check holds only for normal colorings of a whole component
     if cap != 0 or piece.bridged:
         cut = None
     m = len(eids)
@@ -487,8 +395,8 @@ def _search(
                         count += 1
             used = c if c > max_used else max_used
             # a child over the bound, or with no slack left and a dead end
-            # the forward check finds or a split the parity cut refutes, is
-            # pruned without a call
+            # the forward check finds or a 3-edge cut with no normal
+            # completion, is pruned without a call
             if count < best and not (
                 count == best - 1
                 and (dead(u, masks[used]) or dead(v, masks[used]) or (cut and cut(u, v)))
@@ -579,10 +487,10 @@ def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveRes
     pieces = _pieces(graph)
     color, pal, pop = [0] * graph.m, [0] * graph.n, _POP if k <= 7 else _BitCount()
     # every piece's search reuses these; only pieces that no bridge meets
-    # use the parity cut
+    # use the 3-edge-cut check
     cut = None
     if k <= 5 and not all(piece.bridged for piece in pieces):
-        cut = _parity_cut(graph, color, pal)
+        cut = _cut_check(graph, color, pal)
     state = (color, pal, pop, _dead_end(graph, color, pal, pop), cut)
     colors = [0] * graph.m
     total = nodes = 0

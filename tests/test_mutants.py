@@ -1,5 +1,6 @@
 """Recorded mutants, each checked against the tests that catch it (opt-in:
-NORMALCOL_SLOW=1).
+NORMALCOL_SLOW=1).  That each edit names text found exactly once in its
+module is checked on every run.
 
 A mutant is one exact text edit to a module of normalcol.  The check copies
 the package and these tests into a temporary directory, applies the edit to
@@ -101,27 +102,31 @@ MUTANTS = [
                "tests/test_solver.py::test_normal_chromatic_index",
                "tests/test_solver.py::test_composite_outcomes_pinned",
            )),
-    # the parity cut
-    Mutant("parity-cut-off", "solver.py",
+    # the 3-edge-cut check, and the guard that runs it only where every edge
+    # must be normal
+    Mutant("three-cut-check-in-no-search", "solver.py",
            "    if cap != 0 or piece.bridged:\n        cut = None\n", "    cut = None\n",
            "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_composites",),
            passes=_OUTCOME_PINS),
-    Mutant("parity-cut-class-test-inverted", "solver.py",
-           "return 2 if acc[side] else side", "return side if acc[side] else 2",
-           "killed", fails=("tests/test_solver.py::test_composite_outcomes_pinned",)),
-    # two of the model's six fundamental cycles (edge ids 3 and 4): a part
-    # that passes on all six passes on two, so the cut only prunes less.  On
-    # the composites the 3-edge-cut check makes up for it; the family shows it
-    Mutant("parity-cut-fewer-cycles", "solver.py",
-           "^= classes[pw << 3 | color[f]]", "^= classes[pw << 3 | color[f]] & 0x18",
-           "weakening",
-           fails=("tests/test_solver.py::test_search_order_pinned_on_replacement_family",),
-           passes=_OUTCOME_PINS),
-    # the 3-edge-cut check
+    Mutant("three-cut-check-in-every-search", "solver.py",
+           "if cap != 0 or piece.bridged:", "if False:",
+           "killed", fails=("tests/test_solver.py::test_search_order_pinned_on_a_k4_proof",)),
     Mutant("three-cut-check-off", "solver.py",
            "for e, f, g in graph._three_cuts:", "for e, f, g in ():",
            "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_composites",),
            passes=_OUTCOME_PINS),
+    Mutant("three-cut-all-known-inverted", "solver.py",
+           "if rest:", "if not rest:",
+           "killed", fails=(
+               "tests/test_solver.py::test_composite_outcomes_pinned",
+               "tests/test_solver.py::test_replacement_family_outcomes_pinned",
+           )),
+    Mutant("three-cut-two-known-skipped", "solver.py",
+           "elif cf or cg:", "elif False:",
+           "weakening", fails=(
+               "tests/test_solver.py::test_search_order_pinned_on_composites",
+               "tests/test_solver.py::test_search_order_pinned_on_replacement_family",
+           ), passes=_OUTCOME_PINS),
     Mutant("three-cut-fit-inverted", "solver.py",
            "if q | bit != bit or not (fits >> (pal[a] ^ q) & fits >> (pal[b] ^ q) & 1):",
            "if not (q | bit != bit or not (fits >> (pal[a] ^ q) & fits >> (pal[b] ^ q) & 1)):",
@@ -184,6 +189,16 @@ def _copy(root: Path) -> Path:
 _SLOW = pytest.mark.skipif(not os.environ.get("NORMALCOL_SLOW"), reason="set NORMALCOL_SLOW=1")
 
 
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_mutant_is_well_formed(mutant):
+    # not opt-in, so deleting or editing the code a mutant names fails every
+    # run, not only the opt-in runs below
+    assert bool(mutant.fails) == (mutant.kind != "equivalent")
+    assert bool(mutant.passes) == (mutant.kind != "killed")
+    text = (Path(normalcol.__file__).parent / mutant.module).read_text()
+    assert text.count(mutant.old) == 1
+
+
 @_SLOW
 def test_named_tests_pass_unmutated(tmp_path):
     _copy(tmp_path)
@@ -194,8 +209,6 @@ def test_named_tests_pass_unmutated(tmp_path):
 @_SLOW
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
 def test_mutant_is_caught(mutant, tmp_path):
-    assert bool(mutant.fails) == (mutant.kind != "equivalent")
-    assert bool(mutant.passes) == (mutant.kind != "killed")
     module = _copy(tmp_path) / mutant.module
     text = module.read_text()
     assert text.count(mutant.old) == 1

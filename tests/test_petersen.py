@@ -360,10 +360,11 @@ def _model_matchings(model):
 
 
 def test_cut_space_parity_lemma(model):
-    # the fact behind the solver's parity cut, checked on the model and
-    # through build_p_coloring rather than through the cut: a model star is
-    # a cut, so a normal coloring sends the boundary of any vertex set X to
-    # model edges whose classes (sets of fundamental cycles) XOR to 0
+    # the boundary-XOR lemma behind the solver's 3-edge-cut check, checked on
+    # the model and through build_p_coloring rather than through the check: a
+    # model star is a cut, so a normal coloring sends the boundary of any
+    # vertex set X to model edges whose classes (sets of fundamental cycles)
+    # XOR to 0
     from normalcol.solver import _classes
 
     cycles = model.graph._cut_space[1]
@@ -376,9 +377,9 @@ def test_cut_space_parity_lemma(model):
         a, b, c = (cycles[e] for e in model.graph.incidence[w])
         assert a ^ b ^ c == 0
 
-    # the old matching parity follows: over every model edge set F whose
+    # the perfect-matching parity follows: over every model edge set F whose
     # classes XOR to 0 (a cut), the masks of the six perfect matchings XOR
-    # to 63 when |F| is odd, so the cut prunes wherever the matchings did
+    # to 63 when |F| is odd
     matchings = _model_matchings(model)
     assert len(matchings) == 6
     mask = [sum(1 << i for i, mt in enumerate(matchings) if e in mt) for e in range(15)]

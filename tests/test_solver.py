@@ -6,9 +6,11 @@ import os
 import random
 import sys
 from collections import Counter
+from itertools import islice
 
 import pytest
 
+from normalcol import solver
 from normalcol.coloring import abnormal_set, is_normal, is_proper
 from normalcol.constructions import DEMO_VARIANTS, composite_graph, vertex_replacement
 from normalcol.generate import enumerate_cubic
@@ -32,6 +34,7 @@ from conftest import (
     random_bridge_tree,
     random_bridged_multigraph,
     random_cubic_multigraph,
+    three_cut_corpus,
     three_edge_colorable,
     triple_edge,
 )
@@ -166,15 +169,14 @@ def test_search_order_pinned(petersen):
 def test_search_order_pinned_on_composites(petersen):
     # the budget-0 solves behind the extension-bound demos: the composites
     # of the Petersen graph (each ends in its probe), and Petersen at k = 6
-    # and at k = 8, where palettes outgrow the popcount table.  The parity
-    # cut and the 3-edge-cut check prune only in vertex_replacement, behind
-    # whose 3-edge cuts the search re-colored the replaced copies (47,606
-    # nodes before the 3-edge-cut check)
+    # and at k = 8, where palettes outgrow the popcount table.  The 3-edge-cut
+    # check prunes only in vertex_replacement, behind whose 3-edge cuts the
+    # search re-colored the replaced copies (120,794 nodes without it)
     for variant, t, nodes in [
         ("disjoint", 3, 438),
         ("cyclic1", 3, 966),
         ("cyclic2", 3, 91),
-        ("vertex_replacement", 2, 7898),
+        ("vertex_replacement", 2, 7962),
     ]:
         result = min_abnormal(composite_graph(petersen, variant, t), SearchConfig(abnormal_budget=0))
         assert (result.best_count, result.nodes_explored) == (0, nodes), variant
@@ -185,9 +187,8 @@ def test_search_order_pinned_on_composites(petersen):
 def test_search_order_pinned_on_replacement_family():
     # the node total of the replacement family's budget-0 solves (outcomes
     # pinned below), where every replaced vertex sits behind a 3-edge cut:
-    # both the parity cut and the 3-edge-cut check prune here, and the
-    # family moves where the composites above may not.  136,326 nodes before
-    # the 3-edge-cut check
+    # the 3-edge-cut check prunes here, and the family moves where the
+    # composites above may not
     host = catalog("k33")
     graphs = [
         vertex_replacement(host, g, 0)
@@ -197,7 +198,34 @@ def test_search_order_pinned_on_replacement_family():
     ]
     assert len(graphs) == 26
     cfg = SearchConfig(abnormal_budget=0)
-    assert sum(min_abnormal(h, cfg).nodes_explored for h in graphs) == 8058
+    assert sum(min_abnormal(h, cfg).nodes_explored for h in graphs) == 8161
+
+
+def test_search_order_pinned_on_a_k4_proof():
+    # class 387 of the n = 14 stream has no normal 4-coloring, so its k = 4
+    # solve goes on to prove the minimum 8 in the plain search, where the
+    # 3-edge-cut check must not run: its lemma needs every edge normal.  With
+    # the check in every search this solve takes 41,731 nodes (same minimum
+    # and witness here)
+    graph = next(islice(enumerate_cubic(14, distinct=True), 387, None))
+    result = min_abnormal(graph, SearchConfig(k=4))
+    assert (result.best_count, result.nodes_explored) == (8, 51068)
+
+
+def test_cut_check_moves_no_outcome(monkeypatch):
+    # the 3-edge-cut check prunes only subtrees without a normal coloring, so
+    # the probe meets the same first normal coloring with the check or
+    # without it, and only in fewer nodes
+    graphs = three_cut_corpus()
+    cfgs = [SearchConfig(k=k, abnormal_budget=0) for k in (4, 5)]
+    checked = [min_abnormal(g, cfg) for cfg in cfgs for g in graphs]
+    monkeypatch.setattr(solver, "_cut_check", lambda graph, color, pal: None)
+    plain = [min_abnormal(g, cfg) for cfg in cfgs for g in graphs]
+    assert len(checked) == 528
+    for a, b in zip(checked, plain):
+        assert (a.status, a.best_count, a.witness) == (b.status, b.best_count, b.witness)
+        assert a.nodes_explored <= b.nodes_explored
+    assert sum(r.nodes_explored for r in checked) < sum(r.nodes_explored for r in plain)
 
 
 def _outcomes_sha256(results):
@@ -235,10 +263,10 @@ def test_composite_outcomes_pinned(petersen):
 
 
 def test_replacement_family_outcomes_pinned():
-    # every replaced vertex sits behind a 3-edge cut, where the parity cut
-    # prunes the most: K33 with each vertex replaced by one of the 26
-    # bridgeless classes with n <= 10, less a vertex.  Taken before the
-    # parity cut, when these solves took 4,362,358 nodes.  The solves share
+    # every replaced vertex sits behind a 3-edge cut, where the 3-edge-cut
+    # check prunes the most: K33 with each vertex replaced by one of the 26
+    # bridgeless classes with n <= 10, less a vertex.  Taken before the search
+    # pruned by cuts, when these solves took 4,362,358 nodes.  The solves share
     # a limit above that, so a solver that prunes normal colorings fails
     # here in seconds instead of searching for minutes
     host = catalog("k33")
@@ -381,7 +409,7 @@ def test_normal_4_coloring_iff_3_edge_colorable(petersen):
     # with 4 colors two palettes share at least 2 colors, so no edge is rich:
     # a normal 4-coloring is one with every edge poor, one palette on each
     # component, that is a 3-edge-coloring.  These searches run the forward
-    # check and the parity cut on graphs far beyond the exhaustive oracle
+    # check and the 3-edge-cut check on graphs far beyond the exhaustive oracle
     graphs = [g for n in range(4, 15, 2) for g in enumerate_cubic(n, distinct=True)]
     assert len(graphs) == 621
     graphs += [composite_graph(petersen, v, t) for v in DEMO_VARIANTS for t in (2, 3)]
