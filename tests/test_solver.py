@@ -212,6 +212,15 @@ def test_search_order_pinned_on_a_k4_proof():
     assert (result.best_count, result.nodes_explored) == (8, 51068)
 
 
+def test_search_order_pinned_on_a_cut_class():
+    # class 96 of the n = 14 stream has two 3-edge cuts and a normal
+    # coloring at k = 4 and 5: its budget-0 node counts fix which cuts the
+    # 3-edge-cut check reads at each fill
+    graph = next(islice(enumerate_cubic(14, distinct=True), 96, None))
+    results = [min_abnormal(graph, SearchConfig(k=k, abnormal_budget=0)) for k in (4, 5)]
+    assert [(r.best_count, r.nodes_explored) for r in results] == [(0, 41), (0, 41)]
+
+
 def test_cut_check_moves_no_outcome(monkeypatch):
     # the 3-edge-cut check prunes only subtrees without a normal coloring, so
     # the probe meets the same first normal coloring with the check or
