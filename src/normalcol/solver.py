@@ -82,10 +82,13 @@ edges as its palette has colors, so a star is full when its palette holds 3.
   common model star, or the child is pruned.  The third edge must then be
   able to name M: its color is M's, or M's color is free at both its ends,
   and each end's palette fits inside one of M's two end palettes.  Once all
-  three are known, their classes XOR to 0.  The check runs at each fill, on
-  the cuts through the edges that the fill has just made known
-  (`CubicGraph._three_cuts`: the cuts of three pairwise vertex-disjoint
-  edges, so no star, which the search keeps proper anyway).  A listed cut
+  three are known, their classes XOR to 0.  The check reads the listed
+  cuts (`CubicGraph._three_cuts`: the cuts of three pairwise vertex-disjoint
+  edges, so no star, which the search keeps proper anyway) through the
+  edge just colored, once an end of it is full, so that it is known.  A
+  fill also makes the other edges of the filled star known, but the cuts
+  through those add almost no pruning; a cut left unread prunes nothing,
+  so it cannot cost soundness.  A listed cut
   holds no bridge: a bridge's set is empty, so the other two would form a
   2-cut, whose model edges are equal, and the bridge lies in no piece that
   this search colors.  Nor does a cut span two components, whose colorings
@@ -272,20 +275,19 @@ def _model_edges() -> dict[int, tuple[int, int]]:
 
 def _cut_check(
     graph: CubicGraph, color: list[int], pal: list[int]
-) -> Callable[[int, int], bool]:
+) -> Callable[[int], bool]:
     """The 3-edge-cut check over one solve's color and palette lists, for
-    palettes within colors 1..5: `cut(u, v)` tells whether coloring uv,
-    with every classified edge normal, filled a star through one of whose
-    edges a 3-edge cut of G has no normal completion (module docstring)."""
+    palettes within colors 1..5: `cut(e)` tells whether e, the edge just
+    colored, with every classified edge normal, lies in a 3-edge cut of G
+    that has no normal completion, once an end of e is full (module
+    docstring)."""
     classes, pop = _classes(), _POP
     ends, model = graph.edges, _model_edges()
-    # per vertex x: (edge e at x, e's other end, the cut's other two edges)
-    cuts = [()] * graph.n
+    cuts = [()] * graph.m  # per edge e: the other two edges of each cut through e
     for e, f, g in graph._three_cuts:
-        for a, b, c in ((e, f, g), (f, e, g), (g, e, f)):
-            x, y = ends[a]
-            cuts[x] += ((a, y, b, c),)
-            cuts[y] += ((a, x, b, c),)
+        cuts[e] += ((f, g),)
+        cuts[f] += ((e, g),)
+        cuts[g] += ((e, f),)
 
     def known(f: int) -> int:
         """f's class once an end of f is full, else 0, which no class is."""
@@ -293,18 +295,16 @@ def _cut_check(
         p = pal[a] if pop[pal[a]] == 3 else pal[b]
         return classes[p << 3 | color[f]] if pop[p] == 3 else 0
 
-    def broken(x: int, other: int) -> bool:
-        """Whether a 3-edge cut through an edge that filling x's star has
-        just made known (its far end is `other`, the other end of the edge
-        just colored, or not full) has two known edges whose model star's
+    def cut(e: int) -> bool:
+        """Whether a cut through e has two known edges whose model star's
         third edge the third cannot become, or three known ones whose
         classes do not XOR to 0."""
-        px = pal[x] << 3
-        for e, y, f, g in cuts[x]:
-            if y != other and pop[pal[y]] == 3:
-                continue
+        ce = known(e) if cuts[e] else 0
+        if not ce:  # no cut through e, or no end of e full yet
+            return False
+        for f, g in cuts[e]:
             cf, cg = known(f), known(g)
-            rest = classes[px | color[e]] ^ cf ^ cg
+            rest = ce ^ cf ^ cg
             if cf and cg:
                 if rest:
                     return True
@@ -317,11 +317,6 @@ def _cut_check(
                 if q | bit != bit or not (fits >> (pal[a] ^ q) & fits >> (pal[b] ^ q) & 1):
                     return True
         return False
-
-    def cut(u: int, v: int) -> bool:
-        if pop[pal[u]] == 3 and cuts[u] and broken(u, v):
-            return True
-        return pop[pal[v]] == 3 and bool(cuts[v]) and broken(v, u)
 
     return cut
 
@@ -338,13 +333,14 @@ def _search(
     coloring of `piece.eids` or None, nodes explored), for colorings with at
     most `cap` abnormal edges.  `state` holds the color and palette lists,
     all zero on entry and left so on return, the palette popcount table,
-    and the forward check and the 3-edge-cut check (None when k > 5 or
-    every piece has a bridge) over those lists."""
+    and the forward check over those lists.  The search builds the 3-edge-cut
+    check over the same lists itself, and only when it reads it: at cap 0,
+    k <= 5, on a piece that no bridge meets."""
     endpoints, nbrs, eids = graph.edges, graph.neighbors, piece.eids
-    color, pal, pop, dead, cut = state
-    # the 3-edge-cut check holds only for normal colorings of a whole component
-    if cap != 0 or piece.bridged:
-        cut = None
+    color, pal, pop, dead = state
+    # the 3-edge-cut check holds only for normal colorings of a whole
+    # component, into the 5 colors of the Petersen graph's edges
+    cut = _cut_check(graph, color, pal) if cap == 0 and k <= 5 and not piece.bridged else None
     m = len(eids)
     # the budget is folded into the incumbent bound
     best = m + 1 if cap is None else min(m, cap) + 1
@@ -399,7 +395,7 @@ def _search(
             # completion, is pruned without a call
             if count < best and not (
                 count == best - 1
-                and (dead(u, masks[used]) or dead(v, masks[used]) or (cut and cut(u, v)))
+                and (dead(u, masks[used]) or dead(v, masks[used]) or (cut and cut(eid)))
             ):
                 search(count, used)
             # bit is not in forbidden, so XOR restores both palettes
@@ -486,12 +482,8 @@ def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveRes
     k = cfg.k
     pieces = _pieces(graph)
     color, pal, pop = [0] * graph.m, [0] * graph.n, _POP if k <= 7 else _BitCount()
-    # every piece's search reuses these; only pieces that no bridge meets
-    # use the 3-edge-cut check
-    cut = None
-    if k <= 5 and not all(piece.bridged for piece in pieces):
-        cut = _cut_check(graph, color, pal)
-    state = (color, pal, pop, _dead_end(graph, color, pal, pop), cut)
+    # every piece's search reuses these
+    state = (color, pal, pop, _dead_end(graph, color, pal, pop))
     colors = [0] * graph.m
     total = nodes = 0
     status = SolveStatus.OPTIMAL

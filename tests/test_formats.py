@@ -127,10 +127,23 @@ def test_sparse6_parse_errors():
         parse_graph("no-colon", "sparse6")
     with pytest.raises(ParseError):
         parse_graph(":", "sparse6")
-    # 63 announces a 4- or 8-character size field; these are cut short
-    for text in (":~", ":~A", ":~AB", ":~~", ":~~ABCDE"):
-        with pytest.raises(ParseError):
+    # 63 announces a 4- or 8-character size field; these are cut short.  A
+    # second character below 63 means 4, so ":~A" needs 4 and ":~~" needs 8
+    for text, end in ((":~", 8), (":~A", 4), (":~AB", 4), (":~~", 8), (":~~ABCDE", 8)):
+        with pytest.raises(ParseError, match=f"needs {end} characters"):
             parse_graph(text, "sparse6")
+
+
+def test_sparse6_body_bound_boundary(petersen):
+    # n = 10 takes k = 4 bits per vertex, and 15 edges need at least
+    # 3 * n * (k + 1) = 150 bits: 12 body characters (144 bits) are refused
+    # up front, 13 (156 bits) reach the parse and fail its degree check
+    text = write_graph(petersen, "sparse6").strip()
+    assert text[1] == chr(10 + 63)  # the one-character size field
+    with pytest.raises(DegreeError, match="body too short"):
+        parse_graph(text[:2 + 12], "sparse6")
+    with pytest.raises(DegreeError, match="has degree 2"):
+        parse_graph(text[:2 + 13], "sparse6")
 
 
 def test_size_beyond_the_data_is_rejected_early():

@@ -102,15 +102,24 @@ MUTANTS = [
                "tests/test_solver.py::test_normal_chromatic_index",
                "tests/test_solver.py::test_composite_outcomes_pinned",
            )),
-    # the 3-edge-cut check, and the guard that runs it only where every edge
-    # must be normal
+    # the 3-edge-cut check, and the one guard that builds it only for the
+    # searches whose every edge must be normal, in at most 5 colors
     Mutant("three-cut-check-in-no-search", "solver.py",
-           "    if cap != 0 or piece.bridged:\n        cut = None\n", "    cut = None\n",
+           "if cap == 0 and k <= 5 and not piece.bridged else None", "if False else None",
            "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_composites",),
            passes=_OUTCOME_PINS),
     Mutant("three-cut-check-in-every-search", "solver.py",
-           "if cap != 0 or piece.bridged:", "if False:",
+           "if cap == 0 and k <= 5 and not piece.bridged else None", "if True else None",
            "killed", fails=("tests/test_solver.py::test_search_order_pinned_on_a_k4_proof",)),
+    Mutant("three-cut-check-above-five-colors", "solver.py",
+           "cap == 0 and k <= 5 and not", "cap == 0 and not",
+           "killed", fails=("tests/test_solver.py::test_cut_check_built_only_where_read",)),
+    # a bridged piece is searched at cap 0 only where a leaf piece (minimum
+    # at least 2 for k <= 5) makes G infeasible anyway, so no outcome moves:
+    # the build count sees it
+    Mutant("three-cut-check-in-bridged-pieces", "solver.py",
+           "k <= 5 and not piece.bridged else", "k <= 5 else",
+           "killed", fails=("tests/test_solver.py::test_cut_check_built_only_where_read",)),
     Mutant("three-cut-check-off", "solver.py",
            "for e, f, g in graph._three_cuts:", "for e, f, g in ():",
            "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_composites",),
@@ -153,6 +162,12 @@ MUTANTS = [
     Mutant("sparse6-zero-padding", "formats.py",
            'bits += "1" * (-len(bits) % 6)', 'bits += "0" * (-len(bits) % 6)',
            "killed", fails=("tests/test_formats.py::test_sparse6_roundtrip_and_reference",)),
+    Mutant("sparse6-body-bound-loosened", "formats.py",
+           "3 * n * (k + 1) > 12 * len(rest)", "3 * n * (k + 1) > 13 * len(rest)",
+           "killed", fails=("tests/test_formats.py::test_sparse6_body_bound_boundary",)),
+    Mutant("size-field-width-read-late", "formats.py",
+           "len(data) > 1 and data[1] <= 62", "len(data) > 2 and data[1] <= 62",
+           "killed", fails=("tests/test_formats.py::test_sparse6_parse_errors",)),
     Mutant("size-field-chunks-reversed", "formats.py",
            "for i in reversed(range(chars))]", "for i in range(chars)]",
            "killed", fails=("tests/test_formats.py::test_size_field_matches_reference",)),

@@ -215,10 +215,10 @@ def test_search_order_pinned_on_a_k4_proof():
 def test_search_order_pinned_on_a_cut_class():
     # class 96 of the n = 14 stream has two 3-edge cuts and a normal
     # coloring at k = 4 and 5: its budget-0 node counts fix which cuts the
-    # 3-edge-cut check reads at each fill
+    # 3-edge-cut check reads, those through the edge just colored
     graph = next(islice(enumerate_cubic(14, distinct=True), 96, None))
     results = [min_abnormal(graph, SearchConfig(k=k, abnormal_budget=0)) for k in (4, 5)]
-    assert [(r.best_count, r.nodes_explored) for r in results] == [(0, 41), (0, 41)]
+    assert [(r.best_count, r.nodes_explored) for r in results] == [(0, 48), (0, 51)]
 
 
 def test_cut_check_moves_no_outcome(monkeypatch):
@@ -235,6 +235,31 @@ def test_cut_check_moves_no_outcome(monkeypatch):
         assert (a.status, a.best_count, a.witness) == (b.status, b.best_count, b.witness)
         assert a.nodes_explored <= b.nodes_explored
     assert sum(r.nodes_explored for r in checked) < sum(r.nodes_explored for r in plain)
+
+
+def test_cut_check_built_only_where_read(monkeypatch):
+    # the 3-edge-cut check is built by the one search that reads it: the
+    # search for a normal coloring (cap 0), in at most 5 colors, of a piece
+    # no bridge meets.  At k = 3 no search runs at cap 0, and at k = 6 the
+    # lemma does not hold
+    build, builds = solver._cut_check, []
+
+    def counted(graph, color, pal):
+        builds.append(graph)
+        return build(graph, color, pal)
+
+    monkeypatch.setattr(solver, "_cut_check", counted)
+    graphs = list(enumerate_cubic(12, distinct=True))
+    for graph in graphs:
+        min_abnormal(graph, SearchConfig(k=3))
+        min_abnormal(graph, SearchConfig(k=6, abnormal_budget=0))
+    assert builds == []
+    # a graph of three bridgeless pieces builds it three times
+    graphs.append(composite_graph(catalog("petersen"), "disjoint", 3))
+    for graph in graphs:
+        min_abnormal(graph, SearchConfig(k=5, abnormal_budget=0))
+    assert builds == [g for g in graphs for piece in _pieces(g) if not piece.bridged]
+    assert len(builds) == 81 + 3  # the bridgeless n = 12 classes, the three pieces
 
 
 def _outcomes_sha256(results):
