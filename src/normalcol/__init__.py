@@ -43,8 +43,6 @@ from .petersen import (
     PetersenModel,
     build_p_coloring,
     canonical_petersen,
-    model_cycles,
-    preimage_degrees,
     pullback,
     verify_h_coloring,
 )

@@ -23,16 +23,17 @@ exactly when uv is not abnormal:
   edge named from u's side has no end with palette S(v), and the two
   sides name different edges.
 
-A Petersen-coloring here is a plain tuple phi with phi[e] the model edge
-of G's edge e, or -1 where e is abnormal and left unmapped.  Sending each
-vertex star onto a full model star is exactly what makes the map an
-H-coloring, and composing back with the model coloring recovers c.
+So the map is defined exactly on normal colorings, and an abnormal edge
+is an error.  A Petersen-coloring here is a plain tuple phi with phi[e]
+the model edge of G's edge e.  Sending each vertex star onto a full model
+star is exactly what makes the map an H-coloring, and composing back with
+the model coloring recovers c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .coloring import (
     EdgeClass,
@@ -49,7 +50,6 @@ from .graphs import CubicGraph, catalog, petersen_labels
 @dataclass(frozen=True)
 class PetersenModel:
     graph: CubicGraph
-    labels: tuple[frozenset[int], ...]
     ctilde: EdgeColoring
     edge_at: dict[tuple[frozenset[int], int], int]  # (palette, color) -> edge id
 
@@ -88,19 +88,13 @@ def canonical_petersen() -> PetersenModel:
         for v in range(10)
         for eid in graph.incidence[v]
     }
-    model = PetersenModel(graph, labels, ctilde, edge_at)
+    model = PetersenModel(graph, ctilde, edge_at)
     model.validate()
     return model
 
 
-def build_p_coloring(
-    graph: CubicGraph, coloring: EdgeColoring, allow_abnormal: bool = False
-) -> tuple[int, ...]:
-    """Map every poor and rich edge into the canonical model.
-
-    With allow_abnormal=False the coloring must be normal and the map is
-    total; otherwise abnormal edges map to -1.
-    """
+def build_p_coloring(graph: CubicGraph, coloring: EdgeColoring) -> tuple[int, ...]:
+    """Map every edge of a normal 5-edge-coloring into the canonical model."""
     if not is_proper(graph, coloring, 5):
         raise ImproperColoringError("a proper 5-edge-coloring is required")
     edge_at = canonical_petersen().edge_at
@@ -110,11 +104,7 @@ def build_p_coloring(
         c = coloring.colors[eid]
         image = edge_at[(palettes[u], c)]
         if image != edge_at[(palettes[v], c)]:
-            if not allow_abnormal:
-                raise ImproperColoringError(
-                    f"edge {eid} is abnormal; a normal coloring is required"
-                )
-            image = -1
+            raise ImproperColoringError(f"edge {eid} is abnormal; a normal coloring is required")
         phi.append(image)
     return tuple(phi)
 
@@ -150,58 +140,10 @@ def pullback(graph: CubicGraph, phi: tuple[int, ...]) -> EdgeColoring:
     return result
 
 
-def preimage_degrees(
-    graph: CubicGraph, coloring: EdgeColoring, model_edges: frozenset[int] | set[int]
-) -> tuple[int, ...]:
-    """Degrees of every G vertex in the subgraph induced by the preimage of F.
-
-    The map is built with abnormal edges excluded, so their preimages never
-    contribute.  For a normal coloring and F a cycle of the model, every
-    degree is 0 or 2; a single odd degree would be impossible.
-    """
-    phi = build_p_coloring(graph, coloring, allow_abnormal=True)
-    chosen = set(model_edges)
-    degrees = [0] * graph.n
-    for eid, image in enumerate(phi):
-        if image in chosen:
-            u, v = graph.edges[eid]
-            degrees[u] += 1
-            degrees[v] += 1
-    return tuple(degrees)
-
-
-@lru_cache(maxsize=1)
-def model_cycles() -> tuple[frozenset[int], ...]:
-    """Every simple cycle of the model, as a frozenset of edge ids, in the
-    order of their edge bitmasks.
-
-    Read off the model's cut space (`CubicGraph._cut_space`): sets[e] has
-    one bit per fundamental cycle through edge e, that is per non-tree edge
-    (chord) on it, so the OR of all sets is the 6 chord bits.  Each
-    non-empty set T of chords gives the sum of its fundamental cycles, the
-    edges e with |sets[e] & T| odd.  Every degree in a sum is even, so 0 or
-    2 in a cubic graph: a sum is a disjoint union of cycles, and every cycle
-    is the sum of its own chords.  A sum is one cycle, that is connected,
-    exactly when no other non-empty sum lies inside it.  So the cycles are
-    the 57 minimal sums of the 63; the other 6 are pairs of disjoint
-    5-cycles.
-    """
-    graph = canonical_petersen().graph
-    sets = graph._cut_space[1]
-    chords = reduce(int.__or__, sets)
-    sums = []
-    t = chords
-    while t:  # every non-empty submask of the chords
-        sums.append(sum(1 << e for e in range(graph.m) if (sets[e] & t).bit_count() & 1))
-        t = (t - 1) & chords
-    masks = sorted(s for s in sums if not any(r != s and r & s == r for r in sums))
-    return tuple(frozenset(e for e in range(graph.m) if mask >> e & 1) for mask in masks)
-
-
 # ---------------------------------------------------------------------------
-# Map files: one "g_edge_id p_edge_id" line per mapped edge
+# Map files: one "g_edge_id p_edge_id" line per edge
 # ---------------------------------------------------------------------------
 
 def write_p_coloring(phi: tuple[int, ...]) -> str:
-    lines = [f"{eid} {p}" for eid, p in enumerate(phi) if p >= 0]
+    lines = [f"{eid} {p}" for eid, p in enumerate(phi)]
     return "\n".join(lines) + "\n"

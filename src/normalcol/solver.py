@@ -57,10 +57,11 @@ edges as its palette has colors, so a star is full when its palette holds 3.
   its neighbors with 2 colored edges.  Palettes only grow, so a full
   star's palette is final and x's will be its two colors plus c.  So in
   every completion one of the tested edges is abnormal, and none of those
-  is counted yet: no leaf below best lies in the subtree.  A color above
-  the child's largest is in no palette, so the next new color stands for
-  all of them.  The search therefore meets the same incumbents in the same
-  order, and only node counts move;
+  is counted yet: no leaf below best lies in the subtree.  The colors
+  above the child's largest are in no palette, so they are free or taken
+  all together, and the check offers every color the piece may use,
+  1..min(k, m), whatever the child used.  The search therefore meets the
+  same incumbents in the same order, and only node counts move;
 * a search for a normal coloring (cap 0, k <= 5, a piece that no bridge
   meets, which is a whole component of G) also checks G's own 3-edge cuts.
   A normal coloring is a Petersen-coloring (F. Jaeger, "On
@@ -352,7 +353,7 @@ def _search(
     top = min(k, m)
     pairs = [(c, 1 << (c - 1)) for c in range(1, top + 1)]
     choices = [tuple(pairs[: used + 1]) for used in range(top + 1)]
-    masks = [(1 << len(tried)) - 1 for tried in choices]  # the same colors, as bits
+    full = (1 << top) - 1  # the forward check's colors (module docstring)
 
     def search(committed: int, max_used: int) -> None:
         nonlocal best, best_colors, nodes
@@ -395,7 +396,7 @@ def _search(
             # completion, is pruned without a call
             if count < best and not (
                 count == best - 1
-                and (dead(u, masks[used]) or dead(v, masks[used]) or (cut and cut(eid)))
+                and (dead(u, full) or dead(v, full) or (cut and cut(eid)))
             ):
                 search(count, used)
             # bit is not in forbidden, so XOR restores both palettes

@@ -4,12 +4,14 @@ import faulthandler
 import os
 import random
 from collections import Counter
+from functools import lru_cache, reduce
 from typing import Optional
 
 import pytest
 
-from normalcol.coloring import EdgeColoring
-from normalcol.graphs import CubicGraph, catalog
+from normalcol.coloring import EdgeColoring, palette
+from normalcol.graphs import CubicGraph, catalog, petersen_labels
+from normalcol.petersen import canonical_petersen
 from normalcol.solver import SolveResult, SolveStatus
 
 
@@ -240,6 +242,81 @@ def three_cut_corpus() -> list[CubicGraph]:
         chain = [(i, i + 1) for i in range(len(sizes) - 1)]
         graphs += [random_bridge_tree(rng, sizes, chain) for _ in range(6)]
     return graphs
+
+
+def reference_map(graph: CubicGraph, coloring: EdgeColoring) -> tuple[int, ...]:
+    """The two-rule map into the canonical model, written from the Kneser
+    labels alone: the vertex with palette S carries the label {1..5} - S,
+    and a model edge's color is the one element outside both end labels.
+    Abnormal edges map to -1.  The reference for `build_p_coloring`."""
+    full = frozenset(range(1, 6))
+    model = canonical_petersen().graph
+    labels = [frozenset(pair) for pair in petersen_labels()]
+    vertex_of = {full - label: w for w, label in enumerate(labels)}
+
+    def label_color(eid):
+        a, b = model.edges[eid]
+        (c,) = full - labels[a] - labels[b]
+        return c
+
+    phi = []
+    for eid, (u, v) in enumerate(graph.edges):
+        su, sv = palette(graph, coloring, u), palette(graph, coloring, v)
+        x, y = vertex_of[su], vertex_of[sv]
+        if su == sv:  # poor: the edge of color c(uv) at the vertex with palette S(u)
+            c = coloring.colors[eid]
+            (image,) = [e for e in model.incidence[x] if label_color(e) == c]
+        elif su | sv == full:  # rich: the edge joining the two palettes' vertices
+            (image,) = set(model.incidence[x]) & set(model.incidence[y])
+        else:
+            image = -1
+        phi.append(image)
+    return tuple(phi)
+
+
+def preimage_degrees(
+    graph: CubicGraph, coloring: EdgeColoring, model_edges: frozenset[int] | set[int]
+) -> tuple[int, ...]:
+    """Degrees of every G vertex in the subgraph induced by the preimage of
+    the model edge set F under `reference_map`, whose abnormal edges map
+    nowhere.  For a normal coloring and F a cycle of the model, every degree
+    is 0 or 2; a single odd degree would be impossible."""
+    degrees = [0] * graph.n
+    for eid, image in enumerate(reference_map(graph, coloring)):
+        if image in model_edges:
+            u, v = graph.edges[eid]
+            degrees[u] += 1
+            degrees[v] += 1
+    return tuple(degrees)
+
+
+@lru_cache(maxsize=1)
+def model_cycles() -> tuple[frozenset[int], ...]:
+    """Every simple cycle of the model, as a frozenset of edge ids, in the
+    order of their edge bitmasks.
+
+    Read off the model's cut space (`CubicGraph._cut_space`): sets[e] has
+    one bit per fundamental cycle through edge e, that is per non-tree edge
+    (chord) on it, so the OR of all sets is the 6 chord bits.  Each
+    non-empty set T of chords gives the sum of its fundamental cycles, the
+    edges e with |sets[e] & T| odd.  Every degree in a sum is even, so 0 or
+    2 in a cubic graph: a sum is a disjoint union of cycles, and every cycle
+    is the sum of its own chords.  A sum is one cycle, that is connected,
+    exactly when no other non-empty sum lies inside it.  So the cycles are
+    the 57 minimal sums of the 63; the other 6 are pairs of disjoint
+    5-cycles.  Checked against the 2^15 edge-subset scan in
+    `test_petersen.py`.
+    """
+    graph = canonical_petersen().graph
+    sets = graph._cut_space[1]
+    chords = reduce(int.__or__, sets)
+    sums = []
+    t = chords
+    while t:  # every non-empty submask of the chords
+        sums.append(sum(1 << e for e in range(graph.m) if (sets[e] & t).bit_count() & 1))
+        t = (t - 1) & chords
+    masks = sorted(s for s in sums if not any(r != s and r & s == r for r in sums))
+    return tuple(frozenset(e for e in range(graph.m) if mask >> e & 1) for mask in masks)
 
 
 def single_abnormal_ids(results: list[SolveResult]) -> list[int]:

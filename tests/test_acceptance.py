@@ -26,8 +26,6 @@ from normalcol.graphs import catalog, connectivity_report
 from normalcol.petersen import (
     build_p_coloring,
     canonical_petersen,
-    model_cycles,
-    preimage_degrees,
     pullback,
     verify_h_coloring,
 )
@@ -42,6 +40,8 @@ from conftest import (
     bridged_multigraph,
     domino_multigraph,
     exhaustive_oracle,
+    model_cycles,
+    preimage_degrees,
     single_abnormal_ids,
     triple_edge,
 )

@@ -392,6 +392,19 @@ def test_jaeger_roundtrip_below_five_colors(files, capsys, tmp_path):
     assert out.splitlines()[-1] == "# h_coloring=true roundtrip=true"
 
 
+def test_jaeger_rejects_an_abnormal_coloring(capsys, tmp_path):
+    # the cube coloring with abnormal edges 1 and 3 has no Petersen-coloring;
+    # the first abnormal edge is named and nothing is printed
+    graph = tmp_path / "q3.el"
+    graph.write_text(write_graph(catalog("q3"), "edge-list"))
+    col = tmp_path / "q3.col"
+    col.write_text(write_coloring(EdgeColoring(5, Q3_TWO_ABNORMAL)))
+    code = main(["jaeger", "--graph", str(graph), "--coloring", str(col)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: edge 1 is abnormal; a normal coloring is required\n"
+
+
 def test_jaeger_rejects_huge_colors_quickly(files, capsys, tmp_path):
     # a few bytes of coloring file name colors near 10^9; the check that
     # they exceed 5 must not cost memory that grows with the values

@@ -62,7 +62,7 @@ MUTANTS = [
     # the component the search colors
     Mutant("three-cuts-through-bridges", "graphs.py",
            "if sets[eid]:  # not a bridge", "if True:  # not a bridge",
-           "killed", fails=("tests/test_solver.py::test_long_bridge_chain_pinned",)),
+           "killed", fails=("tests/test_graphs.py::test_three_cuts_match_brute_force",)),
     Mutant("tree-edge-own-bit", "graphs.py",
            "sets[up[v]] = below[v]\n", "sets[up[v]] = below[v] ^ (1 << up[v])\n",
            "killed", fails=_CONNECTIVITY),
@@ -84,8 +84,7 @@ MUTANTS = [
                "tests/test_solver.py::test_search_order_pinned_on_composites",)),
     # the tight forward check
     Mutant("forward-check-colors-up-to-max-used", "solver.py",
-           "dead(u, masks[used]) or dead(v, masks[used])",
-           "dead(u, masks[used - 1]) or dead(v, masks[used - 1])",
+           "full = (1 << top) - 1", "full = (1 << top - 1) - 1",
            "killed", fails=(
                "tests/test_solver.py::test_petersen_not_4_normal",
                "tests/test_solver.py::test_normal_chromatic_index",
@@ -147,11 +146,13 @@ MUTANTS = [
     Mutant("piece-minima-not-summed", "solver.py",
            "total += best", "total = best",
            "killed", fails=("tests/test_solver.py::test_minimum_is_twice_the_leaf_count",)),
-    # the model's cycles as the minimal sums of its fundamental cycles
-    Mutant("model-cycles-keep-every-sum", "petersen.py",
-           "masks = sorted(s for s in sums if not any(r != s and r & s == r for r in sums))",
-           "masks = sorted(sums)",
-           "killed", fails=("tests/test_petersen.py::test_model_cycles_census",)),
+    # the Petersen map is defined on normal colorings only
+    Mutant("abnormal-edge-mapped", "petersen.py",
+           "if image != edge_at[(palettes[v], c)]:", "if False:",
+           "killed", fails=(
+               "tests/test_petersen.py::test_abnormal_edges_excluded",
+               "tests/test_cli.py::test_jaeger_rejects_an_abnormal_coloring",
+           )),
     # the sparse6 codec
     Mutant("sparse6-padding-stop-on-x-only", "formats.py",
            "if x >= n or v >= n:  # padding", "if x >= n:  # padding",

@@ -8,12 +8,10 @@ import pytest
 from normalcol.coloring import EdgeColoring, abnormal_set, is_proper, palette
 from normalcol.constructions import DEMO_VARIANTS, Q3_TWO_ABNORMAL, composite_graph
 from normalcol.errors import ImproperColoringError, VerificationError
-from normalcol.graphs import catalog
+from normalcol.graphs import catalog, petersen_labels
 from normalcol.petersen import (
     build_p_coloring,
     canonical_petersen,
-    model_cycles,
-    preimage_degrees,
     pullback,
     verify_h_coloring,
     write_p_coloring,
@@ -22,10 +20,17 @@ from normalcol.generate import enumerate_cubic
 from normalcol.graphs import connectivity_report
 from normalcol.solver import SearchConfig, has_normal_k, min_abnormal
 
-from conftest import random_bridged_multigraph, random_cubic_multigraph, three_cut_corpus
+from conftest import (
+    model_cycles,
+    preimage_degrees,
+    random_bridged_multigraph,
+    random_cubic_multigraph,
+    reference_map,
+    three_cut_corpus,
+)
 
 K4_PROPER = EdgeColoring(3, (1, 2, 3, 3, 2, 1))
-FULL = frozenset(range(1, 6))
+LABELS = tuple(frozenset(pair) for pair in petersen_labels())  # each model vertex's Kneser label
 
 
 @pytest.fixture(scope="module")
@@ -37,33 +42,6 @@ def model_vertex(model, pal):
     """The model vertex whose palette is pal, found by scanning the model."""
     (w,) = [w for w in range(10) if palette(model.graph, model.ctilde, w) == pal]
     return w
-
-
-def reference_map(graph, coloring):
-    """The two-rule map, written from the Kneser labels alone: the vertex
-    with palette S carries the label FULL - S, and a model edge's color is
-    the one element outside both end labels.  Abnormal edges map to -1."""
-    model = canonical_petersen()
-    vertex_of = {FULL - label: w for w, label in enumerate(model.labels)}
-
-    def label_color(eid):
-        a, b = model.graph.edges[eid]
-        (c,) = FULL - model.labels[a] - model.labels[b]
-        return c
-
-    phi = []
-    for eid, (u, v) in enumerate(graph.edges):
-        su, sv = palette(graph, coloring, u), palette(graph, coloring, v)
-        x, y = vertex_of[su], vertex_of[sv]
-        if su == sv:  # poor: the edge of color c(uv) at the vertex with palette S(u)
-            c = coloring.colors[eid]
-            (image,) = [e for e in model.graph.incidence[x] if label_color(e) == c]
-        elif su | sv == FULL:  # rich: the edge joining the two palettes' vertices
-            (image,) = set(model.graph.incidence[x]) & set(model.graph.incidence[y])
-        else:
-            image = -1
-        phi.append(image)
-    return tuple(phi)
 
 
 def random_proper_coloring(rng, graph):
@@ -79,11 +57,11 @@ def random_proper_coloring(rng, graph):
 def test_model_invariants(model):
     model.validate()
     # vertex 0 carries label {1,2}; its palette is the complement
-    assert model.labels[0] == frozenset({1, 2})
+    assert LABELS[0] == frozenset({1, 2})
     assert palette(model.graph, model.ctilde, 0) == frozenset({3, 4, 5})
     # the edge joining {1,2} and {3,4} is colored 5
-    i = model.labels.index(frozenset({1, 2}))
-    j = model.labels.index(frozenset({3, 4}))
+    i = LABELS.index(frozenset({1, 2}))
+    j = LABELS.index(frozenset({3, 4}))
     eid = (set(model.graph.incidence[i]) & set(model.graph.incidence[j])).pop()
     assert model.ctilde.colors[eid] == 5
     # edge_at names, for each vertex palette and color in it, the edge of
@@ -97,7 +75,7 @@ def test_model_invariants(model):
     # joining {4,5} and {1,2}, whose model color is their intersection 3
     x = model_vertex(model, frozenset({1, 2, 3}))
     y = model_vertex(model, frozenset({3, 4, 5}))
-    assert (model.labels[x], model.labels[y]) == (frozenset({4, 5}), frozenset({1, 2}))
+    assert (LABELS[x], LABELS[y]) == (frozenset({4, 5}), frozenset({1, 2}))
     shared = (set(model.graph.incidence[x]) & set(model.graph.incidence[y])).pop()
     assert model.ctilde.colors[shared] == 3
     # and the one rule reaches it from either palette
@@ -119,7 +97,7 @@ def test_poor_rule_k4(model, k4):
     # all palettes are {1,2,3}, so every edge maps into the star of the
     # vertex labeled {4,5}
     target = model_vertex(model, frozenset({1, 2, 3}))
-    assert model.labels[target] == frozenset({4, 5})
+    assert LABELS[target] == frozenset({4, 5})
     star = set(model.graph.incidence[target])
     assert set(phi) <= star
     # the poor rule picks the edge at that star carrying the same color
@@ -168,12 +146,14 @@ def test_jaeger_roundtrip_random_witnesses(model):
 
 
 def test_abnormal_edges_excluded(q3):
+    # the library maps normal colorings only: the first abnormal edge is
+    # named; the reference leaves exactly the abnormal edges unmapped
     c = EdgeColoring(5, Q3_TWO_ABNORMAL)
-    with pytest.raises(ImproperColoringError):
-        build_p_coloring(q3, c, allow_abnormal=False)
-    phi = build_p_coloring(q3, c, allow_abnormal=True)
-    domain = frozenset(e for e, image in enumerate(phi) if image >= 0)
-    assert domain == frozenset(range(q3.m)) - abnormal_set(q3, c)
+    bad = abnormal_set(q3, c)
+    with pytest.raises(ImproperColoringError, match=f"^edge {min(bad)} is abnormal; "):
+        build_p_coloring(q3, c)
+    domain = frozenset(e for e, image in enumerate(reference_map(q3, c)) if image >= 0)
+    assert domain == frozenset(range(q3.m)) - bad
 
 
 def test_improper_rejected(k4):
@@ -190,8 +170,9 @@ def test_constant_map_fails(model):
 
 def test_partial_map_rejected(model, q3):
     c = EdgeColoring(5, Q3_TWO_ABNORMAL)
-    phi = build_p_coloring(q3, c, allow_abnormal=True)
-    with pytest.raises(ValueError):
+    phi = reference_map(q3, c)
+    assert -1 in phi
+    with pytest.raises(ValueError, match="needs a total map"):
         verify_h_coloring(q3, model.graph, phi)
     with pytest.raises(ValueError, match="map size does not match"):
         verify_h_coloring(q3, model.graph, phi[:-1])
@@ -288,28 +269,15 @@ def test_abnormal_coloring_breaks_parity(model, q3):
 
 
 def test_p_coloring_file_roundtrip(q3):
-    # one "eid p" line per mapped edge, in edge order; abnormal edges are
-    # left out, and a map with no entries is a lone newline
-    def parse(text, num_edges):
-        phi = [-1] * num_edges
-        for line in text.splitlines():
-            eid, image = map(int, line.split())
-            phi[eid] = image
-        return tuple(phi)
-
+    # one "eid p" line per edge, in edge order; a map with no entries is a
+    # lone newline
     witness = has_normal_k(q3, 5)
     phi = build_p_coloring(q3, witness)
     text = write_p_coloring(phi)
-    assert text.endswith("\n") and len(text.splitlines()) == q3.m
-    assert parse(text, q3.m) == phi
-    partial = build_p_coloring(q3, EdgeColoring(5, Q3_TWO_ABNORMAL), allow_abnormal=True)
-    text = write_p_coloring(partial)
-    assert [int(line.split()[0]) for line in text.splitlines()] == [
-        e for e in range(q3.m) if e not in abnormal_set(q3, EdgeColoring(5, Q3_TWO_ABNORMAL))
-    ]
-    assert parse(text, q3.m) == partial
+    assert text.endswith("\n")
+    lines = [tuple(map(int, line.split())) for line in text.splitlines()]
+    assert lines == list(enumerate(phi))
     assert write_p_coloring(()) == "\n"
-    assert write_p_coloring((-1, -1)) == "\n"
 
 
 def test_one_rule_matches_two_rule_reference(model):
@@ -334,15 +302,14 @@ def test_one_rule_matches_two_rule_reference(model):
     abnormal_edges = 0
     for g, c in colorings:
         assert is_proper(g, c, 5)
-        phi = build_p_coloring(g, c, allow_abnormal=True)
-        assert phi == reference_map(g, c)
+        reference = reference_map(g, c)
         bad = abnormal_set(g, c)
-        assert frozenset(e for e, image in enumerate(phi) if image == -1) == bad
+        assert frozenset(e for e, image in enumerate(reference) if image == -1) == bad
         if bad:
-            with pytest.raises(ImproperColoringError):
+            with pytest.raises(ImproperColoringError, match=f"^edge {min(bad)} is abnormal; "):
                 build_p_coloring(g, c)
         else:
-            assert build_p_coloring(g, c) == phi
+            assert build_p_coloring(g, c) == reference
         abnormal_edges += len(bad)
     assert len(colorings) == 1 + 3 * len(graphs)
     assert witnesses_with_abnormal >= 5 and abnormal_edges >= 500
