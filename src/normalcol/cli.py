@@ -168,7 +168,7 @@ def _cmd_scan(args) -> None:
     # no proper 5-edge-coloring has exactly one abnormal edge: an OPTIMAL 1 is a solver bug
     cfg = SearchConfig(k=args.k, node_limit=args.node_limit)
     rows = []
-    for graph_id, graph in enumerate(enumerate_cubic(args.n, distinct=True)):
+    for graph_id, graph in enumerate(enumerate_cubic(args.n)):
         t0 = time.perf_counter()
         report, result = connectivity_report(graph), min_abnormal(graph, cfg)
         rows.append({
@@ -293,7 +293,7 @@ def _cmd_question31(args) -> None:
     # budget 2 a minimum above 2 ends INFEASIBLE without an optimality proof
     cfg = SearchConfig(abnormal_budget=2)
     rows = []
-    for graph_id, graph in enumerate(enumerate_cubic(args.n, distinct=True)):
+    for graph_id, graph in enumerate(enumerate_cubic(args.n)):
         if connectivity_report(graph).bridgeless:
             result = min_abnormal(graph, cfg)
             if result.status is SolveStatus.OPTIMAL:

@@ -1,13 +1,13 @@
-"""Enumeration of connected simple cubic graphs on labeled vertices.
+"""Enumeration of connected simple cubic graphs, one per isomorphism class.
 
 The generator completes the smallest unsaturated vertex with partners in
-increasing order, which produces every labeled graph exactly once, and in
-lexicographic order of the sorted edge lists.  The distinct mode restricts
-the stream to BFS labelings: every vertex after 0 has a smaller neighbor,
-and a vertex touched for the first time takes the smallest untouched label,
-so N(0) = {1, 2, 3}.  Every connected cubic graph has such labelings (one per
-root and order of each vertex's new children), so each isomorphism class
-appears in the stream at least once.
+increasing order, so the candidates come in lexicographic order of their
+sorted edge lists.  The candidates are the BFS labelings: every vertex after
+0 has a smaller neighbor, and a vertex touched for the first time takes the
+smallest untouched label, so N(0) = {1, 2, 3} and every candidate is
+connected.  Every connected cubic graph has such labelings (one per root and
+order of each vertex's new children), so each isomorphism class appears
+among the candidates at least once.
 
 Duplicates are removed by an orderly test (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 1998): a candidate is emitted only when none of
@@ -47,14 +47,14 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterator
 
-from .graphs import CubicGraph, is_connected
+from .graphs import CubicGraph
 
 
-def _labeled_stream(n: int, constrained: bool) -> Iterator[tuple[tuple[int, int], ...]]:
+def _orderly_stream(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     deg = [0] * n
     nbrs: list[list[int]] = [[] for _ in range(n)]
     edges: list[tuple[int, int]] = []
-    # constrained mode: the candidate's final segments, padded with n
+    # the candidate's final segments, padded with n
     target: list[list[int]] = []
 
     def extend(label: list[int], vertex: list[int], i: int, fresh: int, v: int,
@@ -120,31 +120,29 @@ def _labeled_stream(n: int, constrained: bool) -> Iterator[tuple[tuple[int, int]
                 break
         if v != prev_v:
             min_partner = v + 1
-            if constrained:
-                if 0 < v < n and deg[v] == 0:
-                    return  # partners are always larger; v could never reach a smaller vertex
-                # segments from prev_v on may be left over from a sibling subtree
-                del target[max(prev_v, 0):]
-                for j in range(len(target), v):
-                    seg = [y for y in nbrs[j] if y > j]
-                    seg.sort()
-                    target.append(seg + [n] * (3 - len(seg)))
-                pending = advance(pending, v)
-                if pending is None:
-                    return  # a relabeling is smaller on final segments: no completion is canonical
+            if 0 < v < n and deg[v] == 0:
+                return  # partners are always larger; v could never reach a smaller vertex
+            # segments from prev_v on may be left over from a sibling subtree
+            del target[max(prev_v, 0):]
+            for j in range(len(target), v):
+                seg = [y for y in nbrs[j] if y > j]
+                seg.sort()
+                target.append(seg + [n] * (3 - len(seg)))
+            pending = advance(pending, v)
+            if pending is None:
+                return  # a relabeling is smaller on final segments: no completion is canonical
         if v == n:
             yield tuple(edges)
             return
         fresh = -1
-        if constrained:
-            for w in range(v + 1, n):
-                if deg[w] == 0:
-                    fresh = w
-                    break
+        for w in range(v + 1, n):
+            if deg[w] == 0:
+                fresh = w
+                break
         for u in range(min_partner, n):
             if deg[u] >= 3 or u in nbrs[v]:
                 continue
-            if constrained and deg[u] == 0 and u != fresh:
+            if deg[u] == 0 and u != fresh:
                 continue  # BFS labeling: first touch goes to the smallest untouched label
             deg[v] += 1
             deg[u] += 1
@@ -158,7 +156,7 @@ def _labeled_stream(n: int, constrained: bool) -> Iterator[tuple[tuple[int, int]
             deg[v] -= 1
             deg[u] -= 1
 
-    roots = []  # constrained mode: one pending relabeling per root
+    roots = []  # one pending relabeling per root
     for r in range(n):
         label = [-1] * n
         label[r] = 0
@@ -166,20 +164,14 @@ def _labeled_stream(n: int, constrained: bool) -> Iterator[tuple[tuple[int, int]
     yield from rec(-1, 1, roots)
 
 
-def enumerate_cubic(n: int, distinct: bool = False) -> Iterator[CubicGraph]:
-    """Stream of connected simple cubic graphs on n labeled vertices.
-
-    With distinct=False every labeled graph appears exactly once.  With
-    distinct=True one representative per isomorphism class is emitted: the
-    BFS labeling with the lexicographically smallest sorted edge list.
+def enumerate_cubic(n: int, distinct: bool = True) -> Iterator[CubicGraph]:
+    """Stream of connected simple cubic graphs on n vertices, one per
+    isomorphism class: the BFS labeling with the lexicographically smallest
+    sorted edge list, in lexicographic order.  `distinct` takes only True.
     """
     if n < 4 or n % 2 != 0:
         raise ValueError("cubic graphs need an even vertex count of at least 4")
     if not distinct:
-        for edges in _labeled_stream(n, constrained=False):
-            graph = CubicGraph(n, edges)
-            if is_connected(graph):
-                yield graph
-        return
-    for edges in _labeled_stream(n, constrained=True):
+        raise ValueError("only isomorphism classes are enumerated; the labeled stream is test-only")
+    for edges in _orderly_stream(n):
         yield CubicGraph(n, edges)

@@ -244,10 +244,6 @@ def connectivity_report(graph: CubicGraph) -> ConnectivityReport:
     return ConnectivityReport(True, 3, not graph._three_cuts)
 
 
-def is_connected(graph: CubicGraph) -> bool:
-    return graph._cut_space[0] == 1
-
-
 def enumerate_paths_of_length_three(graph: CubicGraph) -> Iterator[tuple[int, int, int]]:
     """Yield (e1, f, e2) edge triples forming a path on four distinct vertices."""
     stars = graph._stars

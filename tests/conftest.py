@@ -5,7 +5,7 @@ import os
 import random
 from collections import Counter
 from functools import lru_cache, reduce
-from typing import Optional
+from typing import Iterator, Optional
 
 import pytest
 
@@ -97,6 +97,54 @@ def random_cubic_multigraph(rng: random.Random, n: int) -> CubicGraph:
 def disjoint_union(g: CubicGraph, h: CubicGraph) -> CubicGraph:
     shifted = tuple((u + g.n, v + g.n) for u, v in h.edges)
     return CubicGraph(g.n + h.n, g.edges + shifted)
+
+
+def is_connected(graph: CubicGraph) -> bool:
+    """Whether a search from vertex 0 along the edge list reaches every
+    vertex.  Shares no code with `CubicGraph._cut_space`."""
+    adj: list[list[int]] = [[] for _ in range(graph.n)]
+    for u, v in graph.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == graph.n
+
+
+def labeled_cubic(n: int) -> Iterator[CubicGraph]:
+    """Every connected simple cubic graph on n labeled vertices, once each,
+    in lexicographic order of the sorted edge lists: the smallest unsaturated
+    vertex takes larger partners in increasing order (so no edge repeats),
+    and the connected results are kept.  Shares no code with `generate`;
+    the labeled oracle for its class stream (1, 70 and 19,320 graphs for
+    n = 4, 6, 8)."""
+    deg = [0] * n
+    edges: list[tuple[int, int]] = []
+
+    def rec() -> Iterator[CubicGraph]:
+        v = next((i for i in range(n) if deg[i] < 3), n)
+        if v == n:
+            graph = CubicGraph(n, tuple(edges))
+            if is_connected(graph):
+                yield graph
+            return
+        # still completing v: its next partner lies above its last one
+        low = edges[-1][1] + 1 if edges and edges[-1][0] == v else v + 1
+        for u in range(low, n):
+            if deg[u] < 3:
+                deg[v] += 1
+                deg[u] += 1
+                edges.append((v, u))
+                yield from rec()
+                edges.pop()
+                deg[v] -= 1
+                deg[u] -= 1
+
+    yield from rec()
 
 
 def random_bridged_multigraph(rng: random.Random, left: int, right: int) -> CubicGraph:

@@ -6,6 +6,8 @@ fail here first.
 
 from __future__ import annotations
 
+import pytest
+
 import normalcol
 
 BENCHMARK_NAMES = (
@@ -64,3 +66,12 @@ def test_benchmark_call_shapes():
     assert normalcol.is_proper(h, witness) and not normalcol.abnormal_set(h, witness)
     demo = normalcol.pigeonhole_demo(petersen, "disjoint", 2)
     assert demo.passed and demo.bound == 0
+
+
+def test_enumeration_streams_classes_only():
+    # `distinct` takes only True, the value the benchmark passes and the
+    # default; False raises at the first `next`, like a bad vertex count
+    stream = normalcol.enumerate_cubic(6, distinct=False)
+    with pytest.raises(ValueError, match="isomorphism classes"):
+        next(stream)
+    assert list(normalcol.enumerate_cubic(8)) == list(normalcol.enumerate_cubic(8, distinct=True))

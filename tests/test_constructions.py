@@ -34,10 +34,11 @@ from normalcol.graphs import (
     catalog,
     connectivity_report,
     enumerate_paths_of_length_three,
-    is_connected,
 )
 from normalcol.petersen import canonical_petersen
 from normalcol.solver import SearchConfig, SolveResult, SolveStatus, min_abnormal
+
+from conftest import is_connected
 
 K4_PROPER = EdgeColoring(3, (1, 2, 3, 3, 2, 1))
 

@@ -11,19 +11,29 @@ import networkx as nx
 import pytest
 
 import normalcol
-from normalcol.generate import _labeled_stream, enumerate_cubic
-from normalcol.graphs import is_connected
+from normalcol.generate import _orderly_stream, enumerate_cubic
+
+from conftest import is_connected, labeled_cubic
 
 # labeled connected cubic graph counts, cross-checked against the standard
 # enumeration references
 LABELED = {4: 1, 6: 70, 8: 19320}
+# sha256 of repr([g.edges for g in labeled_cubic(n)]): the order is pinned
+# too, since the n = 8 corpus of test_graphs draws one rng value per graph
+LABELED_SHA256 = {
+    6: "1ecfc3222edf4d09ed019e672d0676ba6014011a2e3aedcb274d45737f0d8964",
+    8: "2604e6e48963db302d5189ad01d203b88dced980deb787e394b208ee402cb35c",
+}
 # connected cubic graphs up to isomorphism, OEIS A002851
 CLASSES = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509, 16: 4060}
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_labeled_counts(n):
-    assert sum(1 for _ in enumerate_cubic(n)) == LABELED[n]
+    edges = [g.edges for g in labeled_cubic(n)]
+    assert len(edges) == LABELED[n]
+    if n in LABELED_SHA256:
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == LABELED_SHA256[n]
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
@@ -40,7 +50,7 @@ def test_distinct_count_n16():
     assert sum(1 for _ in enumerate_cubic(16, distinct=True)) == CLASSES[16]
 
 
-# sha256 of repr(list(_labeled_stream(n, True))): the orderly stream's graphs,
+# sha256 of repr(list(_orderly_stream(n))): the orderly stream's graphs,
 # their labels and their order, taken before vertex 0's partners came from
 # the first-touch rule alone
 STREAM_SHA256 = {
@@ -57,7 +67,7 @@ STREAM_SHA256 = {
         not os.environ.get("NORMALCOL_SLOW"), reason="about 5 s; set NORMALCOL_SLOW=1")),
 ])
 def test_stream_pinned(n):
-    blob = repr(list(_labeled_stream(n, True)))
+    blob = repr(list(_orderly_stream(n)))
     assert hashlib.sha256(blob.encode()).hexdigest() == STREAM_SHA256[n]
 
 
@@ -210,11 +220,12 @@ def test_distinct_matches_networkx_reference(n):
 
 
 def test_emitted_graphs_are_valid():
-    for g in enumerate_cubic(6):
-        assert g.n == 6
-        assert len(set(g.edges)) == g.m
-        assert is_connected(g)
-        assert all(len(g.incidence[v]) == 3 for v in range(6))
+    for n in range(4, 11, 2):
+        for g in enumerate_cubic(n):
+            assert g.n == n
+            assert len(set(g.edges)) == g.m
+            assert is_connected(g)
+            assert all(len(g.incidence[v]) == 3 for v in range(n))
 
 
 def test_distinct_representatives_nonisomorphic():
@@ -236,7 +247,7 @@ def test_every_labeled_graph_matches_some_representative():
         h = nx.Graph()
         h.add_edges_from(g.edges)
         reps.append(h)
-    for g in enumerate_cubic(6):
+    for g in labeled_cubic(6):
         h = nx.Graph()
         h.add_edges_from(g.edges)
         assert any(nx.is_isomorphic(h, rep) for rep in reps)

@@ -172,6 +172,26 @@ MUTANTS = [
     Mutant("size-field-chunks-reversed", "formats.py",
            "for i in reversed(range(chars))]", "for i in range(chars)]",
            "killed", fails=("tests/test_formats.py::test_size_field_matches_reference",)),
+    # the orderly class stream: its prunes must remove only subtrees without
+    # a canonical candidate, which the pinned stream hashes see
+    Mutant("stream-late-root-kept", "generate.py",
+           "if 0 < v < n and deg[v] == 0:", "if False:",
+           "killed", fails=(
+               "tests/test_generate.py::test_distinct_counts",
+               "tests/test_generate.py::test_stream_pinned",
+           )),
+    Mutant("stream-segment-order-inverted", "generate.py",
+           "return seg < target[i]", "return seg > target[i]",
+           "killed", fails=("tests/test_generate.py::test_stream_pinned",)),
+    # a candidate whose first touch skips the smallest untouched label loses
+    # to its BFS relabeling from root 0 on that segment, so the orderly test
+    # rejects it anyway and the skip only saves time
+    Mutant("stream-first-touch-off", "generate.py",
+           "if deg[u] == 0 and u != fresh:", "if False:",
+           "equivalent", passes=(
+               "tests/test_generate.py::test_stream_pinned",
+               "tests/test_generate.py::test_distinct_counts",
+           )),
     # question31 solves only the bridgeless classes it reports on
     Mutant("question31-solves-bridged", "cli.py",
            "if connectivity_report(graph).bridgeless:", "if True:",
