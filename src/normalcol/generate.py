@@ -139,8 +139,10 @@ def _orderly_stream(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
             if deg[w] == 0:
                 fresh = w
                 break
+        # no partner is adjacent to v already: partners rise within v's turn,
+        # and v's earlier neighbors are all below v
         for u in range(min_partner, n):
-            if deg[u] >= 3 or u in nbrs[v]:
+            if deg[u] >= 3:
                 continue
             if deg[u] == 0 and u != fresh:
                 continue  # BFS labeling: first touch goes to the smallest untouched label

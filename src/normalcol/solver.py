@@ -72,32 +72,51 @@ edges as its palette has colors, so a star is full when its palette holds 3.
   (`CubicGraph._cut_space`); model edges form a cut exactly when their
   classes XOR to 0.  A model star is a cut, and an inner edge of a vertex
   set X names one model edge from both ends, so the classes of the boundary
-  of X XOR to 0, for every edge cut of the component.  At cap 0 a full
-  star's palette is final and every classified edge is normal, so an edge
-  is known once one of its ends is full: its model edge is then fixed, read
-  at that end.  The classes of a 3-edge cut's model edges XOR to 0.  No two
-  of them are equal, as that would leave the third a class of 0, which no
-  model edge has; so they form a 3-edge cut of the model, and the model's
-  only 3-edge cuts are its 10 stars.  So once two edges of a cut are known,
-  their classes XOR to the class of a model edge M, the third edge of their
-  common model star, or the child is pruned.  The third edge must then be
-  able to name M: its color is M's, or M's color is free at both its ends,
-  and each end's palette fits inside one of M's two end palettes.  Once all
-  three are known, their classes XOR to 0.  The check reads the listed
-  cuts (`CubicGraph._three_cuts`: the cuts of three pairwise vertex-disjoint
-  edges, so no star, which the search keeps proper anyway) through the
-  edge just colored, once an end of it is full, so that it is known.  A
-  fill also makes the other edges of the filled star known, but the cuts
-  through those add almost no pruning; a cut left unread prunes nothing,
-  so it cannot cost soundness.  A listed cut
-  holds no bridge: a bridge's set is empty, so the other two would form a
-  2-cut, whose model edges are equal, and the bridge lies in no piece that
-  this search colors.  Nor does a cut span two components, whose colorings
-  the lemma does not link; and since an edge's set holds only cycles of its
-  own piece, three non-bridge edges whose sets XOR to 0 lie in one piece.
-  Only subtrees without a normal coloring go, so the probe meets the same
-  first normal coloring, the witness cannot move, and only node counts
-  move.
+  of X XOR to 0, for every edge cut of the component.  No two classes of a
+  3-edge cut's model edges are equal, as that would leave the third a class
+  of 0, which no model edge has; so they form a 3-edge cut of the model,
+  and the model's only 3-edge cuts are its 10 stars.  So a normal coloring
+  sends each 3-edge cut onto the three edges of one model star.
+  The check gives each edge h a domain, a 15-bit mask of the model edges it
+  can still become: dom[c][pal[a]] & dom[c][pal[b]] for h's ends a and b
+  and its color c, 0 while h is uncolored.  M is in dom[c][p] when M's
+  color is c, or c is 0 and M's color is not in p, and p fits inside one
+  of M's two end palettes.  Why pruning on it is sound:
+  - each domain holds h's image in every normal completion.  There h has a
+    color c', c itself or, for c = 0, a color in neither palette, since
+    the coloring is proper; each end's final palette S holds that end's
+    palette p and c', and h goes to edge_at[(S, c')], a model edge of
+    color c' that has the end palette S.  A full star's palette is final
+    and fits only inside itself, so an edge with a full end has at most
+    the one edge edge_at[(S, c)] in its domain: it is known;
+  - the images of a cut's three edges are one model star's three edges, so
+    some star must take a distinct edge from each domain.  By Hall's
+    condition such a star meets every domain, the three cover it, and no
+    two meet it in the same single edge.  Narrowing each domain to the
+    union of its intersections with the stars that pass keeps every
+    image, and so does narrowing again from narrowed domains;
+  - so a domain that empties leaves no normal completion, and the child is
+    pruned.  Only subtrees without a normal coloring go, so the probe
+    meets the same first normal coloring, the witness cannot move, and
+    since the branch order is fixed, node counts can only fall.
+  The check runs when the edge just colored fills a star, and reads the
+  cuts through that star's three edges, which have just become known.
+  When a domain narrows, the other cuts through that edge are read again,
+  until no domain narrows or one empties: arc consistency (A. K. Mackworth,
+  "Consistency in networks of relations", Artif. Intell. 8, 1977).  Every
+  narrowing is monotone, so every order of reading reaches the same
+  domains, and whether one empties does not depend on the order.  Two
+  known edges of a cut leave one star, their common end, so the third
+  domain must hold its third edge, and three known ones must form a star:
+  these are the cases a check of known edges alone would catch.  Domains
+  live for one check only, so nothing needs undoing.  The listed cuts
+  (`CubicGraph._three_cuts`: the cuts of three pairwise vertex-disjoint
+  edges, so no star, which the search keeps proper anyway) hold no bridge:
+  a bridge's set is empty, so the other two would form a 2-cut, whose
+  model edges are equal, and the bridge lies in no piece that this search
+  colors.  Nor does a cut span two components, whose colorings the lemma
+  does not link; and since an edge's set holds only cycles of its own
+  piece, three non-bridge edges whose sets XOR to 0 lie in one piece.
 
 A piece that no bridge meets, that is a bridgeless component of G, is first
 probed with cap 0: the search looks for a normal coloring.  Only when the
@@ -251,72 +270,108 @@ def _dead_end(
 
 
 @lru_cache(maxsize=1)
-def _classes() -> tuple[int, ...]:
-    """class(S, c) at index S << 3 | c, for S the bitmask of a palette."""
-    model, table = canonical_petersen(), [0] * (32 << 3)
-    for (palette, c), eid in model.edge_at.items():
-        table[sum(1 << (x - 1) for x in palette) << 3 | c] = model.graph._cut_space[1][eid]
-    return tuple(table)
+def _domains() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], dict[int, tuple[int, int]]]:
+    """The model-edge domains `dom[c][p]` (module docstring), for colors c
+    in 0..5 and palettes p within colors 1..5 as bitmasks; the model's 10
+    stars; and per model edge's own bit, its two end stars.  Sets of model
+    edges are 15-bit masks."""
+    model = canonical_petersen()
+    dom = [[0] * 32 for _ in range(6)]
+    for (palette, c), e in model.edge_at.items():  # e has color c and this end palette
+        end = sum(1 << (x - 1) for x in palette)
+        for p in range(32):
+            if p | end == end:  # p fits inside it
+                dom[c][p] |= 1 << e
+                if not p >> (c - 1) & 1:
+                    dom[0][p] |= 1 << e
+    stars = tuple(sum(1 << e for e in model.graph.incidence[w]) for w in range(10))
+    end_stars = {1 << e: (stars[a], stars[b]) for e, (a, b) in enumerate(model.graph.edges)}
+    return tuple(map(tuple, dom)), stars, end_stars
 
 
-@lru_cache(maxsize=1)
-def _model_edges() -> dict[int, tuple[int, int]]:
-    """Per model edge class: the bit of the edge's color c, and a 32-bit
-    mask of the palettes without c that fit inside one of its end palettes.
-    A set of fundamental cycles that no model edge has reads as (0, 0),
-    which no edge fits."""
-    table: dict[int, tuple[int, int]] = {}
-    for key, cls in enumerate(_classes()):
-        if cls:  # one key per end of the edge
-            end, bit = key >> 3, 1 << (key & 7) >> 1
-            fits = sum(1 << p for p in range(32) if p | end == end and not p & bit)
-            table[cls] = (bit, table.get(cls, (0, 0))[1] | fits)
-    return table
+@lru_cache(maxsize=1 << 12)
+def _star_test(da: int, db: int, dc: int) -> tuple[int, int, int]:
+    """The domains of a 3-edge cut's edges, each narrowed to the union of
+    its intersections with the model stars that can take a distinct edge
+    from every domain; all three 0 when no star can.  When a domain is a
+    single edge, only that edge's two end stars are tested."""
+    _, stars, end_stars = _domains()
+    one = da if not da & da - 1 else db if not db & db - 1 else dc if not dc & dc - 1 else 0
+    na = nb = nc = 0
+    for star in end_stars[one] if one else stars:
+        x, y, z = da & star, db & star, dc & star
+        # Hall's condition: each meets the star, the three cover it, and
+        # no two meet it in the same single edge
+        if (
+            x and y and z and x | y | z == star
+            and not (x == y and not x & x - 1)
+            and not (x == z and not x & x - 1)
+            and not (y == z and not y & y - 1)
+        ):
+            na |= x
+            nb |= y
+            nc |= z
+    return na, nb, nc
 
 
 def _cut_check(
     graph: CubicGraph, color: list[int], pal: list[int]
-) -> Callable[[int], bool]:
+) -> Optional[Callable[[int, int], bool]]:
     """The 3-edge-cut check over one solve's color and palette lists, for
-    palettes within colors 1..5: `cut(e)` tells whether e, the edge just
-    colored, with every classified edge normal, lies in a 3-edge cut of G
-    that has no normal completion, once an end of e is full (module
-    docstring)."""
-    classes, pop = _classes(), _POP
-    ends, model = graph.edges, _model_edges()
-    cuts = [()] * graph.m  # per edge e: the other two edges of each cut through e
-    for e, f, g in graph._three_cuts:
-        cuts[e] += ((f, g),)
-        cuts[f] += ((e, g),)
-        cuts[g] += ((e, f),)
+    palettes within colors 1..5, or None when G lists no 3-edge cut:
+    `cut(u, v)` tells whether coloring uv, the edge just colored, filled a
+    star whose edges' cuts leave some edge an empty domain once the
+    narrowing has spread (module docstring)."""
+    if not graph._three_cuts:
+        return None
+    dom = _domains()[0]
+    ends, pop = graph.edges, _POP
+    through = [()] * graph.m  # per edge: the ids of the cuts through it
+    at = [()] * graph.n  # per vertex: those through its star's edges
+    for i, three in enumerate(graph._three_cuts):
+        for f in three:
+            through[f] += (i,)
+            x, y = ends[f]
+            at[x] += (i,)
+            at[y] += (i,)
+    # per cut: its edges, their ends, and per edge the cuts to read again
+    # when its domain narrows
+    cuts = [
+        (a, b, c, *ends[a], *ends[b], *ends[c], through[a], through[b], through[c])
+        for a, b, c in graph._three_cuts
+    ]
 
-    def known(f: int) -> int:
-        """f's class once an end of f is full, else 0, which no class is."""
-        a, b = ends[f]
-        p = pal[a] if pop[pal[a]] == 3 else pal[b]
-        return classes[p << 3 | color[f]] if pop[p] == 3 else 0
-
-    def cut(e: int) -> bool:
-        """Whether a cut through e has two known edges whose model star's
-        third edge the third cannot become, or three known ones whose
-        classes do not XOR to 0."""
-        ce = known(e) if cuts[e] else 0
-        if not ce:  # no cut through e, or no end of e full yet
+    def cut(u: int, v: int) -> bool:
+        if pop[pal[u]] == 3:
+            queue = {*at[u], *at[v]} if pop[pal[v]] == 3 else {*at[u]}
+        elif pop[pal[v]] == 3:
+            queue = {*at[v]}
+        else:
             return False
-        for f, g in cuts[e]:
-            cf, cg = known(f), known(g)
-            rest = ce ^ cf ^ cg
-            if cf and cg:
-                if rest:
-                    return True
-            elif cf or cg:
-                # the third edge h must become the model edge of class rest
-                h = g if cf else f
-                a, b = ends[h]
-                bit, fits = model.get(rest, (0, 0))
-                q = 1 << color[h] >> 1  # 0 while h is uncolored
-                if q | bit != bit or not (fits >> (pal[a] ^ q) & fits >> (pal[b] ^ q) & 1):
-                    return True
+        doms: dict[int, int] = {}  # the narrowed domains
+        while queue:
+            i = queue.pop()
+            a, b, c, a1, a2, b1, b2, c1, c2, ra, rb, rc = cuts[i]
+            # each edge's domain, narrowed or read off its color and ends
+            row = dom[color[a]]
+            da = doms[a] if a in doms else row[pal[a1]] & row[pal[a2]]
+            row = dom[color[b]]
+            db = doms[b] if b in doms else row[pal[b1]] & row[pal[b2]]
+            row = dom[color[c]]
+            dc = doms[c] if c in doms else row[pal[c1]] & row[pal[c2]]
+            na, nb, nc = _star_test(da, db, dc)
+            if not na:
+                return True
+            if na != da:
+                doms[a] = na
+                queue.update(ra)
+            if nb != db:
+                doms[b] = nb
+                queue.update(rb)
+            if nc != dc:
+                doms[c] = nc
+                queue.update(rc)
+            queue.discard(i)  # a cut's own narrowing leaves it consistent
         return False
 
     return cut
@@ -396,7 +451,7 @@ def _search(
             # completion, is pruned without a call
             if count < best and not (
                 count == best - 1
-                and (dead(u, full) or dead(v, full) or (cut and cut(eid)))
+                and (dead(u, full) or dead(v, full) or (cut and cut(u, v)))
             ):
                 search(count, used)
             # bit is not in forbidden, so XOR restores both palettes

@@ -339,6 +339,19 @@ def preimage_degrees(
 
 
 @lru_cache(maxsize=1)
+def model_classes() -> tuple[int, ...]:
+    """class(S, c), the set of the model's fundamental cycles through
+    edge_at[(S, c)] (`CubicGraph._cut_space`), at index S << 3 | c for S the
+    bitmask of a palette; 0 where no model edge has that key.  Model edges
+    form a cut exactly when their classes XOR to 0: the lemma behind the
+    solver's 3-edge-cut check."""
+    model, table = canonical_petersen(), [0] * (32 << 3)
+    for (palette, c), eid in model.edge_at.items():
+        table[sum(1 << (x - 1) for x in palette) << 3 | c] = model.graph._cut_space[1][eid]
+    return tuple(table)
+
+
+@lru_cache(maxsize=1)
 def model_cycles() -> tuple[frozenset[int], ...]:
     """Every simple cycle of the model, as a frozenset of edge ids, in the
     order of their edge bitmasks.

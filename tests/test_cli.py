@@ -189,9 +189,9 @@ def test_scan_deterministic_bytes(files, capsys):
 # minima, statuses, node counts or witnesses moved
 SCAN_SHA256 = {
     ("--n", "10"): "6682d229f0959c407c0b0d96997fc7a76d687d4d9906dcaec937109cc2f47765",
-    ("--n", "12"): "e6f7650c3abce3bff36fcc5ebc7a96c90d3b0251fc6870897e390fb3d77e5059",
+    ("--n", "12"): "d20f28caf807c844ce342e80bfb4cdc6b1d35d5672246a8c060517bd2382813c",
     ("--n", "12", "--out", "json"):
-        "b3782af28871a23ff7b219a6898bd311e32fa4c4fa0160cd5ad43e7e4fdbc1ec",
+        "234cbd124077d339df3873eacfe4d15a465460dc35ca6a1d466354f591512c9a",
 }
 
 

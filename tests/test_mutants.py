@@ -120,28 +120,32 @@ MUTANTS = [
            "k <= 5 and not piece.bridged else", "k <= 5 else",
            "killed", fails=("tests/test_solver.py::test_cut_check_built_only_where_read",)),
     Mutant("three-cut-check-off", "solver.py",
-           "for e, f, g in graph._three_cuts:", "for e, f, g in ():",
+           "for i, three in enumerate(graph._three_cuts):", "for i, three in enumerate(()):",
            "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_composites",),
            passes=_OUTCOME_PINS),
-    Mutant("three-cut-all-known-inverted", "solver.py",
-           "if rest:", "if not rest:",
+    # the model-edge domains and the star test: a narrowed domain re-reads
+    # the other cuts through its edge, which only node pins see
+    Mutant("cut-propagation-off", "solver.py",
+           "through[a], through[b], through[c])", "(), (), ())",
+           "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_composites",),
+           passes=_OUTCOME_PINS),
+    Mutant("star-test-inverted", "solver.py",
+           "        if (\n            x and y and z and x | y | z == star\n",
+           "        if not (\n            x and y and z and x | y | z == star\n",
            "killed", fails=(
                "tests/test_solver.py::test_composite_outcomes_pinned",
                "tests/test_solver.py::test_replacement_family_outcomes_pinned",
            )),
-    Mutant("three-cut-two-known-skipped", "solver.py",
-           "elif cf or cg:", "elif False:",
-           "weakening", fails=(
-               "tests/test_solver.py::test_search_order_pinned_on_composites",
-               "tests/test_solver.py::test_search_order_pinned_on_replacement_family",
-           ), passes=_OUTCOME_PINS),
-    Mutant("three-cut-fit-inverted", "solver.py",
-           "if q | bit != bit or not (fits >> (pal[a] ^ q) & fits >> (pal[b] ^ q) & 1):",
-           "if not (q | bit != bit or not (fits >> (pal[a] ^ q) & fits >> (pal[b] ^ q) & 1)):",
+    Mutant("domain-ignores-edge-color", "solver.py",
+           "row = dom[color[a]]", "row = dom[0]",
            "killed", fails=(
                "tests/test_solver.py::test_composite_outcomes_pinned",
                "tests/test_solver.py::test_replacement_family_outcomes_pinned",
            )),
+    # a wider domain is sound, so only the table oracle sees it
+    Mutant("uncolored-domain-keeps-palette-colors", "solver.py",
+           "if not p >> (c - 1) & 1:", "if True:",
+           "killed", fails=("tests/test_solver.py::test_cut_check_domains_match_brute_force",)),
     # the bridge split: the minimum is the sum of the pieces' minima
     Mutant("piece-minima-not-summed", "solver.py",
            "total += best", "total = best",

@@ -21,6 +21,7 @@ from normalcol.graphs import connectivity_report
 from normalcol.solver import SearchConfig, has_normal_k, min_abnormal
 
 from conftest import (
+    model_classes,
     model_cycles,
     preimage_degrees,
     random_bridged_multigraph,
@@ -332,10 +333,8 @@ def test_cut_space_parity_lemma(model):
     # model star is a cut, so a normal coloring sends the boundary of any
     # vertex set X to model edges whose classes (sets of fundamental cycles)
     # XOR to 0
-    from normalcol.solver import _classes
-
     cycles = model.graph._cut_space[1]
-    table = _classes()
+    table = model_classes()
     keys = {(sum(1 << (x - 1) for x in pal) << 3 | c): e for (pal, c), e in model.edge_at.items()}
     assert all(table[key] == cycles[e] for key, e in keys.items())
     assert all(not bits for key, bits in enumerate(table) if key not in keys)

@@ -6,7 +6,7 @@ import os
 import random
 import sys
 from collections import Counter
-from itertools import islice
+from itertools import combinations, islice, permutations
 
 import pytest
 
@@ -15,6 +15,7 @@ from normalcol.coloring import abnormal_set, is_normal, is_proper
 from normalcol.constructions import DEMO_VARIANTS, composite_graph, vertex_replacement
 from normalcol.generate import enumerate_cubic
 from normalcol.graphs import CubicGraph, catalog, connectivity_report
+from normalcol.petersen import canonical_petersen
 from normalcol.solver import (
     SearchConfig,
     SolveStatus,
@@ -173,12 +174,14 @@ def test_search_order_pinned_on_composites(petersen):
     # of the Petersen graph (each ends in its probe), and Petersen at k = 6
     # and at k = 8, where palettes outgrow the popcount table.  The 3-edge-cut
     # check prunes only in vertex_replacement, behind whose 3-edge cuts the
-    # search re-colored the replaced copies (120,794 nodes without it)
+    # search re-colored the replaced copies (120,794 nodes without it).  Each
+    # host edge lies in two of those cuts, and narrowing one edge's domain
+    # spreads to the other cut (7,962 nodes without that)
     for variant, t, nodes in [
         ("disjoint", 3, 438),
         ("cyclic1", 3, 966),
         ("cyclic2", 3, 91),
-        ("vertex_replacement", 2, 7962),
+        ("vertex_replacement", 2, 3514),
     ]:
         result = min_abnormal(composite_graph(petersen, variant, t), SearchConfig(abnormal_budget=0))
         assert (result.best_count, result.nodes_explored) == (0, nodes), variant
@@ -200,7 +203,7 @@ def test_search_order_pinned_on_replacement_family():
     ]
     assert len(graphs) == 26
     cfg = SearchConfig(abnormal_budget=0)
-    assert sum(min_abnormal(h, cfg).nodes_explored for h in graphs) == 8161
+    assert sum(min_abnormal(h, cfg).nodes_explored for h in graphs) == 7942
 
 
 def test_search_order_pinned_on_a_k4_proof():
@@ -217,10 +220,11 @@ def test_search_order_pinned_on_a_k4_proof():
 def test_search_order_pinned_on_a_cut_class():
     # class 96 of the n = 14 stream has two 3-edge cuts and a normal
     # coloring at k = 4 and 5: its budget-0 node counts fix which cuts the
-    # 3-edge-cut check reads, those through the edge just colored
+    # 3-edge-cut check reads, those through every edge of a star the edge
+    # just colored fills (48 and 51 nodes through that edge's cuts alone)
     graph = next(islice(enumerate_cubic(14, distinct=True), 96, None))
     results = [min_abnormal(graph, SearchConfig(k=k, abnormal_budget=0)) for k in (4, 5)]
-    assert [(r.best_count, r.nodes_explored) for r in results] == [(0, 48), (0, 51)]
+    assert [(r.best_count, r.nodes_explored) for r in results] == [(0, 41), (0, 41)]
 
 
 def test_cut_check_moves_no_outcome(monkeypatch):
@@ -262,6 +266,58 @@ def test_cut_check_built_only_where_read(monkeypatch):
         min_abnormal(graph, SearchConfig(k=5, abnormal_budget=0))
     assert builds == [g for g in graphs for piece in _pieces(g) if not piece.bridged]
     assert len(builds) == 81 + 3  # the bridgeless n = 12 classes, the three pieces
+
+
+def test_cut_check_domains_match_brute_force():
+    # the 3-edge-cut check's tables, rebuilt from the model's (palette,
+    # color) -> edge dict through completions: an edge of color c (0 while
+    # uncolored) with palette p at one end can become M exactly when some
+    # final palette S holding p, and a color c' in S that is c or, for c = 0,
+    # outside p, send it to M = edge_at[(S, c')]
+    model = canonical_petersen()
+    dom, stars, end_stars = solver._domains()
+    finals = [frozenset(s) for s in combinations(range(1, 6), 3)]
+    for c in range(6):
+        for p in range(32):
+            held = {x for x in range(1, 6) if p >> (x - 1) & 1}
+            expected = 0
+            for final in finals:
+                if held <= final:
+                    for image in final:
+                        if image == c or not c and image not in held:
+                            expected |= 1 << model.edge_at[(final, image)]
+            assert dom[c][p] == expected, (c, p)
+    # a full end's palette leaves one model edge: the known edge
+    assert all(dom[c][sum(1 << (x - 1) for x in s)].bit_count() == 1 for s in finals for c in s)
+    inc = model.graph.incidence
+    assert sorted(stars) == sorted(sum(1 << e for e in inc[w]) for w in range(10))
+    for e, ends in enumerate(model.graph.edges):
+        assert sorted(end_stars[1 << e]) == sorted(sum(1 << f for f in inc[w]) for w in ends)
+
+
+def test_star_test_matches_brute_force():
+    # Hall's condition against the distinct representatives themselves: a
+    # star passes when it takes a distinct edge from each of the three
+    # domains, and each domain narrows to its part of the passing stars
+    inc = canonical_petersen().graph.incidence
+    stars = [sum(1 << e for e in inc[w]) for w in range(10)]
+    rng = random.Random(35)
+    singles = [1 << e for e in range(15)]
+    triples = [tuple(rng.choice(singles) for _ in range(3)) for _ in range(300)]
+    for _ in range(1500):
+        picks = [rng.choice((3, 6, 10)) for _ in range(3)]
+        triples.append(tuple(sum(1 << e for e in rng.sample(range(15), k)) for k in picks))
+    triples += [(1, 2, 4), (1, 1, 2), (0, 1, 2)]
+    passed = 0
+    for domains in triples:
+        narrowed = [0, 0, 0]
+        for star in stars:
+            edges = [e for e in range(15) if star >> e & 1]
+            if any(all(domains[i] >> e & 1 for i, e in enumerate(order)) for order in permutations(edges)):
+                narrowed = [n | d & star for n, d in zip(narrowed, domains)]
+        assert solver._star_test(*domains) == tuple(narrowed), domains
+        passed += any(narrowed)
+    assert 0 < passed < len(triples)
 
 
 def _outcomes_sha256(results):
