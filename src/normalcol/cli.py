@@ -241,9 +241,6 @@ def _cmd_jaeger(args) -> None:
 
 def _cmd_construct(args) -> None:
     graph = _read_graph(args.graph)[0]
-    # two_cut, k4_gadget and a --graph2 host never read t, and cyclic2
-    # says "at least 1" below 1 before cyclic_join_two_edges asks for 2
-    constructions.check_copies(args.t)
     variant = args.variant
     if variant == "disjoint":
         out = constructions.disjoint_copies(graph, args.t)
@@ -276,6 +273,9 @@ def _cmd_construct(args) -> None:
             raise ValueError("the coloring has no abnormal edge to extend")
         eid = args.edge if args.edge is not None else bad[0]
         out, _ = constructions.k4_gadget_extend(graph, coloring, eid)
+    # two_cut, k4_gadget and a --graph2 host never read t; checking it after
+    # the build lets a builder that reads t, such as cyclic2's, speak first
+    constructions.check_copies(args.t)
     print(write_graph(out, args.format), end="")
 
 

@@ -32,10 +32,7 @@ edges as its palette has colors, so a star is full when its palette holds 3.
 * the branch edge is the uncolored edge whose endpoint stars forbid the most
   colors, ties broken by lowest edge id.  The uncolored edge ids are kept
   in a list in id order: the branch edge leaves it while its colors are
-  tried and goes back at its old index, so the scan walks only that list.
-  Each end of an uncolored edge has at most 2 other colored edges, so no
-  edge forbids more than 4 colors, and the scan stops at the first edge
-  that forbids 4;
+  tried and goes back at its old index, so the scan walks only that list;
 * an edge is classified once both endpoint stars are full.  Coloring uv can
   fill the star of u, of v, or both, and a star it fills has just become
   full.  So the edges at u whose other star is full are counted first, then
@@ -50,18 +47,17 @@ edges as its palette has colors, so a star is full when its palette holds 3.
 * a child with no slack, count == best - 1, is pruned the same way when the
   forward check finds a vertex x with 2 colored edges whose last edge xw
   has no color c that keeps normal every edge from x to a full star: c
-  must be in neither palette at x and w, x's palette plus c and a full
-  neighbor's must not hold exactly 4 colors together, and when w has 2
-  colored edges too, xw itself must stay normal.  The check looks at the two ends
-  of the edge just colored and, at an end whose star that edge filled, at
-  its neighbors with 2 colored edges.  Palettes only grow, so a full
-  star's palette is final and x's will be its two colors plus c.  So in
-  every completion one of the tested edges is abnormal, and none of those
-  is counted yet: no leaf below best lies in the subtree.  The colors
-  above the child's largest are in no palette, so they are free or taken
-  all together, and the check offers every color the piece may use,
-  1..min(k, m), whatever the child used.  The search therefore meets the
-  same incumbents in the same order, and only node counts move;
+  must be in neither palette at x and w, and x's palette plus c and a full
+  neighbor's must not hold exactly 4 colors together.  The check looks at
+  the two ends of the edge just colored and, at an end whose star that
+  edge filled, at its neighbors with 2 colored edges.  Palettes only grow,
+  so a full star's palette is final and x's will be its two colors plus
+  c.  So in every completion one of the tested edges is abnormal, and
+  none of those is counted yet: no leaf below best lies in the subtree.
+  The colors above the child's largest are in no palette, so they are
+  free or taken all together, and the check offers every color the piece
+  may use, 1..min(k, m), whatever the child used.  The search therefore
+  meets the same incumbents in the same order, and only node counts move;
 * a search for a normal coloring (cap 0, k <= 5, a piece that no bridge
   meets, which is a whole component of G) also checks G's own 3-edge cuts.
   A normal coloring is a Petersen-coloring (F. Jaeger, "On
@@ -228,26 +224,21 @@ def _pieces(graph: CubicGraph) -> list[_Piece]:
 
 
 def _dead_end(
-    graph: CubicGraph, color: list[int], pal: list[int], pop
-) -> Callable[[int, int], bool]:
-    """The forward check over one solve's color and palette lists:
-    `dead(v, colors)` tells whether v, an end of the edge just colored,
-    leaves some vertex x with 2 colored edges whose last edge xw has no
-    color in the bitmask `colors` that keeps every edge from x to a full
-    star normal.  That is v itself, or, when v's star is full, a neighbor
-    of v."""
+    graph: CubicGraph, color: list[int], pal: list[int], pop, colors: int
+) -> Callable[[int], bool]:
+    """The forward check over one search's color and palette lists:
+    `dead(v)` tells whether v, an end of the edge just colored, leaves some
+    vertex x with 2 colored edges whose last edge xw has no color in the
+    bitmask `colors` that keeps every edge from x to a full star normal.
+    That is v itself, or, when v's star is full, a neighbor of v."""
     star, nbrs = graph._stars, graph.neighbors
 
-    def stuck(x: int, colors: int) -> bool:
+    def stuck(x: int) -> bool:
         px = pal[x]
         free = colors & ~px
         for f, y in star[x]:
             q = pal[y]
             if not color[f]:
-                # with 2 colored edges at w too, xw joins two final palettes
-                # that share one color besides its own, whatever it is
-                if pop[q] == 2 and pop[px | q] == 3:
-                    return True
                 free &= ~q
             elif pop[q] == 3:
                 # xy is abnormal when the final palettes hold 4 colors
@@ -256,13 +247,13 @@ def _dead_end(
                 free &= q if px | q == q else ~q
         return not free
 
-    def dead(v: int, colors: int) -> bool:
+    def dead(v: int) -> bool:
         size = pop[pal[v]]
         if size == 2:
-            return stuck(v, colors)
+            return stuck(v)
         if size == 3:
             for x in nbrs[v]:
-                if pop[pal[x]] == 2 and stuck(x, colors):
+                if pop[pal[x]] == 2 and stuck(x):
                     return True
         return False
 
@@ -270,11 +261,10 @@ def _dead_end(
 
 
 @lru_cache(maxsize=1)
-def _domains() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], dict[int, tuple[int, int]]]:
+def _domains() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The model-edge domains `dom[c][p]` (module docstring), for colors c
-    in 0..5 and palettes p within colors 1..5 as bitmasks; the model's 10
-    stars; and per model edge's own bit, its two end stars.  Sets of model
-    edges are 15-bit masks."""
+    in 0..5 and palettes p within colors 1..5 as bitmasks, and the model's
+    10 stars.  Sets of model edges are 15-bit masks."""
     model = canonical_petersen()
     dom = [[0] * 32 for _ in range(6)]
     for (palette, c), e in model.edge_at.items():  # e has color c and this end palette
@@ -285,20 +275,16 @@ def _domains() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], dict[int, 
                 if not p >> (c - 1) & 1:
                     dom[0][p] |= 1 << e
     stars = tuple(sum(1 << e for e in model.graph.incidence[w]) for w in range(10))
-    end_stars = {1 << e: (stars[a], stars[b]) for e, (a, b) in enumerate(model.graph.edges)}
-    return tuple(map(tuple, dom)), stars, end_stars
+    return tuple(map(tuple, dom)), stars
 
 
 @lru_cache(maxsize=1 << 12)
 def _star_test(da: int, db: int, dc: int) -> tuple[int, int, int]:
     """The domains of a 3-edge cut's edges, each narrowed to the union of
     its intersections with the model stars that can take a distinct edge
-    from every domain; all three 0 when no star can.  When a domain is a
-    single edge, only that edge's two end stars are tested."""
-    _, stars, end_stars = _domains()
-    one = da if not da & da - 1 else db if not db & db - 1 else dc if not dc & dc - 1 else 0
+    from every domain; all three 0 when no star can."""
     na = nb = nc = 0
-    for star in end_stars[one] if one else stars:
+    for star in _domains()[1]:
         x, y, z = da & star, db & star, dc & star
         # Hall's condition: each meets the star, the three cover it, and
         # no two meet it in the same single edge
@@ -317,7 +303,7 @@ def _star_test(da: int, db: int, dc: int) -> tuple[int, int, int]:
 def _cut_check(
     graph: CubicGraph, color: list[int], pal: list[int]
 ) -> Optional[Callable[[int, int], bool]]:
-    """The 3-edge-cut check over one solve's color and palette lists, for
+    """The 3-edge-cut check over one search's color and palette lists, for
     palettes within colors 1..5, or None when G lists no 3-edge cut:
     `cut(u, v)` tells whether coloring uv, the edge just colored, filled a
     star whose edges' cuts leave some edge an empty domain once the
@@ -379,7 +365,8 @@ def _cut_check(
 
 def _search(
     graph: CubicGraph,
-    state: tuple,
+    color: list[int],
+    pal: list[int],
     piece: _Piece,
     k: int,
     cap: Optional[int],
@@ -387,16 +374,11 @@ def _search(
 ) -> tuple[SolveStatus, int, Optional[tuple[int, ...]], int]:
     """Branch and bound on one piece of G: (status, best count or -1, best
     coloring of `piece.eids` or None, nodes explored), for colorings with at
-    most `cap` abnormal edges.  `state` holds the color and palette lists,
-    all zero on entry and left so on return, the palette popcount table,
-    and the forward check over those lists.  The search builds the 3-edge-cut
-    check over the same lists itself, and only when it reads it: at cap 0,
-    k <= 5, on a piece that no bridge meets."""
+    most `cap` abnormal edges.  `color` and `pal` are G's color and palette
+    lists, all zero on entry and left so on return.  The search builds both
+    of its checks over them: the forward check, and the 3-edge-cut check
+    only where it reads it, at cap 0, k <= 5, on a piece no bridge meets."""
     endpoints, nbrs, eids = graph.edges, graph.neighbors, piece.eids
-    color, pal, pop, dead = state
-    # the 3-edge-cut check holds only for normal colorings of a whole
-    # component, into the 5 colors of the Petersen graph's edges
-    cut = _cut_check(graph, color, pal) if cap == 0 and k <= 5 and not piece.bridged else None
     m = len(eids)
     # the budget is folded into the incumbent bound
     best = m + 1 if cap is None else min(m, cap) + 1
@@ -408,7 +390,12 @@ def _search(
     top = min(k, m)
     pairs = [(c, 1 << (c - 1)) for c in range(1, top + 1)]
     choices = [tuple(pairs[: used + 1]) for used in range(top + 1)]
-    full = (1 << top) - 1  # the forward check's colors (module docstring)
+    pop = _POP if top <= 7 else _BitCount()
+    # the forward check offers every color the piece may use (module docstring)
+    dead = _dead_end(graph, color, pal, pop, (1 << top) - 1)
+    # the 3-edge-cut check holds only for normal colorings of a whole
+    # component, into the 5 colors of the Petersen graph's edges
+    cut = _cut_check(graph, color, pal) if cap == 0 and k <= 5 and not piece.bridged else None
 
     def search(committed: int, max_used: int) -> None:
         nonlocal best, best_colors, nodes
@@ -418,8 +405,6 @@ def _search(
             s = pop[pal[a] | pal[b]]
             if s > score:
                 eid, score = f, s
-                if s == 4:  # no edge forbids more: 2 colored edges at each end
-                    break
         if eid < 0:
             best, best_colors = committed, tuple([color[f] for f in eids])
             return
@@ -451,7 +436,7 @@ def _search(
             # completion, is pruned without a call
             if count < best and not (
                 count == best - 1
-                and (dead(u, full) or dead(v, full) or (cut and cut(u, v)))
+                and (dead(u) or dead(v) or (cut and cut(u, v)))
             ):
                 search(count, used)
             # bit is not in forbidden, so XOR restores both palettes
@@ -537,9 +522,7 @@ def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveRes
     cfg = cfg or SearchConfig()
     k = cfg.k
     pieces = _pieces(graph)
-    color, pal, pop = [0] * graph.m, [0] * graph.n, _POP if k <= 7 else _BitCount()
-    # every piece's search reuses these
-    state = (color, pal, pop, _dead_end(graph, color, pal, pop))
+    color, pal = [0] * graph.m, [0] * graph.n  # every piece's search reuses these
     colors = [0] * graph.m
     total = nodes = 0
     status = SolveStatus.OPTIMAL
@@ -553,7 +536,7 @@ def min_abnormal(graph: CubicGraph, cfg: SearchConfig | None = None) -> SolveRes
         probe = not piece.bridged and cap != 0 and k > 3
         for bound in (0, cap) if probe else (cap,):
             limit = None if cfg.node_limit is None else cfg.node_limit - nodes
-            status, best, piece_colors, used = _search(graph, state, piece, k, bound, limit)
+            status, best, piece_colors, used = _search(graph, color, pal, piece, k, bound, limit)
             nodes += used
             if status is not SolveStatus.INFEASIBLE:
                 break

@@ -188,10 +188,10 @@ def test_scan_deterministic_bytes(files, capsys):
 # full stdout sha256 of the default scan reports; a change here means the
 # minima, statuses, node counts or witnesses moved
 SCAN_SHA256 = {
-    ("--n", "10"): "6682d229f0959c407c0b0d96997fc7a76d687d4d9906dcaec937109cc2f47765",
-    ("--n", "12"): "d20f28caf807c844ce342e80bfb4cdc6b1d35d5672246a8c060517bd2382813c",
+    ("--n", "10"): "90562b06b41d4970a69528ee8e0f1ed1a47ad3a58b5af183ec037ecea83b5fb4",
+    ("--n", "12"): "a3fb19b8e41a6a917c859ccf9d305ac4e07f68906bcb0a1a860c33fe866ecbf3",
     ("--n", "12", "--out", "json"):
-        "234cbd124077d339df3873eacfe4d15a465460dc35ca6a1d466354f591512c9a",
+        "35139fff641567521ce2ee795f3323975ad0d27c8b7b026fe6ccc39b3624d478",
 }
 
 
@@ -558,18 +558,21 @@ def test_construct_vertex_replacement_rejects_t_below_one(files, capsys, t):
 ])
 def test_construct_rejects_t_below_one_for_every_variant(files, capsys, tmp_path, flags):
     # a host from --graph2, and variants that take no copy count, still
-    # reject a t below 1 instead of building a composite
+    # reject a t below 1 instead of building a composite; cyclic2's builder
+    # asks for the 2 copies it needs
+    least = 2 if "cyclic2" in flags else 1
     k33 = tmp_path / "k33.el"
     k33.write_text(write_graph(catalog("k33"), "edge-list"))
     flags = [str(k33) if f == "k33" else f for f in flags]
     code = main(["construct", "--graph", str(files["petersen_el"]), *flags])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err == "error: t must be at least 1\n"
+    assert captured.err == f"error: t must be at least {least}\n"
 
 
 @pytest.mark.parametrize("variant, t, message", [
     ("cyclic2", "1", "t must be at least 2"),
+    ("cyclic2", "0", "t must be at least 2"),
     ("disjoint", "0", "t must be at least 1"),
 ])
 def test_demo_and_construct_share_the_copy_count_message(files, capsys, variant, t, message):

@@ -74,38 +74,26 @@ MUTANTS = [
     Mutant("branch-edge-back-at-end", "solver.py",
            "uncolored.insert(i, eid)", "uncolored.append(eid)",
            "killed", fails=_NODE_PINS),
-    Mutant("scan-stops-at-score-3", "solver.py",
-           "if s == 4:", "if s >= 3:",
-           "equivalent", passes=_NODE_PINS + (
-               "tests/test_solver.py::test_search_order_pinned_on_composites",)),
-    Mutant("scan-stops-at-score-2", "solver.py",
-           "if s == 4:", "if s >= 2:",
-           "killed", fails=_NODE_PINS + (
-               "tests/test_solver.py::test_search_order_pinned_on_composites",)),
+    Mutant("branch-tie-to-highest-id", "solver.py",
+           "if s > score:", "if s >= score:",
+           "killed", fails=_NODE_PINS),
     # the tight forward check
     Mutant("forward-check-colors-up-to-max-used", "solver.py",
-           "full = (1 << top) - 1", "full = (1 << top - 1) - 1",
+           "pop, (1 << top) - 1)", "pop, (1 << top - 1) - 1)",
            "killed", fails=(
                "tests/test_solver.py::test_petersen_not_4_normal",
                "tests/test_solver.py::test_normal_chromatic_index",
                "tests/test_solver.py::test_composite_outcomes_pinned",
            )),
     Mutant("forward-check-ignores-w-palette", "solver.py",
-           "                    return True\n                free &= ~q\n",
-           "                    return True\n",
+           "if not color[f]:\n                free &= ~q\n",
+           "if not color[f]:\n                pass\n",
            "weakening", fails=_NODE_PINS, passes=_OUTCOME_PINS),
-    Mutant("forward-check-xw-test-at-any-colored-w", "solver.py",
-           "if pop[q] == 2 and pop[px | q] == 3:", "if pop[q] >= 1 and pop[px | q] == 3:",
-           "killed", fails=(
-               "tests/test_solver.py::test_petersen_not_4_normal",
-               "tests/test_solver.py::test_normal_chromatic_index",
-               "tests/test_solver.py::test_composite_outcomes_pinned",
-           )),
     # the 3-edge-cut check, and the one guard that builds it only for the
     # searches whose every edge must be normal, in at most 5 colors
     Mutant("three-cut-check-in-no-search", "solver.py",
            "if cap == 0 and k <= 5 and not piece.bridged else None", "if False else None",
-           "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_composites",),
+           "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_a_cut_class",),
            passes=_OUTCOME_PINS),
     Mutant("three-cut-check-in-every-search", "solver.py",
            "if cap == 0 and k <= 5 and not piece.bridged else None", "if True else None",
@@ -121,13 +109,13 @@ MUTANTS = [
            "killed", fails=("tests/test_solver.py::test_cut_check_built_only_where_read",)),
     Mutant("three-cut-check-off", "solver.py",
            "for i, three in enumerate(graph._three_cuts):", "for i, three in enumerate(()):",
-           "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_composites",),
+           "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_a_cut_class",),
            passes=_OUTCOME_PINS),
     # the model-edge domains and the star test: a narrowed domain re-reads
     # the other cuts through its edge, which only node pins see
     Mutant("cut-propagation-off", "solver.py",
            "through[a], through[b], through[c])", "(), (), ())",
-           "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_composites",),
+           "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_replacement_family",),
            passes=_OUTCOME_PINS),
     Mutant("star-test-inverted", "solver.py",
            "        if (\n            x and y and z and x | y | z == star\n",
