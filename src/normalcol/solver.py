@@ -85,34 +85,69 @@ edges as its palette has colors, so a star is full when its palette holds 3.
     color c' that has the end palette S.  A full star's palette is final
     and fits only inside itself, so an edge with a full end has at most
     the one edge edge_at[(S, c)] in its domain: it is known;
-  - the images of a cut's three edges are one model star's three edges, so
-    some star must take a distinct edge from each domain.  By Hall's
-    condition such a star meets every domain, the three cover it, and no
-    two meet it in the same single edge.  Narrowing each domain to the
-    union of its intersections with the stars that pass keeps every
-    image, and so does narrowing again from narrowed domains;
+  - the images of a cut's three edges, or of a vertex star's, are one
+    model star's three edges, so some star must take a distinct edge from
+    each domain.  By Hall's condition such a star meets every domain, the
+    three cover it, and no two meet it in the same single edge.  Narrowing
+    each domain to the union of its intersections with the stars that pass
+    keeps every image, and so does narrowing again from narrowed domains;
   - so a domain that empties leaves no normal completion, and the child is
     pruned.  Only subtrees without a normal coloring go, so the probe
     meets the same first normal coloring, the witness cannot move, and
     since the branch order is fixed, node counts can only fall.
   The check runs when the edge just colored fills a star, and reads the
   cuts through that star's three edges, which have just become known.
-  When a domain narrows, the other cuts through that edge are read again,
-  until no domain narrows or one empties: arc consistency (A. K. Mackworth,
-  "Consistency in networks of relations", Artif. Intell. 8, 1977).  Every
-  narrowing is monotone, so every order of reading reaches the same
-  domains, and whether one empties does not depend on the order.  Two
-  known edges of a cut leave one star, their common end, so the third
+  When a domain narrows, every other constraint through that edge is read
+  again, until no domain narrows or one empties: arc consistency (A. K.
+  Mackworth, "Consistency in networks of relations", Artif. Intell. 8,
+  1977).  Every narrowing is monotone, so every order of reading reaches
+  the same domains, and whether one empties does not depend on the order.
+  Two known edges of a cut leave one star, their common end, so the third
   domain must hold its third edge, and three known ones must form a star:
-  these are the cases a check of known edges alone would catch.  Domains
-  live for one check only, so nothing needs undoing.  The listed cuts
-  (`CubicGraph._three_cuts`: the cuts of three pairwise vertex-disjoint
-  edges, so no star, which the search keeps proper anyway) hold no bridge:
-  a bridge's set is empty, so the other two would form a 2-cut, whose
-  model edges are equal, and the bridge lies in no piece that this search
-  colors.  Nor does a cut span two components, whose colorings the lemma
-  does not link; and since an edge's set holds only cycles of its own
-  piece, three non-bridge edges whose sets XOR to 0 lie in one piece.
+  these are the cases a check of known edges alone would catch.  The
+  listed cuts (`CubicGraph._three_cuts`: the cuts of three pairwise
+  vertex-disjoint edges) hold no bridge: a bridge's set is empty, so the
+  other two would form a 2-cut, whose model edges are equal, and the
+  bridge lies in no piece that this search colors.  Nor does a cut span
+  two components, whose colorings the lemma does not link; and since an
+  edge's set holds only cycles of its own piece, three non-bridge edges
+  whose sets XOR to 0 lie in one piece.
+  Narrowings are kept down the search on a trail, as finite-domain
+  solvers keep theirs (C. Schulte and M. Carlsson, "Finite domain
+  constraint programming systems", Handbook of Constraint Programming,
+  2006).  over[h] is h's narrowed domain, full at first, and h's domain is
+  over[h] & dom[c][pal[a]] & dom[c][pal[b]].  A narrowing made in a
+  child's check holds in the child's whole subtree, since every
+  completion there is a completion of the child.  Each narrowing pushes
+  h and its old over[h] on the trail, and a check first pops the trail
+  back to the length it had when the node whose child it checks was
+  entered.  That undoes what the node's earlier children and their
+  subtrees narrowed, so each check reads its own branch's domains.
+  A vertex star is the trivial 3-edge cut: a normal coloring sends the
+  star of v onto the star of the model vertex with v's palette, so the
+  star test applies to it unchanged.  A star is read far more often than a
+  cut, so vertex stars are constraints only where they pay: when G is
+  behind a snark.  That is, some listed cut has a side X, no larger than
+  the other, whose closure, X with one new vertex on the cut's three edges,
+  is a snark: bridgeless, with no 3-edge-coloring.  A side whose closure
+  has a 3-edge-coloring in the colors of a model vertex's palette gives
+  all its vertices that palette, so it maps onto that vertex's star, and
+  permuting the colors sends the cut onto that star in any order.  A
+  snark's side has no such coloring, so which stars the cut can take
+  depends on how the side is colored, and the search re-colors the side
+  to find out; its vertex stars carry the cut's narrowing into it (as in
+  the vertex-replacement composite, K_{3,3} with each vertex replaced by a
+  copy of P - v, whose copies close off into the Petersen graph).  So the
+  check then also reads the stars at the two ends of the edge just
+  colored, and, when a star fills, the stars of that vertex's neighbors,
+  whose edges it has just made known.  A side has an odd number of
+  vertices (its 3|X| edge ends less the cut's 3 pair up), so a side under
+  9 vertices has a closure of at most 8, and every bridgeless cubic graph
+  that small, parallel edges allowed, has a 3-edge-coloring: the Petersen
+  graph, the smallest snark, has 10.  Those sides go untested, and no
+  graph under 18 vertices is behind a snark.  A closure is tested by a k = 3 solve, which builds no
+  check, and each distinct relabeled closure once.  The gate only decides
+  where stars are read: a wrong answer can cost nodes, never soundness.
 
 A piece that no bridge meets, that is a bridgeless component of G, is first
 probed with cap 0: the search looks for a normal coloring.  Only when the
@@ -302,65 +337,128 @@ def _star_test(da: int, db: int, dc: int) -> tuple[int, int, int]:
 
 def _cut_check(
     graph: CubicGraph, color: list[int], pal: list[int]
-) -> Optional[Callable[[int, int], bool]]:
+) -> Optional[tuple[Callable[[int, int, int], bool], list[tuple[int, int]]]]:
     """The 3-edge-cut check over one search's color and palette lists, for
     palettes within colors 1..5, or None when G lists no 3-edge cut:
-    `cut(u, v)` tells whether coloring uv, the edge just colored, filled a
-    star whose edges' cuts leave some edge an empty domain once the
-    narrowing has spread (module docstring)."""
+    (`cut`, `trail`).  `cut(u, v, mark)` first pops `trail` back to length
+    `mark`, the one it had when the node whose child it checks was entered,
+    then tells whether coloring uv, the edge just colored, left some edge
+    an empty domain once the narrowing has spread from the constraints it
+    reads.  The constraints are the listed cuts, and every vertex star when
+    G is behind a snark (`_behind_snark`); the narrowed domains and the
+    trail live as long as the search (module docstring)."""
     if not graph._three_cuts:
         return None
     dom = _domains()[0]
     ends, pop = graph.edges, _POP
-    through = [()] * graph.m  # per edge: the ids of the cuts through it
-    at = [()] * graph.n  # per vertex: those through its star's edges
-    for i, three in enumerate(graph._three_cuts):
+    cons = list(graph._three_cuts)  # the constraints' edges
+    through = [()] * graph.m  # per edge: the ids of the constraints through it
+    at = [()] * graph.n  # per vertex: those through its star's edges, read when it fills
+    for i, three in enumerate(cons):
         for f in three:
             through[f] += (i,)
             x, y = ends[f]
             at[x] += (i,)
             at[y] += (i,)
-    # per cut: its edges, their ends, and per edge the cuts to read again
-    # when its domain narrows
-    cuts = [
+    own: list[tuple[int, ...]] = [()] * graph.n  # per vertex: its star, when a constraint
+    if _behind_snark(graph):
+        base = len(cons)
+        cons += graph.incidence
+        own = [(base + x,) for x in range(graph.n)]
+        for x, star in enumerate(graph.incidence):
+            for f in star:
+                through[f] += own[x]
+            at[x] += (base + x, *[base + w for w in graph.neighbors[x]])
+    # per constraint: its edges, their ends, and per edge the constraints to
+    # read again when its domain narrows
+    records = [
         (a, b, c, *ends[a], *ends[b], *ends[c], through[a], through[b], through[c])
-        for a, b, c in graph._three_cuts
+        for a, b, c in cons
     ]
+    over = [(1 << 15) - 1] * graph.m
+    trail: list[tuple[int, int]] = []
 
-    def cut(u: int, v: int) -> bool:
-        if pop[pal[u]] == 3:
-            queue = {*at[u], *at[v]} if pop[pal[v]] == 3 else {*at[u]}
-        elif pop[pal[v]] == 3:
-            queue = {*at[v]}
-        else:
-            return False
-        doms: dict[int, int] = {}  # the narrowed domains
+    def cut(u: int, v: int, mark: int) -> bool:
+        while len(trail) > mark:
+            f, old = trail.pop()
+            over[f] = old
+        queue = {
+            *(at[u] if pop[pal[u]] == 3 else own[u]),
+            *(at[v] if pop[pal[v]] == 3 else own[v]),
+        }
         while queue:
             i = queue.pop()
-            a, b, c, a1, a2, b1, b2, c1, c2, ra, rb, rc = cuts[i]
-            # each edge's domain, narrowed or read off its color and ends
+            a, b, c, a1, a2, b1, b2, c1, c2, ra, rb, rc = records[i]
+            # each edge's domain: its narrowing, and what its color and ends allow
             row = dom[color[a]]
-            da = doms[a] if a in doms else row[pal[a1]] & row[pal[a2]]
+            da = over[a] & row[pal[a1]] & row[pal[a2]]
             row = dom[color[b]]
-            db = doms[b] if b in doms else row[pal[b1]] & row[pal[b2]]
+            db = over[b] & row[pal[b1]] & row[pal[b2]]
             row = dom[color[c]]
-            dc = doms[c] if c in doms else row[pal[c1]] & row[pal[c2]]
+            dc = over[c] & row[pal[c1]] & row[pal[c2]]
             na, nb, nc = _star_test(da, db, dc)
             if not na:
                 return True
             if na != da:
-                doms[a] = na
+                trail.append((a, over[a]))
+                over[a] = na
                 queue.update(ra)
             if nb != db:
-                doms[b] = nb
+                trail.append((b, over[b]))
+                over[b] = nb
                 queue.update(rb)
             if nc != dc:
-                doms[c] = nc
+                trail.append((c, over[c]))
+                over[c] = nc
                 queue.update(rc)
-            queue.discard(i)  # a cut's own narrowing leaves it consistent
+            queue.discard(i)  # a constraint's own narrowing leaves it consistent
         return False
 
-    return cut
+    return cut, trail
+
+
+_SIDE = 9  # the fewest vertices of a side whose closure can be a snark
+
+
+def _behind_snark(graph: CubicGraph) -> bool:
+    """Whether some listed 3-edge cut of G has a side, no larger than the
+    other, whose closure (the side, with one new vertex on the cut's three
+    edges) is a snark (`_snark`).  Sides under `_SIDE` vertices are not
+    tested: no closure that small is a snark (module docstring)."""
+    if graph.n < 2 * _SIDE:
+        return False
+    stars, ends, inc = graph._stars, graph.edges, graph.incidence
+    for three in graph._three_cuts:
+        sides = []
+        for x in ends[three[0]]:  # one end on each side
+            side, seen = [x], {x}
+            for v in side:
+                for eid, w in stars[v]:
+                    if w not in seen and eid not in three:
+                        seen.add(w)
+                        side.append(w)
+            sides.append(side)
+        size = min(map(len, sides))
+        for side in sides:
+            if len(side) == size >= _SIDE:
+                # the side's vertices in id order, then the new vertex
+                label = {v: i for i, v in enumerate(sorted(side))}
+                edges = [ends[eid] for eid in sorted({eid for v in side for eid in inc[v]})]
+                closure = tuple((label.get(a, size), label.get(b, size)) for a, b in edges)
+                if _snark(size + 1, closure):
+                    return True
+    return False
+
+
+@lru_cache(maxsize=1 << 10)
+def _snark(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
+    """Whether the cubic graph on n vertices with these edges is a snark,
+    here any bridgeless cubic graph with no 3-edge-coloring.  A k = 3 solve
+    builds no 3-edge-cut check, so this never recurses."""
+    graph = CubicGraph(n, edges)
+    return 0 not in graph._cut_space[1] and (
+        min_abnormal(graph, SearchConfig(k=3)).status is SolveStatus.INFEASIBLE
+    )
 
 
 def _search(
@@ -395,7 +493,8 @@ def _search(
     dead = _dead_end(graph, color, pal, pop, (1 << top) - 1)
     # the 3-edge-cut check holds only for normal colorings of a whole
     # component, into the 5 colors of the Petersen graph's edges
-    cut = _cut_check(graph, color, pal) if cap == 0 and k <= 5 and not piece.bridged else None
+    check = _cut_check(graph, color, pal) if cap == 0 and k <= 5 and not piece.bridged else None
+    cut, trail = check or (None, ())
 
     def search(committed: int, max_used: int) -> None:
         nonlocal best, best_colors, nodes
@@ -412,6 +511,7 @@ def _search(
         del uncolored[i]
         u, v = endpoints[eid]
         forbidden = pal[u] | pal[v]
+        mark = len(trail)  # a child's 3-edge-cut check pops the trail back to it
         for c, bit in choices[max_used]:
             if forbidden & bit:
                 continue
@@ -436,7 +536,7 @@ def _search(
             # completion, is pruned without a call
             if count < best and not (
                 count == best - 1
-                and (dead(u) or dead(v) or (cut and cut(u, v)))
+                and (dead(u) or dead(v) or (cut and cut(u, v, mark)))
             ):
                 search(count, used)
             # bit is not in forbidden, so XOR restores both palettes

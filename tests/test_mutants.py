@@ -50,6 +50,16 @@ _OUTCOME_PINS = (
     "tests/test_cli.py::test_scan_outcomes_pinned",
     "tests/test_solver.py::test_n16_outcomes_pinned",
 )
+# the outcome pins for the weakenings that switch the 3-edge-cut check, its
+# propagation or its vertex stars off: the small classes and the composites,
+# where the check prunes most.  The family's pin and n = 16 take seconds
+# each with the check off
+_CUT_OUTCOME_PINS = (
+    "tests/test_solver.py::test_class_outcomes_pinned",
+    "tests/test_solver.py::test_composite_outcomes_pinned",
+    "tests/test_cli.py::test_scan_outcomes_pinned",
+)
+_COMPOSITE_NODES = ("tests/test_solver.py::test_search_order_pinned_on_composites",)
 _CONNECTIVITY = ("tests/test_graphs.py::test_connectivity_matches_brute_force",)
 
 MUTANTS = [
@@ -94,7 +104,7 @@ MUTANTS = [
     Mutant("three-cut-check-in-no-search", "solver.py",
            "if cap == 0 and k <= 5 and not piece.bridged else None", "if False else None",
            "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_a_cut_class",),
-           passes=_OUTCOME_PINS),
+           passes=_CUT_OUTCOME_PINS),
     Mutant("three-cut-check-in-every-search", "solver.py",
            "if cap == 0 and k <= 5 and not piece.bridged else None", "if True else None",
            "killed", fails=("tests/test_solver.py::test_search_order_pinned_on_a_k4_proof",)),
@@ -108,15 +118,29 @@ MUTANTS = [
            "k <= 5 and not piece.bridged else", "k <= 5 else",
            "killed", fails=("tests/test_solver.py::test_cut_check_built_only_where_read",)),
     Mutant("three-cut-check-off", "solver.py",
-           "for i, three in enumerate(graph._three_cuts):", "for i, three in enumerate(()):",
+           "for i, three in enumerate(cons):", "for i, three in enumerate(()):",
            "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_a_cut_class",),
-           passes=_OUTCOME_PINS),
+           passes=_CUT_OUTCOME_PINS),
     # the model-edge domains and the star test: a narrowed domain re-reads
-    # the other cuts through its edge, which only node pins see
+    # the other constraints through its edge, which only node pins see
     Mutant("cut-propagation-off", "solver.py",
            "through[a], through[b], through[c])", "(), (), ())",
            "weakening", fails=("tests/test_solver.py::test_search_order_pinned_on_replacement_family",),
-           passes=_OUTCOME_PINS),
+           passes=_CUT_OUTCOME_PINS),
+    # the narrowings kept down the search: a check that keeps what an earlier
+    # sibling's subtree narrowed prunes normal colorings
+    Mutant("trail-kept-on-backtrack", "solver.py",
+           "while len(trail) > mark:", "while False:",
+           "killed", fails=("tests/test_solver.py::test_composite_outcomes_pinned",)),
+    # the vertex stars, read only behind a snark: a gate that never answers
+    # yes, or that skips the 9-vertex sides that close off into the Petersen
+    # graph, only reads fewer of them
+    Mutant("snark-stars-off", "solver.py",
+           "if graph.n < 2 * _SIDE:", "if True:",
+           "weakening", fails=_COMPOSITE_NODES, passes=_CUT_OUTCOME_PINS),
+    Mutant("snark-side-bound-raised", "solver.py",
+           "_SIDE = 9", "_SIDE = 11",
+           "weakening", fails=_COMPOSITE_NODES, passes=_CUT_OUTCOME_PINS),
     Mutant("star-test-inverted", "solver.py",
            "        if (\n            x and y and z and x | y | z == star\n",
            "        if not (\n            x and y and z and x | y | z == star\n",

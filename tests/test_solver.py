@@ -175,13 +175,14 @@ def test_search_order_pinned_on_composites(petersen):
     # and at k = 8, where palettes outgrow the popcount table.  The 3-edge-cut
     # check prunes only in vertex_replacement, behind whose 3-edge cuts the
     # search re-colored the replaced copies (121,234 nodes without it).  Each
-    # host edge lies in two of those cuts, and narrowing one edge's domain
-    # spreads to the other cut (7,962 nodes without that)
+    # copy closes off into a Petersen graph, so every vertex star is read as
+    # well (3,514 nodes without the stars), and narrowing one edge's domain
+    # spreads to the other constraints through it (1,518 nodes without that)
     for variant, t, nodes in [
         ("disjoint", 3, 438),
         ("cyclic1", 3, 990),
         ("cyclic2", 3, 91),
-        ("vertex_replacement", 2, 3514),
+        ("vertex_replacement", 2, 829),
     ]:
         result = min_abnormal(composite_graph(petersen, variant, t), SearchConfig(abnormal_budget=0))
         assert (result.best_count, result.nodes_explored) == (0, nodes), variant
@@ -193,7 +194,8 @@ def test_search_order_pinned_on_replacement_family():
     # the node total of the replacement family's budget-0 solves (outcomes
     # pinned below), where every replaced vertex sits behind a 3-edge cut:
     # the 3-edge-cut check prunes here, and the family moves where the
-    # composites above may not
+    # composites above may not.  One of the 26, the Petersen graph's, is
+    # behind a snark and reads vertex stars (8,155 nodes without them)
     host = catalog("k33")
     graphs = [
         vertex_replacement(host, g, 0)
@@ -203,7 +205,7 @@ def test_search_order_pinned_on_replacement_family():
     ]
     assert len(graphs) == 26
     cfg = SearchConfig(abnormal_budget=0)
-    assert sum(min_abnormal(h, cfg).nodes_explored for h in graphs) == 8086
+    assert sum(min_abnormal(h, cfg).nodes_explored for h in graphs) == 6737
 
 
 def test_search_order_pinned_on_a_k4_proof():
@@ -266,6 +268,103 @@ def test_cut_check_built_only_where_read(monkeypatch):
         min_abnormal(graph, SearchConfig(k=5, abnormal_budget=0))
     assert builds == [g for g in graphs for piece in _pieces(g) if not piece.bridged]
     assert len(builds) == 81 + 3  # the bridgeless n = 12 classes, the three pieces
+
+
+def test_stars_move_no_outcome(monkeypatch):
+    # vertex stars prune only subtrees without a normal coloring, so reading
+    # them on every graph that lists a 3-edge cut, far beyond the graphs the
+    # snark gate picks, meets the same first normal coloring as reading none
+    graphs = three_cut_corpus()
+    cfgs = [SearchConfig(k=k, abnormal_budget=0) for k in (4, 5)]
+    runs = []
+    for gate in (True, False):
+        monkeypatch.setattr(solver, "_behind_snark", lambda graph, gate=gate: gate)
+        runs.append([min_abnormal(g, cfg) for cfg in cfgs for g in graphs])
+    starred, plain = runs
+    for a, b in zip(starred, plain):
+        assert (a.status, a.best_count, a.witness) == (b.status, b.best_count, b.witness)
+        assert a.nodes_explored <= b.nodes_explored
+    assert sum(r.nodes_explored for r in starred) < sum(r.nodes_explored for r in plain)
+
+
+def _bridgeless(graph: CubicGraph) -> bool:
+    """Whether every edge's ends stay joined once it is removed: a search
+    from one end over the other edges, by edge id."""
+    for eid, (u, v) in enumerate(graph.edges):
+        seen, stack = {u}, [u]
+        while stack:
+            x = stack.pop()
+            for f, (a, b) in enumerate(graph.edges):
+                if f != eid and x in (a, b) and a + b - x not in seen:
+                    seen.add(a + b - x)
+                    stack.append(a + b - x)
+        if v not in seen:
+            return False
+    return True
+
+
+def _behind_snark_brute_force(graph: CubicGraph) -> bool:
+    """The snark gate from its definition: for every listed 3-edge cut, both
+    sides by a search over the edge list that crosses no cut edge, and every
+    side no larger than the other closed off with one new vertex on the cut
+    edges and decided by the backtracking oracle; no size shortcut, no memo."""
+    for cut in graph._three_cuts:
+        sides = []
+        for start in graph.edges[cut[0]]:
+            side, stack = {start}, [start]
+            while stack:
+                x = stack.pop()
+                for f, (a, b) in enumerate(graph.edges):
+                    if f not in cut and x in (a, b) and a + b - x not in side:
+                        side.add(a + b - x)
+                        stack.append(a + b - x)
+            sides.append(side)
+        for side in sides:
+            if len(side) > graph.n - len(side):
+                continue
+            label = {v: i for i, v in enumerate(side)}
+            new = len(side)
+            edges = [
+                (label.get(a, new), label.get(b, new))
+                for a, b in graph.edges
+                if a in side or b in side
+            ]
+            closure = CubicGraph(new + 1, tuple(edges))
+            if _bridgeless(closure) and not three_edge_colorable(closure):
+                return True
+    return False
+
+
+def test_snark_gate_matches_brute_force():
+    # the corpus holds both vertex-replacement composites, which are behind
+    # a snark; of the replacement family only the Petersen graph's is
+    host = catalog("k33")
+    family = [
+        vertex_replacement(host, g, 0)
+        for n in range(4, 11, 2)
+        for g in enumerate_cubic(n, distinct=True)
+        if connectivity_report(g).bridgeless
+    ]
+    graphs = three_cut_corpus() + family
+    gate = [solver._behind_snark(g) for g in graphs]
+    assert gate == [_behind_snark_brute_force(g) for g in graphs]
+    assert gate.count(True) == 3
+
+
+def test_small_bridgeless_cubic_graphs_are_3_edge_colorable():
+    # the fact behind the snark gate's side bound: a side under 9 vertices
+    # closes off into at most 8, and every bridgeless cubic graph that small,
+    # parallel edges allowed, has a 3-edge-coloring.  The Petersen graph, the
+    # smallest that has none, is what a side of 9 closes off into
+    graphs = [g for n in (4, 6, 8) for g in enumerate_cubic(n, distinct=True)]
+    rng = random.Random(37)
+    graphs += [random_cubic_multigraph(rng, n) for n in (2, 4, 6, 8) for _ in range(1000)]
+    bridgeless = [g for g in graphs if _bridgeless(g)]
+    assert len(bridgeless) == 8 + 3803  # every class, and the draws without a bridge
+    assert sum(len(set(g.edges)) < g.m for g in bridgeless) == 2845  # with parallel edges
+    assert all(three_edge_colorable(g) for g in bridgeless)
+    petersen = catalog("petersen")
+    assert not three_edge_colorable(petersen) and petersen.n == solver._SIDE + 1
 
 
 def test_cut_check_domains_match_brute_force():
